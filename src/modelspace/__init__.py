@@ -4,10 +4,7 @@ renormalized estimators, and exact parallel enumeration."""
 
 from .bayesfactor import (
     GPriorSpec,
-    LogBayesFactor,
-    log_bf,
     log_bf_value,
-    log_posterior_unnorm,
     log_prior_g_density,
     sample_prior_g,
 )
@@ -49,10 +46,7 @@ from .linmodel import (
     Dataset,
     FitState,
     ModelIndex,
-    add_variable,
-    delete_variable,
     expand_design,
-    fit_empty,
     fit_model,
     load_csv,
     make_dataset,

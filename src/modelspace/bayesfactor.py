@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .linmodel import Dataset, FitState, ModelIndex
 
 LOG2 = math.log(2.0)
 NEG_INF = float("-inf")
@@ -19,25 +18,22 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class GPriorSpec:
-    """Prior on g (fixed or Zellner-Siow hierarchical) plus the model-space
-    prior (uniform over all 2^p models)."""
+    """Prior on g (fixed or Zellner-Siow hierarchical); the model-space
+    prior is uniform over all 2^p models."""
 
     kind: str  # "fixed" | "zellner_siow"
     g: float | None = None
     n: int | None = None
-    model_prior: str = "uniform"
 
     def __post_init__(self):
         if self.kind == "fixed":
-            if self.g is None or self.g <= 0:
-                raise UsageError("fixed g-prior needs g > 0")
+            if self.g is None or not math.isfinite(self.g) or self.g <= 0:
+                raise UsageError(f"fixed g-prior needs a finite g > 0, got {self.g}")
         elif self.kind == "zellner_siow":
             if self.n is None or self.n < 1:
                 raise UsageError("Zellner-Siow prior needs the sample count N")
         else:
             raise UsageError(f"unknown g-prior kind {self.kind!r}")
-        if self.model_prior != "uniform":
-            raise UsageError(f"unsupported model prior {self.model_prior!r}")
 
     @classmethod
     def fixed(cls, g: float) -> "GPriorSpec":
@@ -56,38 +52,12 @@ class GPriorSpec:
         return -p * LOG2
 
 
-@dataclass(frozen=True)
-class LogBayesFactor:
-    """Natural log of B_{gamma 0}(g); -inf encodes an excluded model."""
-
-    value: float
-    model: ModelIndex
-    g_used: float
-    excluded: bool = False
-
-
 def log_bf_value(sse: float, k: int, sse0: float, N: int, g: float) -> float:
     """ln B_{gamma 0}(g) = -((N-1)/2) ln(1 + g SSE/SSE0) + ((N-k-1)/2) ln(1+g)."""
     if k > N - 2:
         return NEG_INF
     ratio = max(sse / sse0, 0.0)
     return -0.5 * (N - 1) * math.log1p(g * ratio) + 0.5 * (N - k - 1) * math.log1p(g)
-
-
-def log_bf(state: FitState, data: Dataset, g: float) -> LogBayesFactor:
-    """Log Bayes factor of the state's model against M_0."""
-    if g <= 0:
-        raise UsageError("g must be positive")
-    k = state.k
-    if k > data.N - 2:
-        return LogBayesFactor(NEG_INF, state.model, g, excluded=True)
-    value = log_bf_value(state.sse, k, data.sse0, data.N, g)
-    return LogBayesFactor(value, state.model, g)
-
-
-def log_posterior_unnorm(lbf: LogBayesFactor, prior: GPriorSpec, p: int) -> float:
-    """ln(B_{gamma 0} Pr(M_gamma)), the unnormalized log posterior."""
-    return lbf.value + prior.log_model_prior(p)
 
 
 def log_prior_g_density(g: float, spec: GPriorSpec) -> float:

@@ -26,7 +26,7 @@ from .estimators import (
     dedupe_models,
     find_hpm,
     find_mpm,
-    rank_models,
+    hh_inclusion,
     renormalized_estimate,
     indicator_of_variable,
     summarize_trace,
@@ -319,8 +319,6 @@ def _compare_worker(job):
     data, config, top_k = job
     trace = run_chain(data, config)
     distinct = dedupe_models(trace)
-    from .estimators import hh_inclusion
-
     incl = hh_inclusion(trace, data.p)
     return {
         "inclusion": [e.value for e in incl],
@@ -348,6 +346,20 @@ def compare_runs(
     HPM and MPM hit counts against an exact result, and top-K mass stability."""
     if runs < 2:
         raise UsageError("compare needs at least 2 runs")
+    if exact_report is not None:
+        if exact_report.get("dataset_digest") != data.digest():
+            raise DataError("exact-result file does not match this dataset")
+        if prior.hierarchical:
+            raise DataError(
+                "exact results are for a fixed g; a Zellner-Siow run cannot be "
+                "scored against them"
+            )
+        exact_g = (exact_report.get("config") or {}).get("g")
+        if exact_g != prior.g:
+            raise DataError(
+                f"exact-result file was made with g={exact_g}, "
+                f"this run uses g={prior.g}"
+            )
     seeds = np.random.SeedSequence(base_seed).generate_state(runs, dtype=np.uint64)
     configs = [
         SamplerConfig(iterations=iterations, prior=prior, seed=int(s), start=start)
@@ -376,8 +388,6 @@ def compare_runs(
 
     hpm_hits = mpm_hits = hpm_visited = None
     if exact_report is not None:
-        if exact_report.get("dataset_digest") != data.digest():
-            raise DataError("exact-result file does not match this dataset")
         ex = exact_report["summary"]
         exact_hpm = int(ex["hpm"]["bits_hex"], 16)
         exact_mpm = int(ex["mpm"]["bits_hex"], 16)
@@ -403,12 +413,15 @@ def compare_runs(
 def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> dict:
     """Score a third-party searcher's visited-model file with the
     renormalized estimators."""
-    records = read_trace(path)
-    seen: dict[int, tuple[ModelIndex, float]] = {}
-    for m, _, lbf in records:
-        if m.bits not in seen:
-            seen[m.bits] = (m, lbf)
-    distinct = list(seen.values())
+    models, g_draws, log_bfs = zip(*read_trace(path))
+    for m in models:
+        if m.bits >> data.p:
+            raise DataError(
+                f"{path}: model {m.to_hex()} sets a bit beyond the {data.p} columns"
+            )
+    distinct = dedupe_models(
+        ChainTrace(list(models), np.array(g_draws), np.array(log_bfs))
+    )
     incl = [
         renormalized_estimate(distinct, indicator_of_variable(l), prior).value
         for l in range(data.p)

@@ -199,11 +199,14 @@ def renormalized_estimate(
         raise UsageError("empty model set")
     # uniform model prior: the prior term is a constant shift
     logw = np.array([lbf for _, lbf in models])
-    total = logsumexp(logw)
-    if not np.isfinite(total):
+    top = logw.max()
+    if not np.isfinite(top):
         raise UsageError("all models in the set are excluded (log BF = -inf)")
-    w = np.exp(logw - total)
-    value = float(sum(wi * q.evaluator(m) for (m, _), wi in zip(models, w)))
+    w = np.exp(logw - top)
+    a = np.array([q.evaluator(m) for m, _ in models], dtype=np.float64)
+    # both sums run over arrays of one length, so their additions match
+    # term by term: an indicator's estimate cannot round above 1
+    value = float(np.sum(w * a) / np.sum(w))
     return EstimateWithSE(value, None, "renormalized", len(models))
 
 

@@ -2,10 +2,12 @@
 
 The space is partitioned by the s highest-order bit positions into 2^s
 shards; within each shard a Gray-code walk over the remaining p-s positions
-visits every completion with exactly one add or delete per step. All totals
-are accumulated in log space (streaming log-sum-exp) so 1e50-scale sums are
-safe, and shards are reduced in index order so results are bit-identical
-regardless of worker count.
+visits every completion with exactly one add or delete per step. Each shard
+keeps one log-space scale, m, the largest log Bayes factor it has seen, and
+plain float sums of exp(log BF - m), so 1e50-scale totals never overflow.
+The walk absorbs its models into those sums ``BLOCK`` at a time in one
+vectorised step. Shards are reduced in index order, so results are
+bit-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -25,14 +26,15 @@ from .errors import UsageError
 from .estimators import QuantityOfInterest
 from .linmodel import Dataset, FitState, ModelIndex
 
-LOG10 = math.log(10.0)
-
 # Enumerating beyond p=30 (~1e9 models) is an opt-in long job.
 P_GUARD = 30
 
 # Fixed shard-prefix width: independent of worker count so that results are
 # bit-identical for any parallelism level.
 DEFAULT_SHARD_BITS = 8
+
+# Models buffered by the walk between two vectorised absorbs.
+BLOCK = 4096
 
 
 def default_workers() -> int:
@@ -51,107 +53,87 @@ def default_shard_bits(p: int) -> int:
     return min(p, DEFAULT_SHARD_BITS)
 
 
-class LogSum:
-    """Streaming log-sum-exp accumulator."""
-
-    __slots__ = ("m", "s")
-
-    def __init__(self):
-        self.m = NEG_INF
-        self.s = 0.0
-
-    def add(self, x: float) -> None:
-        if x == NEG_INF:
-            return
-        if x <= self.m:
-            self.s += math.exp(x - self.m)
-        else:
-            self.s = self.s * math.exp(self.m - x) + 1.0
-            self.m = x
-
-    def merge(self, other: "LogSum") -> None:
-        if other.m == NEG_INF:
-            return
-        if other.m <= self.m:
-            self.s += other.s * math.exp(other.m - self.m)
-        else:
-            self.s = self.s * math.exp(self.m - other.m) + other.s
-            self.m = other.m
-
-    def result(self) -> float:
-        if self.m == NEG_INF:
-            return NEG_INF
-        return self.m + math.log(self.s)
-
-
 @dataclass
 class Shard:
-    """Accumulators for one fixed-prefix slice of the model space."""
+    """Accumulators for one fixed-prefix slice of the model space.
+
+    ``total``, ``dim``, ``incl`` and ``quantity_sum`` are sums of
+    exp(log BF - m) over the non-excluded models (weighted by the model's
+    dimension, inclusion or quantity value), all on the one scale ``m``.
+    """
 
     index: int
+    K: int
+    incl: np.ndarray  # per variable
+    dim: np.ndarray  # per dimension 0..p
+    m: float = NEG_INF
+    total: float = 0.0
+    quantity_sum: float = 0.0
     count: int = 0
     excluded_count: int = 0
-    total: LogSum = field(default_factory=LogSum)
-    # per-variable and per-dimension logsumexp, vectorized as (max, sum) arrays
-    incl_m: np.ndarray | None = None
-    incl_s: np.ndarray | None = None
-    dim: list[LogSum] = field(default_factory=list)
-    heap: list[tuple[float, int]] = field(default_factory=list)  # (log_bf, -bits)
-    K: int = 0
-    quantity_sum: float = 0.0  # sum of a(M) exp(log_post - total.m), rescaled
     rank_count: int = 0  # models with log_bf strictly above rank_threshold
+    heap: list[tuple[float, int]] = field(default_factory=list)  # (log_bf, -bits)
 
-    def init_arrays(self, p: int, K: int) -> None:
-        self.incl_m = np.full(p, NEG_INF)
-        self.incl_s = np.zeros(p)
-        self.dim = [LogSum() for _ in range(p + 1)]
-        self.K = K
+    def rescale(self, m: float) -> None:
+        """Move every sum onto the scale m >= self.m."""
+        c = math.exp(self.m - m)
+        self.total *= c
+        self.incl *= c
+        self.dim *= c
+        self.quantity_sum *= c
+        self.m = m
 
+    def absorb(
+        self,
+        bits: list[int],
+        lbfs: list[float],
+        quantity: QuantityOfInterest | None,
+        rank_threshold: float | None,
+    ) -> None:
+        """Add one block of models; an excluded model has log BF -inf."""
+        lbf = np.array(lbfs)
+        finite = lbf > NEG_INF
+        self.count += lbf.size
+        self.excluded_count += lbf.size - int(np.count_nonzero(finite))
+        if not finite.any():
+            return
+        lbf = lbf[finite]
+        b = np.array(bits, dtype=np.int64)[finite]
+        top = float(lbf.max())
+        if top > self.m:
+            self.rescale(top)
+        w = np.exp(lbf - self.m)
 
-def _observe(
-    shard: Shard,
-    bits: int,
-    k: int,
-    log_bf: float,
-    log_post: float,
-    active: np.ndarray | None,
-    quantity: Callable[[ModelIndex], float] | None,
-    rank_threshold: float | None,
-) -> None:
-    shard.count += 1
-    if log_bf == NEG_INF:
-        shard.excluded_count += 1
-        return
-    total = shard.total
-    old_m = total.m
-    total.add(log_post)
-    if quantity is not None:
-        # keep the signed weighted sum on the same running scale as `total`
-        if total.m != old_m and old_m != NEG_INF:
-            shard.quantity_sum *= math.exp(old_m - total.m)
-        shard.quantity_sum += quantity(ModelIndex(bits, k)) * math.exp(
-            log_post - total.m
-        )
-    if rank_threshold is not None and log_bf > rank_threshold:
-        shard.rank_count += 1
-    shard.dim[k].add(log_post)
-    if k > 0 and active is not None and active.size:
-        m = shard.incl_m
-        s = shard.incl_s
-        idx = active
-        hi = idx[m[idx] >= log_post]
-        lo = idx[m[idx] < log_post]
-        if hi.size:
-            s[hi] += np.exp(log_post - m[hi])
-        if lo.size:
-            s[lo] = s[lo] * np.exp(m[lo] - log_post) + 1.0
-            m[lo] = log_post
-    if shard.K > 0:
-        item = (log_bf, -bits)
-        if len(shard.heap) < shard.K:
-            heapq.heappush(shard.heap, item)
-        elif item > shard.heap[0]:
-            heapq.heapreplace(shard.heap, item)
+        # Membership of each model in every variable, in its dimension, and
+        # in the total. One column sum over all of them makes every
+        # numerator and the denominator go through the same monotone float
+        # additions, so no inclusion or dimension can round above 1.
+        p = self.incl.size
+        n = b.size
+        includes = (b[:, None] >> np.arange(p)) & 1
+        member = np.zeros((n, 2 * p + 2))
+        member[:, :p] = includes
+        member[np.arange(n), p + includes.sum(axis=1)] = 1.0
+        member[:, -1] = 1.0
+        sums = (member * w[:, None]).sum(axis=0)
+        self.incl += sums[:p]
+        self.dim += sums[p:-1]
+        self.total += float(sums[-1])
+
+        if quantity is not None:
+            values = [quantity.evaluator(ModelIndex.from_bits(int(x))) for x in b]
+            self.quantity_sum += float(np.dot(values, w))
+        if rank_threshold is not None:
+            self.rank_count += int(np.count_nonzero(lbf > rank_threshold))
+        # best first: descending log BF, ties by ascending bitmask
+        for i in np.lexsort((b, -lbf))[: self.K]:
+            item = (float(lbf[i]), -int(b[i]))
+            if len(self.heap) < self.K:
+                heapq.heappush(self.heap, item)
+            elif item > self.heap[0]:
+                heapq.heapreplace(self.heap, item)
+            else:
+                break
 
 
 def enumerate_shard(
@@ -169,18 +151,16 @@ def enumerate_shard(
     Columns that are collinear with the current active set are held in a
     pending set: the model is excluded while any pending column remains,
     and pending adds are retried after every step so the walk recovers as
-    soon as the dependency is broken.
+    soon as the dependency is broken. The uniform model prior is a constant
+    factor, so ``prior`` does not enter the sums.
     """
     p = data.p
     free = p - shard_bits
     fixed_bits = prefix << free
-    log_prior = prior.log_model_prior(p)
     sse0 = data.sse0
     N = data.N
-    qfun = quantity.evaluator if quantity is not None else None
 
-    shard = Shard(index=prefix)
-    shard.init_arrays(p, K)
+    shard = Shard(index=prefix, K=K, incl=np.zeros(p), dim=np.zeros(p + 1))
 
     state = FitState(data)
     pending: set[int] = set()
@@ -191,46 +171,43 @@ def enumerate_shard(
             if not state.add(j):
                 pending.add(j)
 
-    def current(logical_k: int):
-        if pending or logical_k > N - 2:
-            return NEG_INF, None
-        lbf = log_bf_value(state.sse, state.k, sse0, N, g)
-        return lbf, state.active_array()
-
-    logical_k = bits.bit_count()
-    lbf, act = current(logical_k)
-    _observe(shard, bits, logical_k, lbf, lbf + log_prior, act, qfun, rank_threshold)
-
-    steps = 1 << free
-    for t in range(1, steps):
-        j = (t & -t).bit_length() - 1  # Gray code: flip the ctz(t)-th free bit
-        if (bits >> j) & 1:
-            bits &= ~(1 << j)
-            logical_k -= 1
-            if j in pending:
-                pending.discard(j)
+    block_bits: list[int] = []
+    block_lbfs: list[float] = []
+    for t in range(1 << free):
+        if t:
+            j = (t & -t).bit_length() - 1  # Gray code: flip the ctz(t)-th free bit
+            if (bits >> j) & 1:
+                bits &= ~(1 << j)
+                if j in pending:
+                    pending.discard(j)
+                else:
+                    state.delete(j)
+                if pending:
+                    # a delete can break a dependency; retry pending adds
+                    for pj in sorted(pending):
+                        if state.add(pj):
+                            pending.discard(pj)
             else:
-                state.delete(j)
-            if pending:
-                # a delete can break a dependency; retry pending adds
-                for pj in sorted(pending):
-                    if state.add(pj):
-                        pending.discard(pj)
-        else:
-            bits |= 1 << j
-            logical_k += 1
-            if not state.add(j):
-                pending.add(j)
-        lbf, act = current(logical_k)
-        _observe(
-            shard, bits, logical_k, lbf, lbf + log_prior, act, qfun, rank_threshold
+                bits |= 1 << j
+                if not state.add(j):
+                    pending.add(j)
+        block_bits.append(bits)
+        # with nothing pending the state holds every set bit, and
+        # log_bf_value excludes saturated models itself
+        block_lbfs.append(
+            NEG_INF if pending else log_bf_value(state.sse, state.k, sse0, N, g)
         )
+        if len(block_bits) == BLOCK:
+            shard.absorb(block_bits, block_lbfs, quantity, rank_threshold)
+            block_bits = []
+            block_lbfs = []
+    if block_bits:
+        shard.absorb(block_bits, block_lbfs, quantity, rank_threshold)
     return shard
 
 
 @dataclass
 class ExactResult:
-    log_norm_const: float  # ln sum_gamma B * Pr(M)
     log_total_bf: float  # ln sum_gamma B (prior factored out)
     inclusion_exact: np.ndarray
     dimension_exact: np.ndarray
@@ -240,93 +217,65 @@ class ExactResult:
     top_models: list[tuple[ModelIndex, float]]
     excluded_count: int
     model_count: int
-    quantity_value: float | None = None
-    rank_count: int | None = None
+    quantity_value: float = 0.0
+    rank_count: int = 0
 
 
 def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> ExactResult:
-    """Combine shard accumulators in index order (bit-reproducible)."""
+    """Combine shard accumulators in index order (bit-reproducible): move
+    each shard, in place, onto the common largest scale, then add. The
+    uniform model prior cancels from every ratio, so ``prior`` is unused."""
     p = data.p
     shards = sorted(shards, key=lambda s: s.index)
     seen = {s.index for s in shards}
     if len(shards) == 0 or seen != set(range(len(shards))):
         raise UsageError("shards do not form a complete partition")
 
-    total = LogSum()
-    incl_m = np.full(p, NEG_INF)
-    incl_s = np.zeros(p)
-    dim = [LogSum() for _ in range(p + 1)]
+    count = sum(s.count for s in shards)
+    expected = 1 << p
+    if count != expected:
+        raise UsageError(f"partition visited {count} models, expected {expected}")
+
     heap: list[tuple[float, int]] = []
     K = shards[0].K
-    count = 0
-    excluded = 0
-    qsum = 0.0
-    qm = NEG_INF  # running scale for the quantity numerator
-    rank_count = 0
-    any_quantity = any(s.quantity_sum != 0.0 for s in shards)
-    any_rank = any(s.rank_count != 0 for s in shards)
     for s in shards:
-        count += s.count
-        excluded += s.excluded_count
-        total.merge(s.total)
-        if s.total.m != NEG_INF:
-            if s.total.m <= qm:
-                qsum += s.quantity_sum * math.exp(s.total.m - qm)
-            else:
-                qsum = qsum * math.exp(qm - s.total.m) + s.quantity_sum
-                qm = s.total.m
-        rank_count += s.rank_count
-        for k in range(p + 1):
-            dim[k].merge(s.dim[k])
-        valid = s.incl_m > NEG_INF
-        hi = valid & (s.incl_m <= incl_m)
-        incl_s[hi] += s.incl_s[hi] * np.exp(s.incl_m[hi] - incl_m[hi])
-        lo = valid & (s.incl_m > incl_m)
-        incl_s[lo] = incl_s[lo] * np.exp(incl_m[lo] - s.incl_m[lo]) + s.incl_s[lo]
-        incl_m[lo] = s.incl_m[lo]
         for item in s.heap:
             if len(heap) < K:
                 heapq.heappush(heap, item)
             elif item > heap[0]:
                 heapq.heapreplace(heap, item)
-
-    expected = 1 << p
-    if count != expected:
-        raise UsageError(f"partition visited {count} models, expected {expected}")
-
-    log_total_post = total.result()  # ln sum B*Pr(M)
-    log_prior = prior.log_model_prior(p)
-    with np.errstate(divide="ignore"):
-        inclusion = np.where(
-            incl_m > NEG_INF, np.exp(incl_m + np.log(incl_s) - log_total_post), 0.0
-        )
-    dimension = np.array(
-        [
-            math.exp(d.result() - log_total_post) if d.m != NEG_INF else 0.0
-            for d in dim
-        ]
-    )
     top = sorted(
         [(ModelIndex.from_bits(-nb), lbf) for lbf, nb in heap],
         key=lambda t: (-t[1], t[0].bits),
     )
     if not top:
         raise UsageError("no full-rank models found")
+
+    m = max(s.m for s in shards)
+    total = 0.0
+    incl = np.zeros(p)
+    dim = np.zeros(p + 1)
+    qsum = 0.0
+    for s in shards:
+        s.rescale(m)
+        total += s.total
+        incl += s.incl
+        dim += s.dim
+        qsum += s.quantity_sum
+
     hpm, hpm_lbf = top[0]
-    hpm_post = math.exp(hpm_lbf + log_prior - log_total_post)
     return ExactResult(
-        log_norm_const=log_total_post,
-        log_total_bf=log_total_post - log_prior,
-        inclusion_exact=inclusion,
-        dimension_exact=dimension,
+        log_total_bf=m + math.log(total),
+        inclusion_exact=incl / total,
+        dimension_exact=dim / total,
         hpm=hpm,
         hpm_log_bf=hpm_lbf,
-        hpm_posterior=hpm_post,
+        hpm_posterior=math.exp(hpm_lbf - m) / total,
         top_models=top,
-        excluded_count=excluded,
+        excluded_count=sum(s.excluded_count for s in shards),
         model_count=count,
-        quantity_value=(qsum * math.exp(qm - log_total_post)) if any_quantity else None,
-        rank_count=rank_count if any_rank else None,
+        quantity_value=qsum / total,
+        rank_count=sum(s.rank_count for s in shards),
     )
 
 
@@ -410,7 +359,7 @@ def exact_quantity(
         force=force,
         quantity=q,
     )
-    return res.quantity_value if res.quantity_value is not None else 0.0
+    return res.quantity_value
 
 
 def count_models_above(
@@ -433,4 +382,4 @@ def count_models_above(
         force=force,
         rank_threshold=log_bf_threshold,
     )
-    return res.rank_count or 0
+    return res.rank_count

@@ -376,28 +376,6 @@ class FitState:
         self.k = k - 1
 
 
-def fit_empty(data: Dataset) -> FitState:
-    """FitState for the null model M_0."""
-    return FitState(data)
-
-
-def add_variable(state: FitState, j: int) -> FitState:
-    """Pure version of FitState.add; raises SingularModelError on collinearity."""
-    out = state.clone()
-    if not out.add(j):
-        raise SingularModelError(
-            f"column {j} ({state.data.names[j]!r}) is collinear with the active set"
-        )
-    return out
-
-
-def delete_variable(state: FitState, j: int) -> FitState:
-    """Pure version of FitState.delete."""
-    out = state.clone()
-    out.delete(j)
-    return out
-
-
 def fit_model(data: Dataset, model: ModelIndex) -> FitState:
     """Build a FitState for an arbitrary model by chained adds."""
     state = FitState(data)

@@ -102,29 +102,14 @@ def gibbs_sweep(
     g: float,
     prior: GPriorSpec,
     rng: np.random.Generator,
-    force_prob: np.ndarray | None = None,
 ) -> FitState:
-    """One systematic scan over components 1..p, in place.
-
-    ``force_prob`` is a test hook: an array of per-component probabilities
-    overriding the full-conditional computation.
-    """
+    """One systematic scan over components 1..p, in place."""
     data = state.data
     sse0 = data.sse0
     N = data.N
     kmax = N - 2
     for i in range(data.p):
-        has = (state.bits >> i) & 1
-        if force_prob is not None:
-            pi = float(force_prob[i])
-            want = rng.random() < pi
-            if want and not has:
-                if state.k < kmax:
-                    state.add(i)
-            elif has and not want:
-                state.delete(i)
-            continue
-        if has:
+        if (state.bits >> i) & 1:
             lbf_a = log_bf_value(state.sse, state.k, sse0, N, g)
             state.delete(i)
             lbf_b = log_bf_value(state.sse, state.k, sse0, N, g)

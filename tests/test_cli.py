@@ -39,6 +39,20 @@ def csv5(tmp_path_factory):
     return write_csv(path, data), data
 
 
+@pytest.fixture(scope="module")
+def csv4(tmp_path_factory):
+    data = synth_dataset(N=25, p=4, active=(1,), betas=(0.9,), seed=4)
+    path = tmp_path_factory.mktemp("cli") / "d4.csv"
+    return write_csv(path, data)
+
+
+@pytest.fixture(scope="module")
+def exact4(csv4, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "ex4.json"
+    assert main(["exact", csv4, "--response", "y", "--g", "40", "--out", str(out)]) == 0
+    return str(out)
+
+
 def run_json(argv, out_path):
     rc = main(argv + ["--out", str(out_path)])
     assert rc == 0
@@ -79,6 +93,38 @@ class TestExitCodes:
         rc = main(["exact", path, "--response", "y", "--g", "20"])
         assert rc == 2
         assert "MODELSPACE_WORKERS" in capsys.readouterr().err
+
+    def test_non_finite_g_is_usage_error(self, csv4):
+        for g in ("nan", "inf"):
+            rc = main(["exact", csv4, "--response", "y", "--g", g, "--out", os.devnull])
+            assert rc == 2
+
+    def test_exact_report_for_another_g_is_data_error(self, csv4, exact4, capsys):
+        rc = main(
+            ["compare", csv4, "--response", "y", "--g", "0.01", "--runs", "2",
+             "--iterations", "50", "--exact", exact4, "--workers", "1",
+             "--out", os.devnull]
+        )
+        assert rc == 3
+        assert "g=40.0" in capsys.readouterr().err
+
+    def test_exact_report_for_hierarchical_run_is_data_error(self, csv4, exact4):
+        rc = main(
+            ["compare", csv4, "--response", "y", "--zellner-siow", "--runs", "2",
+             "--iterations", "50", "--exact", exact4, "--workers", "1",
+             "--out", os.devnull]
+        )
+        assert rc == 3
+
+    def test_trace_bits_beyond_p_is_data_error(self, csv4, tmp_path):
+        trace_path = tmp_path / "foreign.tsv"
+        trace_path.write_text("1\t30.0\t2.0\nff\t30.0\t99.0\n")
+        rc = main(
+            ["compare", csv4, "--response", "y", "--g", "30", "--runs", "2",
+             "--iterations", "10", "--workers", "1",
+             "--trace-file", str(trace_path), "--out", os.devnull]
+        )
+        assert rc == 3
 
     def test_digest_mismatch_is_data_error(self, csv5, tmp_path):
         path, _ = csv5
@@ -137,6 +183,21 @@ class TestGibbsReport:
         assert len(report["summary"]["inclusion"]) == 5
         for entry in report["summary"]["inclusion"]:
             assert 0.0 <= entry["value"] <= 1.0
+
+    def test_renormalized_inclusion_within_schema(self, tmp_path):
+        # every visited model holds x0; summing normalized weights used to
+        # give its renormalized inclusion 1 + 5e-15 on this chain
+        data = synth_dataset(
+            N=60, p=10, active=(0, 3, 6), betas=(2.0, -1.0, 0.6), seed=17
+        )
+        path = write_csv(tmp_path / "d10.csv", data)
+        report = run_json(
+            ["gibbs", path, "--response", "y", "--g", "60",
+             "--iterations", "200", "--seed", "17"],
+            tmp_path / "run.json",
+        )
+        jsonschema.validate(report, load_schema("run_report.schema.json"))
+        assert report["summary"]["inclusion_renormalized"][0]["value"] == 1.0
 
     def test_single_iteration(self, csv5, tmp_path):
         path, _ = csv5

@@ -113,6 +113,15 @@ class TestRenormalized:
         assert est.se is None
         assert est.method == "renormalized"
 
+    def test_shared_variable_is_exactly_one(self):
+        # Bayes factors 1..16, every model holding variable 0: normalized
+        # weights summed to 1 + 7e-16 here
+        models = [
+            (ModelIndex.from_bits(1 | (i << 1)), math.log(i + 1.0)) for i in range(16)
+        ]
+        est = renormalized_estimate(models, indicator_of_variable(0), GPriorSpec.fixed(1.0))
+        assert est.value == 1.0
+
     def test_equal_log_bfs_average(self):
         models = [(ModelIndex.from_bits(0b01), 2.0), (ModelIndex.from_bits(0b10), 2.0)]
         est = renormalized_estimate(models, indicator_of_variable(0), GPriorSpec.fixed(1.0))

@@ -17,42 +17,51 @@ from modelspace import (
     topk_mass_log10,
 )
 import modelspace.exact as exact_mod
-from modelspace.exact import LogSum, enumerate_shard, reduce_shards
+from modelspace.exact import enumerate_shard, reduce_shards
 from conftest import naive_enumeration, synth_dataset
 
 
-class TestLogSum:
-    def test_empty_is_neg_inf(self):
-        assert LogSum().result() == -math.inf
+@pytest.fixture(scope="module")
+def huge_data():
+    # a strong signal with small noise: the best log BF is ~1147, far past
+    # where exp overflows, and three inclusion probabilities round to 1
+    return synth_dataset(
+        N=400, p=8, active=(0, 3, 6), betas=(3, -2.5, 2), noise=0.1, seed=3
+    )
 
-    def test_matches_logsumexp(self):
-        from scipy.special import logsumexp
 
-        rng = np.random.default_rng(0)
-        xs = rng.normal(0, 50, size=500)
-        acc = LogSum()
-        for x in xs:
-            acc.add(float(x))
-        assert acc.result() == pytest.approx(float(logsumexp(xs)), abs=1e-10)
+class TestScale:
+    @pytest.mark.parametrize(
+        "shard_bits, block",
+        [(None, exact_mod.BLOCK), (0, 3)],
+        ids=["shard-per-model", "moving-scale"],
+    )
+    def test_huge_magnitudes(self, huge_data, shard_bits, block, monkeypatch):
+        # one model per shard, or one shard absorbed three models at a time
+        # so that the scale moves between blocks
+        monkeypatch.setattr(exact_mod, "BLOCK", block)
+        g = float(huge_data.N)
+        lbfs, log_total, incl, dim, _ = naive_enumeration(huge_data, g)
+        assert lbfs.max() > 1000.0
+        res = enumerate_exact(
+            huge_data, g, GPriorSpec.fixed(g), K=1, workers=1, shard_bits=shard_bits
+        )
+        assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
+        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
+        np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
 
-    def test_merge_equals_sequential(self):
-        rng = np.random.default_rng(1)
-        xs = rng.normal(0, 30, size=200)
-        a, b, c = LogSum(), LogSum(), LogSum()
-        for x in xs[:90]:
-            a.add(float(x))
-        for x in xs[90:]:
-            b.add(float(x))
-        for x in xs:
-            c.add(float(x))
-        a.merge(b)
-        assert a.result() == pytest.approx(c.result(), abs=1e-12)
-
-    def test_huge_magnitudes(self):
-        acc = LogSum()
-        acc.add(115.0)  # e^115 > 1e49
-        acc.add(115.0)
-        assert acc.result() == pytest.approx(115.0 + math.log(2.0))
+    @pytest.mark.parametrize(
+        "shard_bits", [None, 0], ids=["shard-per-model", "one-shard"]
+    )
+    def test_probabilities_within_unit_interval(self, huge_data, shard_bits):
+        g = float(huge_data.N)
+        res = enumerate_exact(
+            huge_data, g, GPriorSpec.fixed(g), K=1, workers=1, shard_bits=shard_bits
+        )
+        assert res.inclusion_exact.max() == 1.0
+        for values in (res.inclusion_exact, res.dimension_exact):
+            assert np.all((values >= 0.0) & (values <= 1.0))
+        assert 0.0 < res.hpm_posterior <= 1.0
 
 
 class TestShardWalk:

@@ -3,12 +3,10 @@ import pytest
 
 from modelspace import (
     DataError,
+    FitState,
     ModelIndex,
     SingularModelError,
-    add_variable,
-    delete_variable,
     expand_design,
-    fit_empty,
     fit_model,
     load_csv,
     make_dataset,
@@ -98,13 +96,13 @@ class TestExpandDesign:
 class TestFitState:
     def test_fit_empty(self):
         data = make_dataset([1.0, 2.0, 3.0], [[0.0], [1.0], [2.5]], ["x"])
-        state = fit_empty(data)
+        state = FitState(data)
         assert state.sse == data.sse0 == 2.0
         assert state.model == ModelIndex(0, 0)
         assert state.chol.shape == (0, 0)
 
     def test_add_then_delete_roundtrip(self, p10_data):
-        state = fit_empty(p10_data)
+        state = FitState(p10_data)
         for j in (1, 4, 7):
             state.add(j)
         before = state.sse
@@ -126,7 +124,7 @@ class TestFitState:
         z -= basis @ np.linalg.lstsq(basis, z, rcond=None)[0]
         X[:, 2] = z
         data = make_dataset(y, X, ["a", "b", "c"])
-        state = fit_empty(data)
+        state = FitState(data)
         state.add(0)
         state.add(1)
         before = state.sse
@@ -138,7 +136,7 @@ class TestFitState:
         rng = np.random.default_rng(1)
         for _ in range(1000):
             cols = list(rng.permutation(5)[: rng.integers(1, 6)])
-            state = fit_empty(data)
+            state = FitState(data)
             for j in cols:
                 state.add(int(j))
             ref = sse_direct(data, state.model)
@@ -149,7 +147,7 @@ class TestFitState:
         rng = np.random.default_rng(2)
         for _ in range(300):
             cols = list(rng.permutation(6)[: rng.integers(2, 7)])
-            state = fit_empty(data)
+            state = FitState(data)
             for j in cols:
                 state.add(int(j))
             victim = int(cols[rng.integers(len(cols))])
@@ -158,7 +156,7 @@ class TestFitState:
             assert state.sse == pytest.approx(ref, rel=1e-8, abs=1e-8 * data.sse0)
 
     def test_delete_only_variable_restores_empty(self, p10_data):
-        state = fit_empty(p10_data)
+        state = FitState(p10_data)
         state.add(5)
         state.delete(5)
         assert state.k == 0
@@ -166,10 +164,13 @@ class TestFitState:
         assert abs(state.sse - p10_data.sse0) <= 1e-10 * p10_data.sse0
 
     def test_pure_wrappers(self, p10_data):
-        s0 = fit_empty(p10_data)
-        s1 = add_variable(s0, 2)
+        # a clone takes adds and deletes without touching the original
+        s0 = FitState(p10_data)
+        s1 = s0.clone()
+        assert s1.add(2)
         assert s0.k == 0 and s1.k == 1
-        s2 = delete_variable(s1, 2)
+        s2 = s1.clone()
+        s2.delete(2)
         assert s1.k == 1 and s2.k == 0
 
     def test_singular_add(self):
@@ -178,12 +179,12 @@ class TestFitState:
         X[:, 3] = X[:, 0]  # duplicate
         y = X[:, 1] + rng.standard_normal(20)
         data = make_dataset(y, X, list("abcd"))
-        state = fit_empty(data)
+        state = FitState(data)
         assert state.add(0)
         assert not state.add(3)
         assert state.k == 1  # failed add leaves the state untouched
         with pytest.raises(SingularModelError):
-            add_variable(state, 3)
+            fit_model(data, ModelIndex.from_bits(0b1001))
 
     def test_path_independence(self):
         data = synth_dataset(N=30, p=8, seed=21)
@@ -191,7 +192,7 @@ class TestFitState:
         target = [0, 2, 5, 7]
         refs = []
         for _ in range(20):
-            state = fit_empty(data)
+            state = FitState(data)
             # random interleaving of adds and spurious add/delete pairs
             order = list(rng.permutation(target))
             extras = list(rng.permutation([1, 3, 6]))
@@ -207,7 +208,7 @@ class TestFitState:
     def test_random_walk_agreement(self):
         data = synth_dataset(N=40, p=12, seed=31)
         rng = np.random.default_rng(8)
-        state = fit_empty(data)
+        state = FitState(data)
         worst = 0.0
         for step in range(10_000):
             j = int(rng.integers(12))
@@ -228,7 +229,8 @@ class TestFitState:
             state = fit_model(data, ModelIndex.from_bits(bits))
             for j in range(6):
                 if not state.model.contains(j):
-                    bigger = add_variable(state, j)
+                    bigger = state.clone()
+                    assert bigger.add(j)
                     assert bigger.sse <= state.sse + 1e-12 * data.sse0
 
 

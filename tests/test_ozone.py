@@ -26,7 +26,7 @@ from modelspace import (
     fit_model,
     hh_inclusion,
     load_csv,
-    log_bf,
+    log_bf_value,
     rank_models,
     run_chain,
     topk_mass_log10,
@@ -121,7 +121,7 @@ class TestExactTargets:
     def test_851_models_above_mpm(self, ozone35, exact35):
         mpm_bits = names_to_bits(ozone35, MPM_NAMES)
         state = fit_model(ozone35, ModelIndex.from_bits(mpm_bits))
-        mpm_lbf = log_bf(state, ozone35, G).value
+        mpm_lbf = log_bf_value(state.sse, state.k, ozone35.sse0, ozone35.N, G)
         assert (
             count_models_above(ozone35, G, GPriorSpec.fixed(G), mpm_lbf, force=True)
             == 851

@@ -8,8 +8,8 @@ from modelspace import (
     GPriorSpec,
     ModelIndex,
     SamplerConfig,
+    FitState,
     UsageError,
-    fit_empty,
     fit_model,
     gibbs_component_prob,
     gibbs_sweep,
@@ -71,21 +71,6 @@ class TestComponentProb:
 
 
 class TestSweep:
-    def test_forced_full_model(self, p10_data):
-        state = fit_empty(p10_data)
-        prior = GPriorSpec.fixed(50.0)
-        rng = np.random.default_rng(0)
-        gibbs_sweep(state, 50.0, prior, rng, force_prob=np.ones(10))
-        assert state.k == 10
-
-    def test_forced_null_model(self, p10_data):
-        state = fit_model(p10_data, ModelIndex.from_bits(0b1111111111))
-        prior = GPriorSpec.fixed(50.0)
-        rng = np.random.default_rng(0)
-        gibbs_sweep(state, 50.0, prior, rng, force_prob=np.zeros(10))
-        assert state.k == 0
-        assert state.sse == pytest.approx(p10_data.sse0, rel=1e-8)
-
     def test_stationary_distribution(self):
         # raw sweep frequencies converge to the exact posterior (reduced-size
         # version; the full 1e6-sweep check is marked slow below)
@@ -104,7 +89,7 @@ class TestSweep:
         exact = np.exp(lbfs - log_total)
         prior = GPriorSpec.fixed(g)
         rng = np.random.default_rng(99)
-        state = fit_empty(data)
+        state = FitState(data)
         counts = np.zeros(1 << data.p)
         for _ in range(sweeps):
             gibbs_sweep(state, g, prior, rng)
@@ -116,7 +101,7 @@ class TestSweep:
 class TestMhStepG:
     def test_null_model_always_accepts(self, p10_data):
         prior = GPriorSpec.zellner_siow(p10_data.N)
-        state = fit_empty(p10_data)
+        state = FitState(p10_data)
         rng = np.random.default_rng(0)
         g = 10.0
         for _ in range(200):
@@ -124,7 +109,7 @@ class TestMhStepG:
             assert accepted  # B_00(g) = 1 for every g
 
     def test_fixed_prior_rejected(self, p10_data):
-        state = fit_empty(p10_data)
+        state = FitState(p10_data)
         with pytest.raises(UsageError):
             mh_step_g(state, 1.0, GPriorSpec.fixed(1.0), np.random.default_rng(0))
 

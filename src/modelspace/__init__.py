@@ -25,7 +25,6 @@ from .estimators import (
     hh_dimension,
     hh_estimate,
     hh_inclusion,
-    hh_predictive_mean,
     indicator_of_dimension,
     indicator_of_model,
     indicator_of_variable,
@@ -55,7 +54,7 @@ from .linmodel import (
 from .sampler import (
     ChainTrace,
     SamplerConfig,
-    gibbs_component_prob,
+    SweepState,
     gibbs_sweep,
     mh_step_g,
     run_chain,

@@ -267,6 +267,7 @@ def cmd_gibbs(args) -> int:
         {
             "g_accept_rate": trace.meta["g_accept_rate"],
             "sse_spot_check_max_rel": trace.meta["sse_spot_check_max_rel"],
+            "bit_flips_per_sweep": trace.meta["bit_flips_per_sweep"],
             "distinct_models": len(dedupe_models(trace)),
         },
         {
@@ -438,17 +439,34 @@ def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> 
     }
 
 
+def _read_exact_report(path) -> dict:
+    """Load an ``exact`` run report for ``compare --exact``, checking the
+    fields the comparison reads before any chain runs."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"{path}: file not found") from None
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: not a JSON file ({e})") from None
+    try:
+        report["dataset_digest"]
+        report["config"]["g"]
+        for key in ("hpm", "mpm"):
+            int(report["summary"][key]["bits_hex"], 16)
+    except (TypeError, KeyError, ValueError):
+        raise DataError(
+            f"{path}: not an exact run report (needs dataset_digest, config.g, "
+            "summary.hpm.bits_hex and summary.mpm.bits_hex)"
+        ) from None
+    return report
+
+
 def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     data = _load(args)
     prior = _prior_from_args(args, data)
-    exact_report = None
-    if args.exact:
-        try:
-            with open(args.exact, encoding="utf-8") as fh:
-                exact_report = json.load(fh)
-        except FileNotFoundError:
-            raise DataError(f"{args.exact}: file not found") from None
+    exact_report = _read_exact_report(args.exact) if args.exact else None
     methods = args.methods.split(",") if args.methods else ["gibbs"]
     for m in methods:
         if m != "gibbs":

@@ -1,6 +1,6 @@
 """Empirical (Hansen-Hurwitz) and renormalized estimators of posterior
 quantities, plus the derived summaries: inclusion probabilities, HPM, MPM,
-dimension posterior, top-K mass, and model-averaged prediction.
+dimension posterior and top-K mass.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from scipy.special import logsumexp
 
 from .bayesfactor import NEG_INF, GPriorSpec
 from .errors import UsageError
-from .linmodel import Dataset, ModelIndex, fit_model
+from .linmodel import Dataset, ModelIndex
 from .sampler import ChainTrace
 
 LOG10 = math.log(10.0)
@@ -131,47 +131,6 @@ def hh_dimension(trace: ChainTrace, p: int) -> list[EstimateWithSE]:
     for m in trace.models:
         counts[m.k] += 1
     return [_indicator_estimate(c, n) for c in counts]
-
-
-def hh_predictive_mean(
-    trace: ChainTrace,
-    data: Dataset,
-    xnew: np.ndarray,
-    g: float | None = None,
-) -> EstimateWithSE:
-    """Model-averaged posterior predictive mean at a new covariate row.
-
-    Per model, E(y_new | M, y) = ybar + (g/(1+g)) * xnew_centered[gamma] . beta_hat;
-    the shrinkage factor uses the fixed g, or each draw's own g when g is None
-    (hierarchical traces).
-    """
-    xnew = np.asarray(xnew, dtype=np.float64)
-    if xnew.shape != (data.p,):
-        raise UsageError(f"xnew must have {data.p} entries")
-    xc = xnew - data.column_means
-
-    # x . beta_hat is g-free; compute once per distinct model
-    proj: dict[int, float] = {0: 0.0}
-
-    def model_proj(m: ModelIndex) -> float:
-        v = proj.get(m.bits)
-        if v is None:
-            state = fit_model(data, m)
-            L = state.chol
-            w = np.linalg.solve(L, state.xty)
-            beta = np.linalg.solve(L.T, w)
-            v = float(xc[state.active_array()] @ beta)
-            proj[m.bits] = v
-        return v
-
-    gs = trace.g_draws if g is None else np.full(trace.n, float(g))
-    values = np.array(
-        [
-            data.ybar + (gj / (1.0 + gj)) * model_proj(m)
-            for m, gj in zip(trace.models, gs)
-        ]
-    )
-    return _hh_from_values(values)
 
 
 def dedupe_models(trace: ChainTrace) -> list[tuple[ModelIndex, float]]:

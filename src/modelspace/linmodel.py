@@ -262,8 +262,7 @@ class FitState:
 
     Holds the lower-triangular Cholesky factor L of the active centered Gram
     submatrix, and the forward-substitution vector b solving L b = X_g' (y - ybar),
-    so that SSE = sse0 - ||b||^2. Single-owner mutable value: clone before
-    sharing across workers.
+    so that SSE = sse0 - ||b||^2. Single-owner mutable value.
     """
 
     __slots__ = ("data", "_L", "_b", "_active", "_pos", "k", "bits", "sse")
@@ -279,36 +278,9 @@ class FitState:
         self.bits = 0
         self.sse = data.sse0
 
-    def clone(self) -> "FitState":
-        other = FitState.__new__(FitState)
-        other.data = self.data
-        other._L = self._L.copy()
-        other._b = self._b.copy()
-        other._active = self._active.copy()
-        other._pos = self._pos.copy()
-        other.k = self.k
-        other.bits = self.bits
-        other.sse = self.sse
-        return other
-
     @property
     def model(self) -> ModelIndex:
         return ModelIndex(self.bits, self.k)
-
-    @property
-    def active(self) -> list[int]:
-        return [int(j) for j in self._active[: self.k]]
-
-    @property
-    def chol(self) -> np.ndarray:
-        return self._L[: self.k, : self.k].copy()
-
-    @property
-    def xty(self) -> np.ndarray:
-        return self.data.xty[self._active[: self.k]]
-
-    def active_array(self) -> np.ndarray:
-        return self._active[: self.k]
 
     def add(self, j: int) -> bool:
         """Extend the fit with column j. Returns False (no change) if the

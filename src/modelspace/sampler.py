@@ -6,6 +6,14 @@ order, recording one model per sweep. Under the uniform model prior and a
 g-prior density that does not depend on gamma, every prior term cancels in
 the component full conditionals and in the g-step acceptance ratio, leaving
 pure Bayes-factor ratios evaluated in log space.
+
+Each component's conditional needs only the SSE of the model with that bit
+flipped. ``SweepState`` keeps the inverse Gram matrix of the active set and
+the coefficients, so a drop SSE costs O(1) and an add SSE one k-vector
+product; the O(k^2) rank-one update is paid only when a bit actually flips
+(fast updating as in George & McCulloch 1997, *Approaches for Bayesian
+variable selection*). ``run_chain`` rebuilds the state from G[A,A] after
+each SSE spot check, which bounds the drift of the updates.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .bayesfactor import (
     sample_prior_g,
 )
 from .errors import UsageError
-from .linmodel import Dataset, FitState, ModelIndex, sse_direct
+from .linmodel import SINGULAR_EPS, Dataset, ModelIndex, sse_direct
 
 SSE_SPOT_CHECK_EVERY = 1000
 
@@ -73,63 +81,178 @@ def _sigmoid(lnr: float) -> float:
     return e / (1.0 + e)
 
 
-def gibbs_component_prob(
-    state: FitState, i: int, g: float, prior: GPriorSpec
-) -> float:
-    """Full-conditional inclusion probability p_i for component i.
+class SweepState:
+    """Least-squares state of one model, kept for the Gibbs sweep.
 
-    The g-prior density and (uniform) model prior are identical across the
-    two branch models, so p_i reduces to r/(1+r) with
-    ln r = ln B(gamma with bit i set) - ln B(gamma with bit i cleared).
-    Non-mutating: works on a clone of the state.
+    Holds the active columns ``cols``, ``Ginv``, the inverse of the active
+    centered Gram submatrix G[A,A], the coefficients ``beta`` = Ginv X'y[A]
+    and the active rows ``GA`` = G[A,:], all in the order of ``cols``. From
+    these, ``flip_sse`` gives the SSE after flipping any one bit: O(1) for a
+    drop, one k-vector product for an add. Only ``flip`` pays an O(k^2)
+    rank-one update. The state is built from a bitmask by one solve on
+    G[A,A], which is also how ``run_chain`` resets the drift of the updates.
     """
-    data = state.data
-    work = state.clone()
-    if work.model.contains(i):
-        lbf_a = log_bf_value(work.sse, work.k, data.sse0, data.N, g)
-        work.delete(i)
-        lbf_b = log_bf_value(work.sse, work.k, data.sse0, data.N, g)
-    else:
-        lbf_b = log_bf_value(work.sse, work.k, data.sse0, data.N, g)
-        if not work.add(i) or work.k > data.N - 2:
-            return 0.0
-        lbf_a = log_bf_value(work.sse, work.k, data.sse0, data.N, g)
-    return _sigmoid(lbf_a - lbf_b)
+
+    __slots__ = (
+        "data", "bits", "k", "sse", "cols", "Ginv", "beta", "GA",
+        "_gdiag", "_xty", "_kmax", "_add", "_Gbuf", "_bbuf", "_GAbuf",
+    )
+
+    def __init__(self, data: Dataset, bits: int = 0):
+        self.data = data
+        self._gdiag = [data.gram_diag(j) for j in range(data.p)]
+        self._xty = data.xty.tolist()
+        self._kmax = data.N - 2
+        self._add = None  # (i, sse, w, d, c) of the last add conditional
+        self.cols = cols = ModelIndex.from_bits(bits).indices()
+        self.bits = bits
+        k = len(cols)
+        # Ginv, beta and GA are views of the leading k rows of buffers
+        # sized for the largest model the sweep can reach
+        cap = max(min(data.p, self._kmax), k)
+        self._Gbuf = np.empty((cap, cap))
+        self._bbuf = np.empty(cap)
+        self._GAbuf = np.empty((cap, data.p))
+        self.sse = data.sse0
+        if k:
+            GA = self._GAbuf[:k]
+            for r, j in enumerate(cols):
+                GA[r] = data.gram_col(j)
+            xty = data.xty[cols]
+            sol = np.linalg.solve(GA[:, cols], np.column_stack([np.eye(k), xty]))
+            self._Gbuf[:k, :k] = sol[:, :k]
+            self._bbuf[:k] = sol[:, k]
+            self.sse = min(max(data.sse0 - float(xty @ sol[:, k]), 0.0), data.sse0)
+        self._resize(k)
+
+    def _resize(self, k: int) -> None:
+        self.k = k
+        self.Ginv = self._Gbuf[:k, :k]
+        self.beta = self._bbuf[:k]
+        self.GA = self._GAbuf[:k]
+
+    @property
+    def model(self) -> ModelIndex:
+        return ModelIndex(self.bits, self.k)
+
+    def flip_sse(self, i: int) -> float | None:
+        """SSE of the model with bit i flipped, or None when that add is
+        singular (the rule of ``FitState.add``) or saturated (k+1 > N-2)."""
+        k = self.k
+        if (self.bits >> i) & 1:
+            if k == 1:
+                return self.data.sse0
+            q = self.cols.index(i)
+            b = self.beta[q]
+            return min(self.sse + b * b / self.Ginv[q, q], self.data.sse0)
+        if k >= self._kmax:
+            return None
+        gii = self._gdiag[i]
+        if k:
+            gi = self.GA[:, i]
+            w = self.Ginv @ gi
+            d = gii - gi @ w
+            c = self._xty[i] - gi @ self.beta
+        else:
+            w = None
+            d = gii
+            c = self._xty[i]
+        if d <= SINGULAR_EPS * gii:
+            return None
+        sse = max(self.sse - c * c / d, 0.0)
+        self._add = (i, sse, w, d, c)
+        return sse
+
+    def flip(self, i: int) -> None:
+        """Flip bit i. An add reuses the pieces of the ``flip_sse(i)`` call
+        just made; a singular or saturated add raises ValueError."""
+        if (self.bits >> i) & 1:
+            self._drop(i)
+        else:
+            self._append(i)
+        self._add = None
+
+    def _append(self, i: int) -> None:
+        if (self._add is None or self._add[0] != i) and self.flip_sse(i) is None:
+            raise ValueError(f"adding column {i} is singular or saturated")
+        _, sse, w, d, c = self._add
+        k = self.k
+        G = self._Gbuf
+        if k:
+            u = w / d
+            self.Ginv += np.outer(w, u)
+            G[:k, k] = -u
+            G[k, :k] = -u
+            self.beta -= w * (c / d)
+        G[k, k] = 1.0 / d
+        self._bbuf[k] = c / d
+        self._GAbuf[k] = self.data.gram_col(i)
+        self.sse = sse
+        self.cols.append(i)
+        self.bits |= 1 << i
+        self._resize(k + 1)
+
+    def _drop(self, i: int) -> None:
+        k = self.k
+        q = self.cols.index(i)
+        last = k - 1
+        if k == 1:
+            # the null model's SSE is sse0 exactly, so its log BF is exactly 0
+            self.sse = self.data.sse0
+        else:
+            Ginv = self.Ginv
+            f = Ginv[q]
+            e = f[q]
+            bq = self.beta[q]
+            self.sse = min(self.sse + bq * bq / e, self.data.sse0)
+            # the update zeroes row and column q; the last active column
+            # then moves into position q
+            self.beta -= f * (bq / e)
+            Ginv -= np.outer(f, f / e)
+            Ginv[q] = Ginv[last]
+            Ginv[:, q] = Ginv[:, last]
+            self.beta[q] = self.beta[last]
+            self.GA[q] = self.GA[last]
+        self.cols[q] = self.cols[last]
+        self.cols.pop()
+        self.bits &= ~(1 << i)
+        self._resize(last)
 
 
 def gibbs_sweep(
-    state: FitState,
+    state: SweepState,
     g: float,
     prior: GPriorSpec,
     rng: np.random.Generator,
-) -> FitState:
-    """One systematic scan over components 1..p, in place."""
+) -> SweepState:
+    """One systematic scan over components 1..p, in place.
+
+    Component i is included with its full-conditional probability
+    r/(1+r), ln r = ln B(bit i set) - ln B(bit i clear). A singular or
+    saturated add has probability 0 and draws no uniform.
+    """
     data = state.data
     sse0 = data.sse0
     N = data.N
-    kmax = N - 2
+    lbf = log_bf_value(state.sse, state.k, sse0, N, g)
     for i in range(data.p):
+        sse = state.flip_sse(i)
+        if sse is None:
+            continue
         if (state.bits >> i) & 1:
-            lbf_a = log_bf_value(state.sse, state.k, sse0, N, g)
-            state.delete(i)
-            lbf_b = log_bf_value(state.sse, state.k, sse0, N, g)
-            pi = _sigmoid(lbf_a - lbf_b)
-            if rng.random() < pi:
-                added = state.add(i)
-                assert added, "re-adding a just-deleted column cannot be singular"
+            lbf_flip = log_bf_value(sse, state.k - 1, sse0, N, g)
+            flip = rng.random() >= _sigmoid(lbf - lbf_flip)
         else:
-            lbf_b = log_bf_value(state.sse, state.k, sse0, N, g)
-            if state.k + 1 > kmax or not state.add(i):
-                continue  # singular or saturated target: p_i = 0
-            lbf_a = log_bf_value(state.sse, state.k, sse0, N, g)
-            pi = _sigmoid(lbf_a - lbf_b)
-            if rng.random() >= pi:
-                state.delete(i)
+            lbf_flip = log_bf_value(sse, state.k + 1, sse0, N, g)
+            flip = rng.random() < _sigmoid(lbf_flip - lbf)
+        if flip:
+            state.flip(i)
+            lbf = lbf_flip
     return state
 
 
 def mh_step_g(
-    state: FitState,
+    state: SweepState,
     g: float,
     prior: GPriorSpec,
     rng: np.random.Generator,
@@ -151,25 +274,23 @@ def mh_step_g(
     return g, False
 
 
-def _initial_state(data: Dataset, start: str, rng: np.random.Generator) -> FitState:
-    state = FitState(data)
+def _initial_state(
+    data: Dataset, start: str, rng: np.random.Generator
+) -> SweepState:
+    state = SweepState(data)
     if start == "null_model":
         return state
     kmax = data.N - 2
-    if start == "full_model":
-        for j in range(data.p):
-            if state.k >= kmax:
-                break
-            state.add(j)
-        return state
+    full = start == "full_model"
     # random start: each column independently with probability 1/2, in a
     # shuffled order so truncation at saturation is not index-biased
-    order = rng.permutation(data.p)
+    order = range(data.p) if full else rng.permutation(data.p).tolist()
     for j in order:
         if state.k >= kmax:
             break
-        if rng.random() < 0.5:
-            state.add(int(j))
+        # a singular column is skipped
+        if (full or rng.random() < 0.5) and state.flip_sse(j) is not None:
+            state.flip(j)
     return state
 
 
@@ -189,10 +310,13 @@ def run_chain(data: Dataset, config: SamplerConfig) -> ChainTrace:
     log_bfs = np.empty(n)
     accepts = 0
     raw = 0
+    flips = 0
     spot_max_rel = 0.0
     t0 = time.perf_counter()
     while len(models) < n:
+        before = state.bits
         gibbs_sweep(state, g, prior, rng)
+        flips += (before ^ state.bits).bit_count()
         if prior.hierarchical:
             g, ok = mh_step_g(state, g, prior, rng)
             accepts += ok
@@ -202,6 +326,8 @@ def run_chain(data: Dataset, config: SamplerConfig) -> ChainTrace:
             spot_max_rel = max(
                 spot_max_rel, abs(state.sse - ref) / max(ref, data.sse0 * 1e-12)
             )
+            # the check measured the drift of the rank-one updates; reset it
+            state = SweepState(data, state.bits)
         if raw > config.burn and (raw - config.burn - 1) % config.thin == 0:
             i = len(models)
             models.append(state.model)
@@ -219,6 +345,7 @@ def run_chain(data: Dataset, config: SamplerConfig) -> ChainTrace:
         "raw_sweeps": raw,
         "wall_seconds": wall,
         "g_accept_rate": accepts / raw if prior.hierarchical else None,
+        "bit_flips_per_sweep": flips / raw,
         "sse_spot_check_max_rel": spot_max_rel,
         "rng": "numpy PCG64 (default_rng)",
     }

@@ -116,6 +116,23 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[1, 2]", '{"dataset_digest": "x", "config": {"g": 40.0}, '
+         '"summary": {"mpm": {"bits_hex": "2"}}}'],
+        ids=["not-json", "not-an-object", "no-summary-hpm"],
+    )
+    def test_bad_exact_report_is_data_error(self, csv4, tmp_path, text, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main(
+            ["compare", csv4, "--response", "y", "--g", "40", "--runs", "2",
+             "--iterations", "10", "--exact", str(bad), "--workers", "1",
+             "--out", os.devnull]
+        )
+        assert rc == 3
+        assert "bad.json" in capsys.readouterr().err
+
     def test_trace_bits_beyond_p_is_data_error(self, csv4, tmp_path):
         trace_path = tmp_path / "foreign.tsv"
         trace_path.write_text("1\t30.0\t2.0\nff\t30.0\t99.0\n")
@@ -183,6 +200,25 @@ class TestGibbsReport:
         assert len(report["summary"]["inclusion"]) == 5
         for entry in report["summary"]["inclusion"]:
             assert 0.0 <= entry["value"] <= 1.0
+
+    def test_bit_flips_per_sweep(self, csv5, tmp_path):
+        path, _ = csv5
+        trace_path = tmp_path / "trace.tsv"
+        report = run_json(
+            ["gibbs", path, "--response", "y", "--g", "30", "--iterations", "300",
+             "--burn", "0", "--thin", "1", "--seed", "4", "--trace", str(trace_path)],
+            tmp_path / "run.json",
+        )
+        schema = load_schema("run_report.schema.json")
+        jsonschema.validate(report, schema)
+        bits = [0] + [m.bits for m, _, _ in read_trace(trace_path)]
+        hamming = [(a ^ b).bit_count() for a, b in zip(bits, bits[1:])]
+        flips = report["diagnostics"]["bit_flips_per_sweep"]
+        assert flips == pytest.approx(np.mean(hamming), rel=1e-12)
+        assert flips > 0
+        report["diagnostics"]["bit_flips_per_sweep"] = -1.0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, schema)
 
     def test_renormalized_inclusion_within_schema(self, tmp_path):
         # every visited model holds x0; summing normalized weights used to

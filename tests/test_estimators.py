@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 from scipy.special import logsumexp
 
 from modelspace import (
@@ -17,7 +16,6 @@ from modelspace import (
     hh_dimension,
     hh_estimate,
     hh_inclusion,
-    hh_predictive_mean,
     indicator_of_dimension,
     indicator_of_model,
     indicator_of_variable,
@@ -26,7 +24,6 @@ from modelspace import (
     summarize_trace,
     topk_mass_log10,
 )
-from conftest import synth_dataset
 
 
 def trace_of(bitmasks, p=None, g=1.0, lbfs=None):
@@ -220,81 +217,6 @@ class TestTopKMass:
     def test_bad_k(self):
         with pytest.raises(UsageError):
             topk_mass_log10([(ModelIndex.from_bits(1), 0.0)], 0)
-
-
-class TestPredictiveMean:
-    def test_null_model_trace_returns_ybar(self, p10_data):
-        trace = trace_of([0] * 5, g=50.0)
-        xnew = np.zeros(p10_data.p)
-        est = hh_predictive_mean(trace, p10_data, xnew, g=50.0)
-        assert est.value == pytest.approx(p10_data.ybar)
-        assert est.se <= 1e-15
-
-    def test_large_g_recovers_lstsq_fit(self, p10_data):
-        # g/(1+g) -> 1, so the prediction approaches the OLS fitted value
-        m = ModelIndex.from_indices([1, 4, 7])
-        trace = trace_of([m.bits], g=1e12)
-        rng = np.random.default_rng(0)
-        xnew = rng.standard_normal(p10_data.p)
-        cols = p10_data.X[:, [1, 4, 7]]
-        A = np.column_stack([np.ones(p10_data.N), cols])
-        coef = np.linalg.lstsq(A, p10_data.y, rcond=None)[0]
-        ref = coef[0] + xnew[[1, 4, 7]] @ coef[1:]
-        est = hh_predictive_mean(trace, p10_data, xnew, g=1e12)
-        assert est.value == pytest.approx(ref, rel=1e-9)
-
-    def test_wrong_xnew_shape(self, p10_data):
-        trace = trace_of([0], g=1.0)
-        with pytest.raises(UsageError):
-            hh_predictive_mean(trace, p10_data, np.zeros(3), g=1.0)
-
-    def test_per_draw_g_used_when_g_is_none(self, p10_data):
-        m = ModelIndex.from_indices([1])
-        models = [m, m]
-        trace = ChainTrace(models, np.array([1.0, 9.0]), np.zeros(2))
-        xnew = np.zeros(p10_data.p)
-        a = hh_predictive_mean(trace, p10_data, xnew).value
-        b = hh_predictive_mean(trace, p10_data, xnew, g=1.0).value
-        c = hh_predictive_mean(trace, p10_data, xnew, g=9.0).value
-        assert a == pytest.approx((b + c) / 2.0, rel=1e-12)
-
-    def test_against_grid_quadrature_oracle(self):
-        # single model with k = 1: integrate the posterior predictive mean
-        # over (alpha, beta, sigma) by brute-force grid quadrature and check
-        # the shrinkage formula against it
-        data = synth_dataset(N=15, p=1, active=(0,), betas=(0.9,), seed=2)
-        g = 7.0
-        x = data.X[:, 0]
-        xc = x - x.mean()
-        yc = data.y
-        sxx = float(xc @ xc)
-        beta_hat = float(xc @ (yc - data.ybar)) / sxx
-        xnew_val = 1.3
-        sig0 = math.sqrt(data.sse0 / data.N)
-
-        alphas = np.linspace(data.ybar - 6 * sig0, data.ybar + 6 * sig0, 121)
-        betas = np.linspace(beta_hat - 8 * sig0, beta_hat + 8 * sig0, 121)
-        logsig = np.linspace(math.log(sig0) - 3.0, math.log(sig0) + 2.0, 121)
-        A, B, S = np.meshgrid(alphas, betas, np.exp(logsig), indexing="ij")
-        resid = yc[None, None, None, :] - (
-            A[..., None] + B[..., None] * xc[None, None, None, :]
-        )
-        # flat prior on alpha, 1/sigma^2 on sigma^2, N(0, g sigma^2 / sxx)
-        # on beta; the sigma Jacobian for the log-sigma grid folds in
-        loglik = -data.N * np.log(S) - 0.5 * (resid**2).sum(axis=-1) / S**2
-        logprior = -0.5 * B**2 * sxx / (g * S**2) - np.log(S) - 2.0 * np.log(S)
-        logw = loglik + logprior + np.log(S)
-        w = np.exp(logw - logw.max())
-        pred = A + B * (xnew_val - x.mean())
-        oracle = float((w * pred).sum() / w.sum())
-
-        shrink = g / (1.0 + g)
-        closed = data.ybar + shrink * (xnew_val - x.mean()) * beta_hat
-        assert closed == pytest.approx(oracle, rel=1e-3)
-
-        trace = trace_of([0b1], g=g)
-        est = hh_predictive_mean(trace, data, np.array([xnew_val]), g=g)
-        assert est.value == pytest.approx(closed, rel=1e-12)
 
 
 class TestSummarizeTrace:

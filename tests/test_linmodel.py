@@ -99,7 +99,7 @@ class TestFitState:
         state = FitState(data)
         assert state.sse == data.sse0 == 2.0
         assert state.model == ModelIndex(0, 0)
-        assert state.chol.shape == (0, 0)
+        assert state.k == 0
 
     def test_add_then_delete_roundtrip(self, p10_data):
         state = FitState(p10_data)
@@ -164,14 +164,16 @@ class TestFitState:
         assert abs(state.sse - p10_data.sse0) <= 1e-10 * p10_data.sse0
 
     def test_pure_wrappers(self, p10_data):
-        # a clone takes adds and deletes without touching the original
-        s0 = FitState(p10_data)
-        s1 = s0.clone()
-        assert s1.add(2)
-        assert s0.k == 0 and s1.k == 1
-        s2 = s1.clone()
+        # each fit_model call builds its own state: adds and deletes on one
+        # leave the others untouched
+        s0 = fit_model(p10_data, ModelIndex(0, 0))
+        s1 = fit_model(p10_data, ModelIndex.from_bits(0b100))
+        assert s1.add(5)
+        assert s0.k == 0 and s1.k == 2
+        s2 = fit_model(p10_data, ModelIndex.from_bits(0b100))
         s2.delete(2)
-        assert s1.k == 1 and s2.k == 0
+        assert s1.k == 2 and s2.k == 0
+        assert s0.sse == p10_data.sse0
 
     def test_singular_add(self):
         rng = np.random.default_rng(4)
@@ -226,12 +228,11 @@ class TestFitState:
     def test_monotonicity_nested_models(self):
         data = synth_dataset(N=40, p=6, seed=41)
         for bits in range(1 << 6):
-            state = fit_model(data, ModelIndex.from_bits(bits))
+            sse = fit_model(data, ModelIndex.from_bits(bits)).sse
             for j in range(6):
-                if not state.model.contains(j):
-                    bigger = state.clone()
-                    assert bigger.add(j)
-                    assert bigger.sse <= state.sse + 1e-12 * data.sse0
+                if not (bits >> j) & 1:
+                    bigger = fit_model(data, ModelIndex.from_bits(bits | 1 << j))
+                    assert bigger.sse <= sse + 1e-12 * data.sse0
 
 
 class TestSseDirect:

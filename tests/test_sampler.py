@@ -8,13 +8,13 @@ from modelspace import (
     GPriorSpec,
     ModelIndex,
     SamplerConfig,
-    FitState,
+    SweepState,
     UsageError,
     fit_model,
-    gibbs_component_prob,
     gibbs_sweep,
     log_bf_value,
     log_prior_g_density,
+    make_dataset,
     mh_step_g,
     run_chain,
     sse_direct,
@@ -22,24 +22,32 @@ from modelspace import (
 from conftest import naive_enumeration, synth_dataset
 
 
+class _CountingZeros:
+    """Stands in for the generator: every uniform is 0.0, so every allowed
+    component is included, and the draws are counted."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return 0.0
+
+
 class TestComponentProb:
     def test_brute_force_oracle(self):
-        # p_i from independently computed SSEs of the two branch models
+        # the flipped model's SSE against an independent least-squares refit
         data = synth_dataset(N=20, p=5, active=(0, 3), betas=(0.8, -0.5), seed=3)
-        g = float(data.N)
-        prior = GPriorSpec.fixed(g)
         rng = np.random.default_rng(0)
         for _ in range(50):
             bits = int(rng.integers(0, 32))
-            state = fit_model(data, ModelIndex.from_bits(bits))
+            state = SweepState(data, bits)
             i = int(rng.integers(5))
-            a = ModelIndex.from_bits(bits | (1 << i))
-            b = ModelIndex.from_bits(bits & ~(1 << i))
-            lbf_a = log_bf_value(sse_direct(data, a), a.k, data.sse0, data.N, g)
-            lbf_b = log_bf_value(sse_direct(data, b), b.k, data.sse0, data.N, g)
-            expected = 1.0 / (1.0 + math.exp(lbf_b - lbf_a))
-            got = gibbs_component_prob(state, i, g, prior)
-            assert got == pytest.approx(expected, abs=1e-9)
+            flipped = ModelIndex.from_bits(bits ^ (1 << i))
+            got = state.flip_sse(i)
+            assert got == pytest.approx(
+                sse_direct(data, flipped), rel=1e-9, abs=1e-12 * data.sse0
+            )
 
     def test_equal_branch_factors_give_half(self, p10_data):
         # directly at ln r = 0 the formula is symmetric
@@ -52,22 +60,62 @@ class TestComponentProb:
         X = rng.standard_normal((20, 3))
         X[:, 2] = X[:, 1]
         y = X[:, 0] + rng.standard_normal(20)
-        from modelspace import make_dataset
-
         data = make_dataset(y, X, ["a", "b", "c"])
-        state = fit_model(data, ModelIndex.from_bits(0b010))
-        prior = GPriorSpec.fixed(20.0)
-        assert gibbs_component_prob(state, 2, 20.0, prior) == 0.0
+        state = SweepState(data, 0b010)
+        assert state.flip_sse(2) is None
+        with pytest.raises(ValueError):
+            state.flip(2)
+        # p_2 = 0: even a uniform of 0.0 leaves column 2 out, and the
+        # singular component draws none
+        gen = _CountingZeros()
+        gibbs_sweep(state, 20.0, GPriorSpec.fixed(20.0), gen)
+        assert state.bits == 0b011
+        assert gen.draws == 2
+
+    def test_saturated_target_draws_nothing(self):
+        data = synth_dataset(N=5, p=4, seed=4)  # at most N-2 = 3 columns
+        state = SweepState(data)
+        gen = _CountingZeros()
+        gibbs_sweep(state, 5.0, GPriorSpec.fixed(5.0), gen)
+        assert state.bits == 0b0111
+        assert gen.draws == 3
+        assert state.flip_sse(3) is None
 
     def test_does_not_mutate_state(self, p10_data):
-        state = fit_model(p10_data, ModelIndex.from_bits(0b101))
-        prior = GPriorSpec.fixed(50.0)
-        gibbs_component_prob(state, 0, 50.0, prior)
-        gibbs_component_prob(state, 1, 50.0, prior)
+        state = SweepState(p10_data, 0b101)
+        Ginv = state.Ginv.copy()
+        state.flip_sse(0)
+        state.flip_sse(1)
         assert state.bits == 0b101
+        np.testing.assert_array_equal(state.Ginv, Ginv)
         assert state.sse == pytest.approx(
             sse_direct(p10_data, state.model), rel=1e-10
         )
+
+    def test_flip_drift(self):
+        # 5,000 flips on a correlated design with no rebuild
+        rng = np.random.default_rng(5)
+        p, N = 20, 60
+        corr = 0.8 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+        X = rng.standard_normal((N, p)) @ np.linalg.cholesky(corr).T
+        y = X[:, :4] @ np.array([1.0, -0.5, 0.5, 0.3]) + rng.standard_normal(N)
+        data = make_dataset(y, X, [f"x{j}" for j in range(p)])
+        state = SweepState(data)
+        flips = 0
+        while flips < 5000:
+            i = int(rng.integers(p))
+            if state.flip_sse(i) is None:
+                continue
+            state.flip(i)
+            flips += 1
+            if flips % 50 == 0 or state.k == 0:
+                ref = sse_direct(data, state.model)
+                assert abs(state.sse - ref) <= 1e-9 * ref
+                if state.k:
+                    inv = np.linalg.inv(data.gram[np.ix_(state.cols, state.cols)])
+                    assert np.abs(state.Ginv - inv).max() <= 1e-8 * np.abs(inv).max()
+                else:
+                    assert state.sse == data.sse0
 
 
 class TestSweep:
@@ -89,7 +137,7 @@ class TestSweep:
         exact = np.exp(lbfs - log_total)
         prior = GPriorSpec.fixed(g)
         rng = np.random.default_rng(99)
-        state = FitState(data)
+        state = SweepState(data)
         counts = np.zeros(1 << data.p)
         for _ in range(sweeps):
             gibbs_sweep(state, g, prior, rng)
@@ -101,7 +149,7 @@ class TestSweep:
 class TestMhStepG:
     def test_null_model_always_accepts(self, p10_data):
         prior = GPriorSpec.zellner_siow(p10_data.N)
-        state = FitState(p10_data)
+        state = SweepState(p10_data)
         rng = np.random.default_rng(0)
         g = 10.0
         for _ in range(200):
@@ -109,7 +157,7 @@ class TestMhStepG:
             assert accepted  # B_00(g) = 1 for every g
 
     def test_fixed_prior_rejected(self, p10_data):
-        state = FitState(p10_data)
+        state = SweepState(p10_data)
         with pytest.raises(UsageError):
             mh_step_g(state, 1.0, GPriorSpec.fixed(1.0), np.random.default_rng(0))
 
@@ -196,6 +244,17 @@ class TestRunChain:
         assert (trace.g_draws > 0).all()
         assert 0.0 < trace.meta["g_accept_rate"] <= 1.0
         assert trace.meta["sse_spot_check_max_rel"] < 1e-8
+
+    def test_null_model_log_bf_is_exactly_zero(self):
+        # B_00 = 1: returning to the null model restores sse0 exactly
+        data = synth_dataset(
+            N=50, p=10, active=(1, 4, 7), betas=(0.35, -0.4, 0.3), seed=11
+        )
+        for prior in (GPriorSpec.fixed(float(data.N)), GPriorSpec.zellner_siow(data.N)):
+            trace = run_chain(data, SamplerConfig(iterations=5000, prior=prior, seed=3))
+            null = [lbf for m, lbf in zip(trace.models, trace.log_bfs) if m.k == 0]
+            assert len(null) > 0
+            assert all(lbf == 0.0 for lbf in null)
 
     def test_start_modes(self, p10_data):
         for start in ("null_model", "full_model", "random"):

@@ -60,6 +60,13 @@ def log_bf_value(sse: float, k: int, sse0: float, N: int, g: float) -> float:
     return -0.5 * (N - 1) * math.log1p(g * ratio) + 0.5 * (N - k - 1) * math.log1p(g)
 
 
+def log_bf_values(sse: np.ndarray, k: np.ndarray, sse0: float, N: int, g: float) -> np.ndarray:
+    """``log_bf_value`` over arrays of SSE and model size in one expression."""
+    ratio = np.maximum(sse / sse0, 0.0)
+    lbf = -0.5 * (N - 1) * np.log1p(g * ratio) + 0.5 * (N - k - 1) * math.log1p(g)
+    return np.where(k > N - 2, NEG_INF, lbf)
+
+
 def log_prior_g_density(g: float, spec: GPriorSpec) -> float:
     """Log density of the Zellner-Siow prior Inverse-Gamma(1/2, N/2) at g."""
     if not spec.hierarchical:

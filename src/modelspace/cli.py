@@ -310,7 +310,11 @@ def cmd_exact(args) -> int:
         },
         exact_to_json(res, data, args.top_k),
         {"excluded_count": res.excluded_count},
-        {"load_seconds": t1 - t0, "enumerate_seconds": t2 - t1},
+        {
+            "load_seconds": t1 - t0,
+            "enumerate_seconds": t2 - t1,
+            "models_per_s": res.model_count / (t2 - t1),
+        },
     )
     write_report(args.out, report)
     return 0

@@ -1,18 +1,21 @@
 """Parallel exact enumeration of the model space.
 
 The space is partitioned by the s highest-order bit positions into 2^s
-shards; within each shard a Gray-code walk over the remaining p-s positions
-visits every completion with exactly one add or delete per step. Each shard
-keeps one log-space scale, m, the largest log Bayes factor it has seen, and
-plain float sums of exp(log BF - m), so 1e50-scale totals never overflow.
-The walk absorbs its models into those sums ``BLOCK`` at a time in one
-vectorised step. Shards are reduced in index order, so results are
-bit-identical regardless of worker count.
+shards. Within a shard the lowest b = min(p - s, LOW_BITS) positions are
+scored in one batch: for each outer model, a Gray-code walk over the
+remaining high positions with exactly one add or delete per step, the
+Schur complement of its active set in the Gram matrix of the b low columns
+gives the SSE of all 2^b completions from one batched Cholesky
+(``FitState.extension_sse``), and their log Bayes factors come from one
+numpy expression. Each shard keeps one log-space scale, m, the largest log
+Bayes factor it has seen, and plain float sums of exp(log BF - m), so
+1e50-scale totals never overflow; it absorbs each batch into those sums at
+most ``BLOCK`` models at a time in one vectorised step. Shards are reduced
+in index order, so results are bit-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 import pickle
@@ -21,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayesfactor import NEG_INF, GPriorSpec, log_bf_value
+# log_bf_value stays in this namespace: the benchmark's tracer wraps it by name.
+from .bayesfactor import NEG_INF, GPriorSpec, log_bf_value, log_bf_values  # noqa: F401
 from .errors import UsageError
 from .estimators import QuantityOfInterest
-from .linmodel import Dataset, FitState, ModelIndex
+from .linmodel import Dataset, FitState, ModelIndex, subset_members
 
 # Enumerating beyond p=30 (~1e9 models) is an opt-in long job.
 P_GUARD = 30
@@ -33,8 +37,11 @@ P_GUARD = 30
 # bit-identical for any parallelism level.
 DEFAULT_SHARD_BITS = 8
 
-# Models buffered by the walk between two vectorised absorbs.
+# Most models absorbed in one vectorised step.
 BLOCK = 4096
+
+# Free bit positions of a shard scored in one batch per outer model.
+LOW_BITS = 10
 
 
 def default_workers() -> int:
@@ -53,6 +60,12 @@ def default_shard_bits(p: int) -> int:
     return min(p, DEFAULT_SHARD_BITS)
 
 
+def _best(lbf: np.ndarray, bits: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The K best models: descending log BF, ties by ascending bitmask."""
+    order = np.lexsort((bits, -lbf))[:K]
+    return lbf[order], bits[order]
+
+
 @dataclass
 class Shard:
     """Accumulators for one fixed-prefix slice of the model space.
@@ -60,6 +73,7 @@ class Shard:
     ``total``, ``dim``, ``incl`` and ``quantity_sum`` are sums of
     exp(log BF - m) over the non-excluded models (weighted by the model's
     dimension, inclusion or quantity value), all on the one scale ``m``.
+    ``top_lbf`` and ``top_bits`` hold the K best models, best first.
     """
 
     index: int
@@ -72,7 +86,8 @@ class Shard:
     count: int = 0
     excluded_count: int = 0
     rank_count: int = 0  # models with log_bf strictly above rank_threshold
-    heap: list[tuple[float, int]] = field(default_factory=list)  # (log_bf, -bits)
+    top_lbf: np.ndarray = field(default_factory=lambda: np.empty(0))
+    top_bits: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def rescale(self, m: float) -> None:
         """Move every sum onto the scale m >= self.m."""
@@ -85,20 +100,19 @@ class Shard:
 
     def absorb(
         self,
-        bits: list[int],
-        lbfs: list[float],
+        bits: np.ndarray,
+        lbf: np.ndarray,
         quantity: QuantityOfInterest | None,
         rank_threshold: float | None,
     ) -> None:
         """Add one block of models; an excluded model has log BF -inf."""
-        lbf = np.array(lbfs)
         finite = lbf > NEG_INF
         self.count += lbf.size
         self.excluded_count += lbf.size - int(np.count_nonzero(finite))
         if not finite.any():
             return
         lbf = lbf[finite]
-        b = np.array(bits, dtype=np.int64)[finite]
+        b = bits[finite]
         top = float(lbf.max())
         if top > self.m:
             self.rescale(top)
@@ -125,15 +139,18 @@ class Shard:
             self.quantity_sum += float(np.dot(values, w))
         if rank_threshold is not None:
             self.rank_count += int(np.count_nonzero(lbf > rank_threshold))
-        # best first: descending log BF, ties by ascending bitmask
-        for i in np.lexsort((b, -lbf))[: self.K]:
-            item = (float(lbf[i]), -int(b[i]))
-            if len(self.heap) < self.K:
-                heapq.heappush(self.heap, item)
-            elif item > self.heap[0]:
-                heapq.heapreplace(self.heap, item)
-            else:
-                break
+        if self.top_lbf.size == self.K:
+            # only a model at least as good as the K-th can enter
+            keep = lbf >= self.top_lbf[-1]
+            if not keep.any():
+                return
+            lbf = lbf[keep]
+            b = b[keep]
+        self.top_lbf, self.top_bits = _best(
+            np.concatenate((self.top_lbf, lbf)),
+            np.concatenate((self.top_bits, b)),
+            self.K,
+        )
 
 
 def enumerate_shard(
@@ -146,19 +163,25 @@ def enumerate_shard(
     quantity: QuantityOfInterest | None = None,
     rank_threshold: float | None = None,
 ) -> Shard:
-    """Walk all completions of one fixed high-bit prefix in Gray-code order.
+    """Score all completions of one fixed high-bit prefix.
 
-    Columns that are collinear with the current active set are held in a
-    pending set: the model is excluded while any pending column remains,
-    and pending adds are retried after every step so the walk recovers as
-    soon as the dependency is broken. The uniform model prior is a constant
-    factor, so ``prior`` does not enter the sums.
+    A Gray-code walk over the free positions above the lowest b visits the
+    outer models; each one's 2^b completions in the low b positions are
+    scored in one batch. Columns of the walk that are collinear with the
+    current active set are held in a pending set: while any remains, all
+    2^b completions are excluded, and pending adds are retried after every
+    delete so the walk recovers as soon as the dependency is broken. A
+    completion is excluded when one of its low pivots is singular by the
+    same rule, or when it is saturated (k > N - 2). The uniform model prior
+    is a constant factor, so ``prior`` does not enter the sums.
     """
     p = data.p
     free = p - shard_bits
+    b = min(free, LOW_BITS)
+    low = np.arange(b)
+    completions = np.arange(1 << b, dtype=np.int64)
+    low_k = subset_members(b).sum(axis=0)
     fixed_bits = prefix << free
-    sse0 = data.sse0
-    N = data.N
 
     shard = Shard(index=prefix, K=K, incl=np.zeros(p), dim=np.zeros(p + 1))
 
@@ -171,11 +194,10 @@ def enumerate_shard(
             if not state.add(j):
                 pending.add(j)
 
-    block_bits: list[int] = []
-    block_lbfs: list[float] = []
-    for t in range(1 << free):
+    for t in range(1 << (free - b)):
         if t:
-            j = (t & -t).bit_length() - 1  # Gray code: flip the ctz(t)-th free bit
+            # Gray code: flip the ctz(t)-th position above the low block
+            j = b + (t & -t).bit_length() - 1
             if (bits >> j) & 1:
                 bits &= ~(1 << j)
                 if j in pending:
@@ -191,18 +213,18 @@ def enumerate_shard(
                 bits |= 1 << j
                 if not state.add(j):
                     pending.add(j)
-        block_bits.append(bits)
-        # with nothing pending the state holds every set bit, and
-        # log_bf_value excludes saturated models itself
-        block_lbfs.append(
-            NEG_INF if pending else log_bf_value(state.sse, state.k, sse0, N, g)
-        )
-        if len(block_bits) == BLOCK:
-            shard.absorb(block_bits, block_lbfs, quantity, rank_threshold)
-            block_bits = []
-            block_lbfs = []
-    if block_bits:
-        shard.absorb(block_bits, block_lbfs, quantity, rank_threshold)
+        if pending:
+            lbf = np.full(1 << b, NEG_INF)
+        else:
+            # with nothing pending the state holds every set bit
+            sse, singular = state.extension_sse(low)
+            lbf = log_bf_values(sse, state.k + low_k, data.sse0, data.N, g)
+            lbf[singular] = NEG_INF
+        models = bits | completions
+        for lo in range(0, 1 << b, BLOCK):
+            shard.absorb(
+                models[lo : lo + BLOCK], lbf[lo : lo + BLOCK], quantity, rank_threshold
+            )
     return shard
 
 
@@ -236,18 +258,15 @@ def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> Exac
     if count != expected:
         raise UsageError(f"partition visited {count} models, expected {expected}")
 
-    heap: list[tuple[float, int]] = []
-    K = shards[0].K
-    for s in shards:
-        for item in s.heap:
-            if len(heap) < K:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-    top = sorted(
-        [(ModelIndex.from_bits(-nb), lbf) for lbf, nb in heap],
-        key=lambda t: (-t[1], t[0].bits),
+    top_lbf, top_bits = _best(
+        np.concatenate([s.top_lbf for s in shards]),
+        np.concatenate([s.top_bits for s in shards]),
+        shards[0].K,
     )
+    top = [
+        (ModelIndex.from_bits(int(bits)), float(lbf))
+        for lbf, bits in zip(top_lbf, top_bits)
+    ]
     if not top:
         raise UsageError("no full-rank models found")
 
@@ -287,9 +306,17 @@ def _picklable(obj) -> bool:
     return True
 
 
+# The Dataset of the enumeration a pool worker serves, set once per worker.
+_worker_data: Dataset | None = None
+
+
+def _init_worker(data: Dataset) -> None:
+    global _worker_data
+    _worker_data = data
+
+
 def _shard_job(args):
-    data, shard_bits, prefix, g, prior, K, quantity, rank_threshold = args
-    return enumerate_shard(data, shard_bits, prefix, g, prior, K, quantity, rank_threshold)
+    return enumerate_shard(_worker_data, *args)
 
 
 def enumerate_exact(
@@ -306,7 +333,8 @@ def enumerate_exact(
     """Sharded exact enumeration of all 2^p models under a fixed g.
 
     Shards go to a process pool when workers > 1, unless the quantity does
-    not pickle; then they are enumerated in-process. The shard layout does
+    not pickle; then they are enumerated in-process. Each worker receives
+    the Dataset once, then contiguous runs of shards. The shard layout does
     not depend on the worker count, so the result is bit-identical either way.
     """
     p = data.p
@@ -328,9 +356,12 @@ def enumerate_exact(
             for pre in prefixes
         ]
     else:
-        jobs = [(data, s, pre, g, prior, K, quantity, rank_threshold) for pre in prefixes]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(_shard_job, jobs, chunksize=1))
+        jobs = [(s, pre, g, prior, K, quantity, rank_threshold) for pre in prefixes]
+        chunksize = max(1, len(jobs) // (4 * workers))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(data,)
+        ) as pool:
+            shards = list(pool.map(_shard_job, jobs, chunksize=chunksize))
     return reduce_shards(shards, data, prior)
 
 

@@ -5,12 +5,15 @@ a candidate, it is implicit in every model. All linear algebra runs on the
 centered design, which matches the centered Gram matrix used by the g-prior
 covariance. FitState maintains a Cholesky factor of the active centered Gram
 submatrix so that adding or deleting one variable costs O(k^2) and never
-touches the N-length data once the Gram matrix is precomputed.
+touches the N-length data once the Gram matrix is precomputed; from the
+same factor it scores every extension by subsets of b further columns in
+one batch.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import logging
 import math
@@ -71,6 +74,15 @@ class ModelIndex:
 
 
 NULL_MODEL = ModelIndex(0, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def subset_members(b: int) -> np.ndarray:
+    """(b, 2^b) booleans: entry (i, t) is set when subset t holds item i,
+    that is when bit i of t is set."""
+    members = (np.arange(1 << b) >> np.arange(b)[:, None]) & 1 == 1
+    members.flags.writeable = False
+    return members
 
 
 @dataclass
@@ -314,6 +326,50 @@ class FitState:
         self.bits |= 1 << j
         self.k = k + 1
         return True
+
+    def extension_sse(self, cols) -> tuple[np.ndarray, np.ndarray]:
+        """SSE of this model extended by each subset of the inactive ``cols``.
+
+        Entry t of both returned arrays is for subset t of ``subset_members``.
+        With S = G_LL - G_LA G_AA^-1 G_AL, the Schur complement of the active
+        set A in the Gram matrix of the b columns L, r = X'y_L - G_LA beta_A
+        and T a subset of L, SSE(A + T) = sse - r_T' S_TT^-1 r_T. That is the
+        last pivot of the Cholesky factor of the bordered matrix
+        [[S_TT, r_T], [r_T', sse]], so one column Cholesky over a
+        (b+1, b+1, 2^b) stack, batch last, scores every subset at once. A
+        column outside T gets an infinite pivot, which zeroes its column of
+        the factor as identity padding would. A subset is singular when any
+        of its pivots meets ``add``'s rule, d <= SINGULAR_EPS * G_jj; its SSE
+        is then meaningless.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        b = cols.size
+        k = self.k
+        G = self.data.gram_col(cols)
+        B = np.zeros((b + 1, b + 1))
+        B[:b, :b] = G[cols]
+        B[:b, b] = B[b, :b] = self.data.xty[cols]
+        gjj = np.diagonal(B)[:b].copy()
+        if k:
+            V = np.empty((k, b + 1))
+            # L is triangular; numpy's general solve stays single-threaded on
+            # this tiny system, where a threaded BLAS triangular solve spins
+            # its helper threads against the other pool workers
+            V[:, :b] = np.linalg.solve(self._L[:k, :k], G[self._active[:k]])
+            V[:, b] = self._b[:k]
+            B -= V.T @ V
+        B[b, b] = self.sse
+        members = subset_members(b)
+        M = np.broadcast_to(B[:, :, None], (b + 1, b + 1, 1 << b)).copy()
+        singular = np.zeros(1 << b, dtype=bool)
+        for j in range(b):
+            d = M[j, j]
+            bad = members[j] & (d <= SINGULAR_EPS * gjj[j])
+            singular |= bad
+            ljj = np.sqrt(np.where(members[j] & ~bad, d, np.inf))
+            col = M[j + 1 :, j] / ljj
+            M[j + 1 :, j + 1 :] -= col[:, None, :] * col[None, :, :]
+        return np.maximum(M[b, b], 0.0), singular
 
     def delete(self, j: int) -> None:
         """Remove column j, restoring triangularity via Givens rotations."""

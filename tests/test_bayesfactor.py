@@ -76,6 +76,21 @@ class TestLogBf:
             assert state_log_bf(state, g) == pytest.approx(direct, abs=1e-10)
 
 
+    def test_array_form_matches_scalar(self):
+        # the batched form agrees with the scalar one, -inf past N - 2 included
+        from modelspace.bayesfactor import log_bf_values
+
+        N, sse0 = 20, 50.0
+        rng = np.random.default_rng(11)
+        sse = np.concatenate(([0.0, sse0], rng.uniform(0.0, sse0, 60)))
+        k = rng.integers(0, N + 2, sse.size)
+        for g in (0.5, float(N), 1e6):
+            got = log_bf_values(sse, k, sse0, N, g)
+            want = [log_bf_value(s, int(kk), sse0, N, g) for s, kk in zip(sse, k)]
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-12)
+            assert np.array_equal(np.isneginf(got), k > N - 2)
+
+
 class TestModelPrior:
     def test_uniform_constant(self):
         prior = GPriorSpec.fixed(10.0)

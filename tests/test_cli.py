@@ -323,6 +323,24 @@ class TestExactReport:
         assert report["summary"]["excluded_count"] == 0
         assert report["summary"]["n_used"] == 32
 
+    def test_timing_throughput(self, csv5, tmp_path):
+        path, _ = csv5
+        report = run_json(
+            ["exact", path, "--response", "y", "--g", "30", "--workers", "1"],
+            tmp_path / "ex.json",
+        )
+        schema = load_schema("run_report.schema.json")
+        jsonschema.validate(report, schema)
+        timing = report["timing"]
+        assert timing["models_per_s"] == pytest.approx(
+            32 / timing["enumerate_seconds"], rel=1e-12
+        )
+        for field in ("load_seconds", "enumerate_seconds", "models_per_s"):
+            bad = json.loads(json.dumps(report))
+            bad["timing"][field] = -1.0
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, schema)
+
 
 class TestCompareReport:
     def test_schema_and_hits(self, csv5, tmp_path):

@@ -18,6 +18,7 @@ from modelspace import (
 )
 import modelspace.exact as exact_mod
 from modelspace.exact import enumerate_shard, reduce_shards
+from modelspace.linmodel import fit_model, sse_direct, subset_members
 from conftest import naive_enumeration, synth_dataset
 
 
@@ -70,7 +71,7 @@ class TestShardWalk:
         prior = GPriorSpec.fixed(40.0)
         shard = enumerate_shard(p8_data, p8_data.p, 0b10110001, 40.0, prior, K=1)
         assert shard.count == 1
-        assert shard.heap[0][1] == -0b10110001
+        assert shard.top_bits.tolist() == [0b10110001]
 
     def test_visits_every_model_once(self, p8_data):
         prior = GPriorSpec.fixed(40.0)
@@ -168,6 +169,91 @@ class TestShardWalk:
         # full model fits perfectly, then the tied pair in bitmask order
         assert ranked[0] == 0b11
         assert ranked.index(0b01) < ranked.index(0b10)
+
+
+class TestLowBitBlock:
+    """The high-bit walk visits many outer models, each scored with its
+    whole low-bit block."""
+
+    @pytest.mark.parametrize("low_bits", [1, 3])
+    def test_matches_naive_p8(self, p8_data, p8_naive, low_bits, monkeypatch):
+        monkeypatch.setattr(exact_mod, "LOW_BITS", low_bits)
+        lbfs, log_total, incl, dim, hpm_bits = p8_naive
+        g = float(p8_data.N)
+        res = enumerate_exact(
+            p8_data, g, GPriorSpec.fixed(g), K=256, workers=1, shard_bits=1
+        )
+        assert res.model_count == 1 << p8_data.p
+        assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
+        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
+        np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
+        assert res.hpm.bits == hpm_bits
+        assert sorted(m.bits for m, _ in res.top_models) == list(range(256))
+        for m, lbf in res.top_models:
+            assert lbf == pytest.approx(float(lbfs[m.bits]), abs=1e-10)
+
+    def test_matches_naive_p10(self, p10_data, p10_naive, monkeypatch):
+        monkeypatch.setattr(exact_mod, "LOW_BITS", 3)
+        lbfs, log_total, incl, dim, hpm_bits = p10_naive
+        g = float(p10_data.N)
+        res = enumerate_exact(
+            p10_data, g, GPriorSpec.fixed(g), K=10, workers=1, shard_bits=2
+        )
+        assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
+        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
+        np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
+        assert res.hpm.bits == hpm_bits
+
+    @pytest.mark.parametrize(
+        "copy, of", [(4, 1), (5, 3)], ids=["low-high-pair", "high-high-pair"]
+    )
+    def test_duplicate_pair_excluded(self, copy, of, monkeypatch):
+        # with LOW_BITS = 3, column 1 is a low column and 3, 4, 5 are walked:
+        # the pair is caught by a low pivot or by the walk's pending set
+        monkeypatch.setattr(exact_mod, "LOW_BITS", 3)
+        rng = np.random.default_rng(8)
+        N, p = 30, 6
+        X = rng.standard_normal((N, p))
+        X[:, copy] = X[:, of]
+        y = X[:, 0] - X[:, of] + rng.standard_normal(N)
+        data = make_dataset(y, X, [f"x{j}" for j in range(p)])
+        g = float(N)
+        lbfs, log_total, incl, _, hpm_bits = naive_enumeration(data, g)
+        res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=8, workers=1, shard_bits=0)
+        assert res.excluded_count == int(np.sum(np.isneginf(lbfs))) == 1 << (p - 2)
+        assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
+        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
+        assert res.hpm.bits == hpm_bits
+
+    def test_worker_count_invariance_with_outer_walk(self):
+        # p=14 in 4 shards leaves 12 free bits: each shard walks 4 outer
+        # models, so workers share shards that each take several batches
+        data = synth_dataset(
+            N=60, p=14, active=(2, 9, 12), betas=(0.6, -0.5, 0.4), seed=21
+        )
+        assert 14 - 2 > exact_mod.LOW_BITS
+        g = float(data.N)
+        prior = GPriorSpec.fixed(g)
+        a = enumerate_exact(data, g, prior, K=100, workers=1, shard_bits=2)
+        b = enumerate_exact(data, g, prior, K=100, workers=2, shard_bits=2)
+        assert a.log_total_bf == b.log_total_bf
+        np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
+        np.testing.assert_array_equal(a.dimension_exact, b.dimension_exact)
+        assert a.top_models == b.top_models
+
+    def test_every_completion_matches_direct_refit(self):
+        b = exact_mod.LOW_BITS
+        data = synth_dataset(N=60, p=b + 8, active=(1, 11), betas=(0.7, -0.5), seed=9)
+        rng = np.random.default_rng(4)
+        outer = ModelIndex.from_indices(rng.choice(np.arange(b, data.p), 5, replace=False))
+        state = fit_model(data, outer)
+        sse, singular = state.extension_sse(np.arange(b))
+        assert not singular.any()
+        members = subset_members(b)
+        for t in range(1 << b):
+            m = ModelIndex.from_bits(outer.bits | t)
+            assert m.k == outer.k + int(members[:, t].sum())
+            assert sse[t] == pytest.approx(sse_direct(data, m), rel=1e-9)
 
 
 class TestReduce:

@@ -23,6 +23,7 @@ from .errors import DataError, NumericalError, UsageError
 from .estimators import (
     EstimateWithSE,
     PosteriorSummary,
+    bits_array,
     dedupe_models,
     find_hpm,
     find_mpm,
@@ -419,11 +420,12 @@ def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> 
     """Score a third-party searcher's visited-model file with the
     renormalized estimators."""
     models, g_draws, log_bfs = zip(*read_trace(path))
-    for m in models:
-        if m.bits >> data.p:
-            raise DataError(
-                f"{path}: model {m.to_hex()} sets a bit beyond the {data.p} columns"
-            )
+    beyond = np.flatnonzero(bits_array(models) >> data.p)
+    if beyond.size:
+        raise DataError(
+            f"{path}: model {models[beyond[0]].to_hex()} sets a bit beyond "
+            f"the {data.p} columns"
+        )
     distinct = dedupe_models(
         ChainTrace(list(models), np.array(g_draws), np.array(log_bfs))
     )
@@ -471,12 +473,6 @@ def cmd_compare(args) -> int:
     data = _load(args)
     prior = _prior_from_args(args, data)
     exact_report = _read_exact_report(args.exact) if args.exact else None
-    methods = args.methods.split(",") if args.methods else ["gibbs"]
-    for m in methods:
-        if m != "gibbs":
-            raise UsageError(
-                f"unknown method {m!r}; external searchers are scored via --trace-file"
-            )
     body = compare_runs(
         data,
         prior,
@@ -508,7 +504,6 @@ def cmd_compare(args) -> int:
             "seed": args.seed,
             "start": args.start,
             "top_k": args.top_k,
-            "methods": methods,
         },
         **body,
         "external": external,
@@ -584,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--start", choices=["null_model", "full_model", "random"], default="null_model"
     )
     sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--methods", default="gibbs")
     sp.add_argument(
         "--exact", default=None, help="exact-result JSON to score hits against"
     )

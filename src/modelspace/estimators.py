@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -20,33 +20,38 @@ from .sampler import ChainTrace
 
 LOG10 = math.log(10.0)
 
+# Most models in one membership matrix.
+BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class QuantityOfInterest:
     """A posterior expectation target: tau(a) = sum_gamma a(M) Pr(M | y).
 
-    The evaluator may be any callable. Exact enumeration sends a picklable
-    evaluator (such as the ``indicator_of_*`` helpers build) to worker
-    processes; any other evaluator, a lambda or a closure say, is
-    enumerated in-process. The result is the same either way.
+    The evaluator maps an array of bitmasks (``bits_array``) to a float
+    array of a(M). Exact enumeration with workers > 1 pickles it, so it must
+    be a module-level function, a ufunc, or a ``functools.partial`` of one,
+    as ``indicator_of_*`` build; a lambda then fails in the pool
+    (``pickle.PicklingError``, or ``AttributeError`` when local). With
+    workers=1 any callable works.
     """
 
-    evaluator: Callable[[ModelIndex], float]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     label: str
 
 
 # Module-level evaluators, bound with functools.partial so that the
 # indicator quantities pickle and can be sent to worker processes.
-def _includes(l: int, m: ModelIndex) -> float:
-    return float(m.contains(l))
+def _includes(l: int, bits: np.ndarray) -> np.ndarray:
+    return ((bits >> l) & 1).astype(np.float64)
 
 
-def _has_dimension(k: int, m: ModelIndex) -> float:
-    return float(m.k == k)
+def _has_dimension(k: int, bits: np.ndarray) -> np.ndarray:
+    return (np.bitwise_count(bits) == k).astype(np.float64)
 
 
-def _is_model(bits: int, m: ModelIndex) -> float:
-    return float(m.bits == bits)
+def _is_model(target: int, bits: np.ndarray) -> np.ndarray:
+    return (bits == target).astype(np.float64)
 
 
 def indicator_of_variable(l: int) -> QuantityOfInterest:
@@ -61,6 +66,27 @@ def indicator_of_model(target: ModelIndex) -> QuantityOfInterest:
     return QuantityOfInterest(
         partial(_is_model, target.bits), f"model[{target.to_hex()}]"
     )
+
+
+def bits_array(models: Iterable[ModelIndex]) -> np.ndarray:
+    """The models' bitmasks as int64 when all are below 2^63, else as Python
+    ints (dtype=object), so that shifts and popcounts stay exact for any p.
+    numpy's own inference would give uint64 or float64 for larger masks."""
+    bits = [m.bits for m in models]
+    dtype = np.int64 if max(bits, default=0) < 1 << 63 else object
+    return np.array(bits, dtype=dtype)
+
+
+def membership(bits: np.ndarray, p: int) -> np.ndarray:
+    """(n, 2p + 2) 0/1 matrix of n bitmasks: column l < p marks the models
+    that hold variable l, column p + k those of dimension k, and the last
+    column, all ones, every model."""
+    n = bits.size
+    member = np.zeros((n, 2 * p + 2))
+    member[:, :p] = (bits[:, None] >> np.arange(p)) & 1
+    member[np.arange(n), p + np.bitwise_count(bits).astype(np.intp)] = 1.0
+    member[:, -1] = 1.0
+    return member
 
 
 @dataclass(frozen=True)
@@ -86,14 +112,10 @@ class PosteriorSummary:
 def hh_estimate(trace: ChainTrace, q: QuantityOfInterest) -> EstimateWithSE:
     """Hansen-Hurwitz estimate of tau(a) over a trace, with the unbiased
     variance estimate (1/(n(n-1))) sum (a_j - mean)^2."""
-    if trace.n == 0:
+    n = trace.n
+    if n == 0:
         raise UsageError("empty trace")
-    values = np.array([q.evaluator(m) for m in trace.models])
-    return _hh_from_values(values)
-
-
-def _hh_from_values(values: np.ndarray) -> EstimateWithSE:
-    n = values.shape[0]
+    values = q.evaluator(bits_array(trace.models))
     mean = float(values.mean())
     if n == 1:
         return EstimateWithSE(mean, None, "empirical", 1)
@@ -109,28 +131,24 @@ def _indicator_estimate(count: int, n: int) -> EstimateWithSE:
     return EstimateWithSE(q, math.sqrt(q * (1.0 - q) / (n - 1)), "empirical", n)
 
 
+def _frequencies(trace: ChainTrace, p: int, columns: slice) -> list[EstimateWithSE]:
+    """Frequencies of some columns of the trace's membership matrix, built
+    ``BLOCK`` draws at a time so that its size stays bounded."""
+    bits = bits_array(trace.models)
+    counts = np.zeros(2 * p + 2)
+    for lo in range(0, bits.size, BLOCK):
+        counts += membership(bits[lo : lo + BLOCK], p).sum(axis=0)
+    return [_indicator_estimate(int(c), trace.n) for c in counts[columns]]
+
+
 def hh_inclusion(trace: ChainTrace, p: int) -> list[EstimateWithSE]:
     """Per-variable inclusion frequencies q_hat_l with their SEs."""
-    n = trace.n
-    counts = [0] * p
-    for m in trace.models:
-        bits = m.bits
-        j = 0
-        while bits:
-            if bits & 1:
-                counts[j] += 1
-            bits >>= 1
-            j += 1
-    return [_indicator_estimate(c, n) for c in counts]
+    return _frequencies(trace, p, slice(0, p))
 
 
 def hh_dimension(trace: ChainTrace, p: int) -> list[EstimateWithSE]:
     """Posterior-dimension frequencies d_hat(k) for k = 0..p."""
-    n = trace.n
-    counts = [0] * (p + 1)
-    for m in trace.models:
-        counts[m.k] += 1
-    return [_indicator_estimate(c, n) for c in counts]
+    return _frequencies(trace, p, slice(p, -1))
 
 
 def dedupe_models(trace: ChainTrace) -> list[tuple[ModelIndex, float]]:
@@ -162,7 +180,7 @@ def renormalized_estimate(
     if not np.isfinite(top):
         raise UsageError("all models in the set are excluded (log BF = -inf)")
     w = np.exp(logw - top)
-    a = np.array([q.evaluator(m) for m, _ in models], dtype=np.float64)
+    a = q.evaluator(bits_array(m for m, _ in models))
     # both sums run over arrays of one length, so their additions match
     # term by term: an indicator's estimate cannot round above 1
     value = float(np.sum(w * a) / np.sum(w))

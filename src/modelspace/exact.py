@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ import numpy as np
 # log_bf_value stays in this namespace: the benchmark's tracer wraps it by name.
 from .bayesfactor import NEG_INF, GPriorSpec, log_bf_value, log_bf_values  # noqa: F401
 from .errors import UsageError
-from .estimators import QuantityOfInterest
+from .estimators import BLOCK, QuantityOfInterest, membership
 from .linmodel import Dataset, FitState, ModelIndex, subset_members
 
 # Enumerating beyond p=30 (~1e9 models) is an opt-in long job.
@@ -36,9 +35,6 @@ P_GUARD = 30
 # Fixed shard-prefix width: independent of worker count so that results are
 # bit-identical for any parallelism level.
 DEFAULT_SHARD_BITS = 8
-
-# Most models absorbed in one vectorised step.
-BLOCK = 4096
 
 # Free bit positions of a shard scored in one batch per outer model.
 LOW_BITS = 10
@@ -118,25 +114,17 @@ class Shard:
             self.rescale(top)
         w = np.exp(lbf - self.m)
 
-        # Membership of each model in every variable, in its dimension, and
-        # in the total. One column sum over all of them makes every
-        # numerator and the denominator go through the same monotone float
-        # additions, so no inclusion or dimension can round above 1.
+        # One column sum over the membership matrix, total included, makes
+        # every numerator and the denominator go through the same monotone
+        # float additions, so no inclusion or dimension can round above 1.
         p = self.incl.size
-        n = b.size
-        includes = (b[:, None] >> np.arange(p)) & 1
-        member = np.zeros((n, 2 * p + 2))
-        member[:, :p] = includes
-        member[np.arange(n), p + includes.sum(axis=1)] = 1.0
-        member[:, -1] = 1.0
-        sums = (member * w[:, None]).sum(axis=0)
+        sums = (membership(b, p) * w[:, None]).sum(axis=0)
         self.incl += sums[:p]
         self.dim += sums[p:-1]
         self.total += float(sums[-1])
 
         if quantity is not None:
-            values = [quantity.evaluator(ModelIndex.from_bits(int(x))) for x in b]
-            self.quantity_sum += float(np.dot(values, w))
+            self.quantity_sum += float(np.dot(quantity.evaluator(b), w))
         if rank_threshold is not None:
             self.rank_count += int(np.count_nonzero(lbf > rank_threshold))
         if self.top_lbf.size == self.K:
@@ -298,14 +286,6 @@ def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> Exac
     )
 
 
-def _picklable(obj) -> bool:
-    try:
-        pickle.dumps(obj)
-    except (pickle.PicklingError, AttributeError, TypeError):
-        return False
-    return True
-
-
 # The Dataset of the enumeration a pool worker serves, set once per worker.
 _worker_data: Dataset | None = None
 
@@ -332,10 +312,12 @@ def enumerate_exact(
 ) -> ExactResult:
     """Sharded exact enumeration of all 2^p models under a fixed g.
 
-    Shards go to a process pool when workers > 1, unless the quantity does
-    not pickle; then they are enumerated in-process. Each worker receives
-    the Dataset once, then contiguous runs of shards. The shard layout does
-    not depend on the worker count, so the result is bit-identical either way.
+    Shards go to a process pool when workers > 1: each worker receives the
+    Dataset once, then contiguous runs of shards, and a quantity's evaluator
+    must pickle (a module-level function, a ufunc, or a ``partial`` of one;
+    a lambda fails in the pool). With workers=1 any callable works. The
+    shard layout does not depend on the worker count, so the result is
+    bit-identical either way.
     """
     p = data.p
     if p > P_GUARD and not force:
@@ -350,7 +332,7 @@ def enumerate_exact(
         raise UsageError(f"shard_bits must be in [0, {p}]")
     workers = default_workers() if workers is None else max(1, workers)
     prefixes = range(1 << s)
-    if workers == 1 or s == 0 or (quantity is not None and not _picklable(quantity)):
+    if workers == 1 or s == 0:
         shards = [
             enumerate_shard(data, s, pre, g, prior, K, quantity, rank_threshold)
             for pre in prefixes
@@ -376,9 +358,10 @@ def exact_quantity(
 ) -> float:
     """Exact tau(a) = sum_gamma a(M) Pr(M | y) by a full sharded pass.
 
-    The evaluator may be any callable. A picklable one is enumerated across
-    ``workers`` processes; any other runs in-process. The value is
-    bit-identical for any worker count.
+    The evaluator maps a bitmask array to a float array. With workers > 1
+    it must pickle (a module-level function, a ufunc, or a ``partial`` of
+    one; a lambda fails in the pool); with workers=1 any callable works.
+    The value is bit-identical for any worker count.
     """
     res = enumerate_exact(
         data,

@@ -372,15 +372,6 @@ class TestCompareReport:
         b.pop("timing")
         assert a == b
 
-    def test_unknown_method(self, csv5):
-        path, _ = csv5
-        rc = main(
-            ["compare", path, "--response", "y", "--g", "30", "--runs", "2",
-             "--iterations", "10", "--methods", "gibbs,bas",
-             "--workers", "1", "--out", os.devnull]
-        )
-        assert rc == 2
-
     def test_external_trace_scoring(self, csv5, tmp_path):
         path, data = csv5
         from modelspace import GPriorSpec, SamplerConfig, run_chain

@@ -254,3 +254,71 @@ class TestSummarizeTrace:
             assert 0.0 <= est.value <= 1.0
         vals = [est.value for est in summary.inclusion_renormalized]
         assert all(0.0 <= v <= 1.0 + 1e-12 for v in vals)
+
+
+class TestWideModels:
+    """p = 70: bitmasks at and above 2^63 keep every bit in each estimator.
+
+    One trace sets bits up to 69; the other stays below 2^64, where numpy's
+    own inference would pick uint64 for the masks.
+    """
+
+    P = 70
+
+    @pytest.fixture(params=[70, 64], ids=["bits-to-69", "below-2^64"])
+    def wide_trace(self, request):
+        width = request.param
+        rng = np.random.default_rng(width)
+        masks = [
+            int.from_bytes(rng.bytes(9), "little") & ((1 << width) - 1)
+            for _ in range(300)
+        ]
+        masks += [(1 << 63) | 5, (1 << 63) | (1 << (width - 1)), (1 << width) - 1, 0]
+        masks += masks[:40]  # revisits, so that dedupe has work to do
+        assert any((1 << 63) <= b < (1 << 64) for b in masks)
+        return trace_of(masks, lbfs=rng.normal(0.0, 3.0, size=len(masks)))
+
+    @staticmethod
+    def renormalized_reference(distinct, holds):
+        top = max(lbf for _, lbf in distinct)
+        w = [math.exp(lbf - top) for _, lbf in distinct]
+        a = [float(holds(m)) for m, _ in distinct]
+        return sum(wi * ai for wi, ai in zip(w, a)) / sum(w)
+
+    def test_frequencies_match_per_model_reference(self, wide_trace):
+        models, n = wide_trace.models, wide_trace.n
+        incl = hh_inclusion(wide_trace, self.P)
+        for l in range(self.P):
+            assert incl[l].value == sum(m.contains(l) for m in models) / n
+        dim = hh_dimension(wide_trace, self.P)
+        for k in range(self.P + 1):
+            assert dim[k].value == sum(m.k == k for m in models) / n
+        est = hh_estimate(wide_trace, indicator_of_variable(69))
+        assert est.value == sum(m.contains(69) for m in models) / n
+        assert est.se == pytest.approx(incl[69].se, rel=1e-12)
+
+    def test_renormalized_matches_per_model_reference(self, wide_trace):
+        distinct = dedupe_models(wide_trace)
+        prior = GPriorSpec.fixed(1.0)
+        for l in (0, 62, 63, 64, 69):
+            est = renormalized_estimate(distinct, indicator_of_variable(l), prior)
+            ref = self.renormalized_reference(distinct, lambda m: m.contains(l))
+            assert est.value == pytest.approx(ref, rel=1e-12)
+        target = wide_trace.models[301]
+        est = renormalized_estimate(distinct, indicator_of_model(target), prior)
+        ref = self.renormalized_reference(distinct, lambda m: m.bits == target.bits)
+        assert 0.0 < est.value == pytest.approx(ref, rel=1e-12)
+
+    def test_summary_matches_per_model_reference(self, wide_trace):
+        from conftest import synth_dataset
+
+        data = synth_dataset(N=80, p=self.P, seed=70)
+        summary = summarize_trace(wide_trace, data, GPriorSpec.fixed(80.0), top_k=20)
+        models, n = wide_trace.models, wide_trace.n
+        distinct = dedupe_models(wide_trace)
+        for l in range(self.P):
+            assert summary.inclusion[l].value == sum(m.contains(l) for m in models) / n
+            ref = self.renormalized_reference(distinct, lambda m: m.contains(l))
+            assert summary.inclusion_renormalized[l].value == pytest.approx(ref, rel=1e-12)
+        for k in range(self.P + 1):
+            assert summary.dimension[k].value == sum(m.k == k for m in models) / n

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -278,7 +279,7 @@ class TestExactQuantity:
         from modelspace.estimators import QuantityOfInterest
 
         g = float(p8_data.N)
-        one = QuantityOfInterest(lambda m: 1.0, "one")
+        one = QuantityOfInterest(np.ones_like, "one")
         val = exact_quantity(p8_data, g, GPriorSpec.fixed(g), one)
         assert val == pytest.approx(1.0, abs=1e-12)
 
@@ -305,14 +306,14 @@ class TestExactQuantity:
 
         _, _, _, dim, _ = p8_naive
         g = float(p8_data.N)
-        size = QuantityOfInterest(lambda m: float(m.k), "dimension")
+        size = QuantityOfInterest(np.bitwise_count, "dimension")
         val = exact_quantity(p8_data, g, GPriorSpec.fixed(g), size)
         ref = sum(k * dk for k, dk in enumerate(dim))
         assert val == pytest.approx(ref, abs=1e-12)
 
     def test_worker_count_bit_identical(self, p8_data, monkeypatch):
-        # a lambda cannot pickle and runs in-process; the built-in indicators
-        # pickle and go through the pool; both match the single-worker value
+        # a ufunc and a built-in indicator both pickle and go through the
+        # pool, and match the single-worker value
         from modelspace.estimators import QuantityOfInterest
 
         pools = []
@@ -325,13 +326,25 @@ class TestExactQuantity:
         monkeypatch.setattr(exact_mod, "ProcessPoolExecutor", SpyPool)
         g = float(p8_data.N)
         prior = GPriorSpec.fixed(g)
-        size = QuantityOfInterest(lambda m: float(m.k), "dimension")
-        for q, expected_pools in ((size, []), (indicator_of_variable(3), [2])):
+        size = QuantityOfInterest(np.bitwise_count, "dimension")
+        for q in (size, indicator_of_variable(3)):
             pools.clear()
             a = exact_quantity(p8_data, g, prior, q, workers=1)
             b = exact_quantity(p8_data, g, prior, q, workers=2)
             assert a == b
-            assert pools == expected_pools
+            assert pools == [2]
+
+    def test_single_worker_takes_any_callable(self, p8_data, p8_naive):
+        from modelspace.estimators import QuantityOfInterest
+
+        _, _, incl, _, _ = p8_naive
+        g = float(p8_data.N)
+        q = QuantityOfInterest(lambda bits: ((bits >> 5) & 1) * 1.0, "include 5")
+        val = exact_quantity(p8_data, g, GPriorSpec.fixed(g), q, workers=1)
+        assert val == pytest.approx(incl[5], abs=1e-12)
+        # a local lambda does not pickle, so it cannot go to the pool
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            exact_quantity(p8_data, g, GPriorSpec.fixed(g), q, workers=2)
 
 
 class TestRankCount:

@@ -1,21 +1,25 @@
 """Parallel exact enumeration of the model space.
 
 The space is partitioned by the s highest-order bit positions into 2^s
-shards. Within a shard the lowest b = min(p - s, LOW_BITS) positions are
-scored in one batch: for each outer model, a Gray-code walk over the
-remaining high positions with exactly one add or delete per step, the
-Schur complement of its active set in the Gram matrix of the b low columns
-gives the SSE of all 2^b completions from one batched Cholesky
-(``FitState.extension_sse``), and their log Bayes factors come from one
-numpy expression. Each shard keeps one log-space scale, m, the largest log
-Bayes factor it has seen, and plain float sums of exp(log BF - m), so
-1e50-scale totals never overflow; it absorbs each batch into those sums at
-most ``BLOCK`` models at a time in one vectorised step. Shards are reduced
-in index order, so results are bit-identical regardless of worker count.
+shards. Within a shard a Gray-code walk visits the outer models, the
+settings of the free positions above the lowest b = min(p - s, LOW_BITS),
+with exactly one add or delete per step. Each outer model's 2^b
+completions in the low positions are scored together: the Schur
+complement of its active set in the Gram matrix of the b low columns is
+eliminated by subset doubling (``FitState.extension_sse``), which costs
+O(2^b) array work rather than a Cholesky per completion, and their log
+Bayes factors come from one numpy expression. Each shard keeps one
+log-space scale, m, the largest log Bayes factor it has seen, and plain
+float sums of exp(log BF - m), so 1e50-scale totals never overflow. It
+absorbs each outer model's completions in one weighted column sum over
+the low block's cached membership matrix, and keeps its top K by a
+partition followed by a sort of the survivors. Shards are reduced in index
+order, so results are bit-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +30,7 @@ import numpy as np
 # log_bf_value stays in this namespace: the benchmark's tracer wraps it by name.
 from .bayesfactor import NEG_INF, GPriorSpec, log_bf_value, log_bf_values  # noqa: F401
 from .errors import UsageError
-from .estimators import BLOCK, QuantityOfInterest, membership
+from .estimators import QuantityOfInterest, membership
 from .linmodel import Dataset, FitState, ModelIndex, subset_members
 
 # Enumerating beyond p=30 (~1e9 models) is an opt-in long job.
@@ -56,8 +60,23 @@ def default_shard_bits(p: int) -> int:
     return min(p, DEFAULT_SHARD_BITS)
 
 
+@functools.lru_cache(maxsize=None)
+def low_membership(b: int) -> np.ndarray:
+    """``membership`` of the 2^b subsets of a low block of b positions:
+    columns for the b positions, the dimensions 0..b and every subset."""
+    member = membership(np.arange(1 << b, dtype=np.int64), b)
+    member.flags.writeable = False
+    return member
+
+
 def _best(lbf: np.ndarray, bits: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The K best models: descending log BF, ties by ascending bitmask."""
+    """The K >= 1 best models: descending log BF, ties by ascending bitmask.
+    A partition finds the K-th largest log BF, so only the models at or
+    above it, ties included, are sorted."""
+    if lbf.size > K:
+        keep = lbf >= np.partition(lbf, lbf.size - K)[lbf.size - K]
+        lbf = lbf[keep]
+        bits = bits[keep]
     order = np.lexsort((bits, -lbf))[:K]
     return lbf[order], bits[order]
 
@@ -96,35 +115,44 @@ class Shard:
 
     def absorb(
         self,
-        bits: np.ndarray,
+        outer: int,
         lbf: np.ndarray,
         quantity: QuantityOfInterest | None,
         rank_threshold: float | None,
     ) -> None:
-        """Add one block of models; an excluded model has log BF -inf."""
+        """Add the 2^b completions of one outer model: entry t of ``lbf`` is
+        for the model ``outer | t``, and -inf excludes it."""
+        b = lbf.size.bit_length() - 1
         finite = lbf > NEG_INF
+        n_finite = int(np.count_nonzero(finite))
         self.count += lbf.size
-        self.excluded_count += lbf.size - int(np.count_nonzero(finite))
-        if not finite.any():
+        self.excluded_count += lbf.size - n_finite
+        if not n_finite:
             return
-        lbf = lbf[finite]
-        b = bits[finite]
+        bits = outer | np.flatnonzero(finite)
+        low = low_membership(b)
+        if n_finite < lbf.size:
+            lbf = lbf[finite]
+            low = low[finite]
         top = float(lbf.max())
         if top > self.m:
             self.rescale(top)
         w = np.exp(lbf - self.m)
 
-        # One column sum over the membership matrix, total included, makes
-        # every numerator and the denominator go through the same monotone
-        # float additions, so no inclusion or dimension can round above 1.
-        p = self.incl.size
-        sums = (membership(b, p) * w[:, None]).sum(axis=0)
-        self.incl += sums[:p]
-        self.dim += sums[p:-1]
-        self.total += float(sums[-1])
+        # One column sum over the low block's membership, total included,
+        # makes every numerator and the denominator go through the same
+        # monotone float additions, so no inclusion or dimension can round
+        # above 1; each variable of the outer model gets the total itself.
+        sums = (low * w[:, None]).sum(axis=0)
+        total = float(sums[-1])
+        self.incl[:b] += sums[:b]
+        self.incl[b:] += total * ((outer >> np.arange(b, self.incl.size)) & 1)
+        k = outer.bit_count()
+        self.dim[k : k + b + 1] += sums[b:-1]
+        self.total += total
 
         if quantity is not None:
-            self.quantity_sum += float(np.dot(quantity.evaluator(b), w))
+            self.quantity_sum += float(np.dot(quantity.evaluator(bits), w))
         if rank_threshold is not None:
             self.rank_count += int(np.count_nonzero(lbf > rank_threshold))
         if self.top_lbf.size == self.K:
@@ -133,10 +161,10 @@ class Shard:
             if not keep.any():
                 return
             lbf = lbf[keep]
-            b = b[keep]
+            bits = bits[keep]
         self.top_lbf, self.top_bits = _best(
             np.concatenate((self.top_lbf, lbf)),
-            np.concatenate((self.top_bits, b)),
+            np.concatenate((self.top_bits, bits)),
             self.K,
         )
 
@@ -167,7 +195,6 @@ def enumerate_shard(
     free = p - shard_bits
     b = min(free, LOW_BITS)
     low = np.arange(b)
-    completions = np.arange(1 << b, dtype=np.int64)
     low_k = subset_members(b).sum(axis=0)
     fixed_bits = prefix << free
 
@@ -208,11 +235,7 @@ def enumerate_shard(
             sse, singular = state.extension_sse(low)
             lbf = log_bf_values(sse, state.k + low_k, data.sse0, data.N, g)
             lbf[singular] = NEG_INF
-        models = bits | completions
-        for lo in range(0, 1 << b, BLOCK):
-            shard.absorb(
-                models[lo : lo + BLOCK], lbf[lo : lo + BLOCK], quantity, rank_threshold
-            )
+        shard.absorb(bits, lbf, quantity, rank_threshold)
     return shard
 
 
@@ -320,6 +343,8 @@ def enumerate_exact(
     bit-identical either way.
     """
     p = data.p
+    if K < 1:
+        raise UsageError(f"K (--top-k) must be >= 1, got {K}")
     if p > P_GUARD and not force:
         raise UsageError(
             f"p={p} exceeds the enumeration guard ({P_GUARD}); pass force=True "

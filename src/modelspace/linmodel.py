@@ -333,14 +333,17 @@ class FitState:
         Entry t of both returned arrays is for subset t of ``subset_members``.
         With S = G_LL - G_LA G_AA^-1 G_AL, the Schur complement of the active
         set A in the Gram matrix of the b columns L, r = X'y_L - G_LA beta_A
-        and T a subset of L, SSE(A + T) = sse - r_T' S_TT^-1 r_T. That is the
-        last pivot of the Cholesky factor of the bordered matrix
-        [[S_TT, r_T], [r_T', sse]], so one column Cholesky over a
-        (b+1, b+1, 2^b) stack, batch last, scores every subset at once. A
-        column outside T gets an infinite pivot, which zeroes its column of
-        the factor as identity padding would. A subset is singular when any
-        of its pivots meets ``add``'s rule, d <= SINGULAR_EPS * G_jj; its SSE
-        is then meaningless.
+        and T a subset of L, SSE(A + T) = sse - r_T' S_TT^-1 r_T: the last
+        pivot of the Cholesky factor of the bordered matrix
+        [[S_TT, r_T], [r_T', sse]]. The subsets are eliminated by doubling.
+        Level j holds, batch last, the Schur complements of all 2^j subsets
+        of the first j columns, each on the remaining columns and y. The
+        child that leaves column j out is the trailing block, rest; the one
+        that takes it in is rest - c c' with c = T[1:, 0] / sqrt(d), and the
+        children are stacked [left out, taken in], so subset t stays at
+        index t. A subset is singular when a column it takes in has a pivot
+        that meets ``add``'s rule, d <= SINGULAR_EPS * G_jj; its children
+        inherit the flag, and its SSE is meaningless, possibly NaN.
         """
         cols = np.asarray(cols, dtype=np.int64)
         b = cols.size
@@ -359,17 +362,20 @@ class FitState:
             V[:, b] = self._b[:k]
             B -= V.T @ V
         B[b, b] = self.sse
-        members = subset_members(b)
-        M = np.broadcast_to(B[:, :, None], (b + 1, b + 1, 1 << b)).copy()
-        singular = np.zeros(1 << b, dtype=bool)
-        for j in range(b):
-            d = M[j, j]
-            bad = members[j] & (d <= SINGULAR_EPS * gjj[j])
-            singular |= bad
-            ljj = np.sqrt(np.where(members[j] & ~bad, d, np.inf))
-            col = M[j + 1 :, j] / ljj
-            M[j + 1 :, j + 1 :] -= col[:, None, :] * col[None, :, :]
-        return np.maximum(M[b, b], 0.0), singular
+        T = B[:, :, None]
+        singular = np.zeros(1, dtype=bool)
+        # a singular subset's children may take the square root of a
+        # negative pivot or divide by a zero one
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for j in range(b):
+                d = T[0, 0]
+                rest = T[1:, 1:]
+                col = T[1:, 0] / np.sqrt(d)
+                T = np.concatenate((rest, rest - col[:, None] * col[None]), axis=2)
+                singular = np.concatenate(
+                    (singular, singular | (d <= SINGULAR_EPS * gjj[j]))
+                )
+        return np.maximum(T[0, 0], 0.0), singular
 
     def delete(self, j: int) -> None:
         """Remove column j, restoring triangularity via Givens rotations."""

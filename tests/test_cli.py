@@ -94,6 +94,15 @@ class TestExitCodes:
         assert rc == 2
         assert "MODELSPACE_WORKERS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_is_usage_error(self, csv4, top_k, capsys):
+        rc = main(
+            ["exact", csv4, "--response", "y", "--g", "40", "--top-k", top_k,
+             "--out", os.devnull]
+        )
+        assert rc == 2
+        assert "top-k" in capsys.readouterr().err
+
     def test_non_finite_g_is_usage_error(self, csv4):
         for g in ("nan", "inf"):
             rc = main(["exact", csv4, "--response", "y", "--g", g, "--out", os.devnull])

@@ -19,7 +19,7 @@ from modelspace import (
 )
 import modelspace.exact as exact_mod
 from modelspace.exact import enumerate_shard, reduce_shards
-from modelspace.linmodel import fit_model, sse_direct, subset_members
+from modelspace.linmodel import SINGULAR_EPS, fit_model, sse_direct, subset_members
 from conftest import naive_enumeration, synth_dataset
 
 
@@ -34,14 +34,15 @@ def huge_data():
 
 class TestScale:
     @pytest.mark.parametrize(
-        "shard_bits, block",
-        [(None, exact_mod.BLOCK), (0, 3)],
+        "shard_bits, low_bits",
+        [(None, exact_mod.LOW_BITS), (0, 2)],
         ids=["shard-per-model", "moving-scale"],
     )
-    def test_huge_magnitudes(self, huge_data, shard_bits, block, monkeypatch):
-        # one model per shard, or one shard absorbed three models at a time
-        # so that the scale moves between blocks
-        monkeypatch.setattr(exact_mod, "BLOCK", block)
+    def test_huge_magnitudes(self, huge_data, shard_bits, low_bits, monkeypatch):
+        # one model per shard, or one shard whose walk absorbs the four
+        # completions of each outer model in turn, so that the scale moves
+        # between outer models
+        monkeypatch.setattr(exact_mod, "LOW_BITS", low_bits)
         g = float(huge_data.N)
         lbfs, log_total, incl, dim, _ = naive_enumeration(huge_data, g)
         assert lbfs.max() > 1000.0
@@ -206,11 +207,15 @@ class TestLowBitBlock:
         assert res.hpm.bits == hpm_bits
 
     @pytest.mark.parametrize(
-        "copy, of", [(4, 1), (5, 3)], ids=["low-high-pair", "high-high-pair"]
+        "copy, of",
+        [(1, 0), (4, 1), (5, 3)],
+        ids=["low-low-pair", "low-high-pair", "high-high-pair"],
     )
     def test_duplicate_pair_excluded(self, copy, of, monkeypatch):
-        # with LOW_BITS = 3, column 1 is a low column and 3, 4, 5 are walked:
-        # the pair is caught by a low pivot or by the walk's pending set
+        # with LOW_BITS = 3, columns 0, 1, 2 are low and 3, 4, 5 are walked:
+        # the pair is caught by a low pivot or by the walk's pending set. A
+        # pair in the low block is flagged at column 1, and the subsets that
+        # also take column 2 must inherit the flag
         monkeypatch.setattr(exact_mod, "LOW_BITS", 3)
         rng = np.random.default_rng(8)
         N, p = 30, 6
@@ -255,6 +260,72 @@ class TestLowBitBlock:
             m = ModelIndex.from_bits(outer.bits | t)
             assert m.k == outer.k + int(members[:, t].sum())
             assert sse[t] == pytest.approx(sse_direct(data, m), rel=1e-9)
+
+
+    @pytest.mark.parametrize("dup", [False, True], ids=["full-rank", "low-low-pair"])
+    def test_doubling_matches_column_cholesky(self, dup):
+        # each subset goes through the column Cholesky's float operations,
+        # so flags and non-singular SSEs equal the reference bit for bit
+        b = exact_mod.LOW_BITS
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((60, b + 6))
+        if dup:
+            X[:, 1] = X[:, 0]
+        y = X[:, 2] - X[:, b + 1] + rng.standard_normal(60)
+        data = make_dataset(y, X, [f"x{j}" for j in range(b + 6)])
+        state = fit_model(data, ModelIndex.from_indices([b, b + 1, b + 4]))
+        low = np.arange(b)
+        sse, singular = state.extension_sse(low)
+        ref_sse, ref_singular = column_cholesky_sse(state, low)
+        np.testing.assert_array_equal(singular, ref_singular)
+        assert singular.sum() == (1 << (b - 2) if dup else 0)
+        np.testing.assert_array_equal(sse[~singular], ref_sse[~singular])
+
+
+def column_cholesky_sse(state, cols):
+    """Reference for ``FitState.extension_sse``: the same bordered matrix,
+    factored by one column Cholesky over a (b+1, b+1, 2^b) stack in which a
+    column outside the subset gets an infinite pivot."""
+    data, k, b = state.data, state.k, cols.size
+    G = data.gram_col(cols)
+    B = np.zeros((b + 1, b + 1))
+    B[:b, :b] = G[cols]
+    B[:b, b] = B[b, :b] = data.xty[cols]
+    gjj = np.diagonal(B)[:b].copy()
+    if k:
+        V = np.empty((k, b + 1))
+        V[:, :b] = np.linalg.solve(state._L[:k, :k], G[state._active[:k]])
+        V[:, b] = state._b[:k]
+        B -= V.T @ V
+    B[b, b] = state.sse
+    members = subset_members(b)
+    M = np.broadcast_to(B[:, :, None], (b + 1, b + 1, 1 << b)).copy()
+    singular = np.zeros(1 << b, dtype=bool)
+    for j in range(b):
+        d = M[j, j]
+        bad = members[j] & (d <= SINGULAR_EPS * gjj[j])
+        singular |= bad
+        ljj = np.sqrt(np.where(members[j] & ~bad, d, np.inf))
+        col = M[j + 1 :, j] / ljj
+        M[j + 1 :, j + 1 :] -= col[:, None, :] * col[None, :, :]
+    return np.maximum(M[b, b], 0.0), singular
+
+
+class TestBest:
+    @pytest.mark.parametrize("K", [1, 17, 40, 41, 100])
+    def test_matches_full_sort(self, K):
+        # 40 log BFs drawn from 6 values force ties across the K-th place
+        rng = np.random.default_rng(11)
+        lbf = rng.choice([-3.5, -1.0, 0.0, 0.25, 2.0, 7.0], size=40)
+        bits = rng.permutation(40).astype(np.int64) * 3
+        top_lbf, top_bits = exact_mod._best(lbf, bits, K)
+        order = np.lexsort((bits, -lbf))[:K]
+        np.testing.assert_array_equal(top_lbf, lbf[order])
+        np.testing.assert_array_equal(top_bits, bits[order])
+        assert top_lbf.size == min(K, lbf.size)
+        for value in np.unique(top_lbf):
+            tied = top_bits[top_lbf == value]
+            assert np.all(np.diff(tied) > 0)
 
 
 class TestReduce:
@@ -370,6 +441,13 @@ class TestGuards:
         data = synth_dataset(N=40, p=31, seed=1)
         with pytest.raises(UsageError, match="force"):
             enumerate_exact(data, 40.0, GPriorSpec.fixed(40.0))
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_top_k_below_one_rejected(self, p8_data, K, monkeypatch):
+        # refused before any shard runs
+        monkeypatch.setattr(exact_mod, "enumerate_shard", None)
+        with pytest.raises(UsageError, match="K"):
+            enumerate_exact(p8_data, 40.0, GPriorSpec.fixed(40.0), K=K, workers=1)
 
     def test_hierarchical_prior_rejected(self, p8_data):
         with pytest.raises(UsageError):

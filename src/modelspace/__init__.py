@@ -53,11 +53,13 @@ from .linmodel import (
 )
 from .sampler import (
     ChainTrace,
+    InverseGramState,
     SamplerConfig,
     SweepState,
     gibbs_sweep,
     mh_step_g,
     run_chain,
+    sweep_state,
 )
 
 __version__ = "0.1.0"

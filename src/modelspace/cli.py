@@ -333,6 +333,7 @@ def _compare_worker(job):
         "hpm_bits": find_hpm(distinct).bits,
         "visited_bits": [m.bits for m, _ in distinct],
         "topk_mass_log10": topk_mass_log10(distinct, top_k),
+        "bit_flips_per_sweep": trace.meta["bit_flips_per_sweep"],
     }
 
 
@@ -382,6 +383,7 @@ def compare_runs(
     incl = np.array([r["inclusion"] for r in results])  # runs x p
     ses = np.array([r["inclusion_se"] for r in results], dtype=np.float64)
     masses = np.array([r["topk_mass_log10"] for r in results])
+    flips = [r["bit_flips_per_sweep"] for r in results]
     variables = [
         {
             "name": name,
@@ -410,6 +412,7 @@ def compare_runs(
             "mean": float(masses.mean()),
             "sd": float(masses.std(ddof=1)),
         },
+        "bit_flips_per_sweep": {"per_run": flips, "mean": float(np.mean(flips))},
         "hpm_hits": hpm_hits,
         "mpm_hits": mpm_hits,
         "hpm_visited": hpm_visited,

@@ -29,7 +29,7 @@ import numpy as np
 
 # log_bf_value stays in this namespace: the benchmark's tracer wraps it by name.
 from .bayesfactor import NEG_INF, GPriorSpec, log_bf_value, log_bf_values  # noqa: F401
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .estimators import QuantityOfInterest, membership
 from .linmodel import Dataset, FitState, ModelIndex, subset_members
 
@@ -121,7 +121,12 @@ class Shard:
         rank_threshold: float | None,
     ) -> None:
         """Add the 2^b completions of one outer model: entry t of ``lbf`` is
-        for the model ``outer | t``, and -inf excludes it."""
+        for the model ``outer | t``, and -inf excludes it. A NaN is a
+        numerical fault, not an exclusion, and raises NumericalError."""
+        if np.isnan(lbf).any():
+            raise NumericalError(
+                f"NaN log Bayes factor among the completions of model {outer:#x}"
+            )
         b = lbf.size.bit_length() - 1
         finite = lbf > NEG_INF
         n_finite = int(np.count_nonzero(finite))

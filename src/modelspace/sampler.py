@@ -8,12 +8,16 @@ the component full conditionals and in the g-step acceptance ratio, leaving
 pure Bayes-factor ratios evaluated in log space.
 
 Each component's conditional needs only the SSE of the model with that bit
-flipped. ``SweepState`` keeps the inverse Gram matrix of the active set and
-the coefficients, so a drop SSE costs O(1) and an add SSE one k-vector
-product; the O(k^2) rank-one update is paid only when a bit actually flips
-(fast updating as in George & McCulloch 1997, *Approaches for Bayesian
-variable selection*). ``run_chain`` rebuilds the state from G[A,A] after
-each SSE spot check, which bounds the drift of the updates.
+flipped. Up to ``SWEEP_MATRIX_MAX_P`` columns, ``SweepState`` keeps the
+cross-product matrix of the design and the response swept on the active
+set, so every flip SSE, add or drop, costs O(1) from two lists of floats and
+only a bit that actually flips pays an O(p^2) rank-one update (Goodnight
+1979, *A tutorial on the SWEEP operator*). Above it, ``InverseGramState``
+keeps the inverse Gram matrix of the active set in O(min(p, N) * p) memory:
+a drop SSE costs O(1), an add SSE one k-vector product and a flip an O(k^2)
+update (fast updating as in George & McCulloch 1997, *Approaches for
+Bayesian variable selection*). ``run_chain`` resets the state after each
+SSE spot check, which bounds the drift of the updates.
 """
 
 from __future__ import annotations
@@ -34,6 +38,12 @@ from .errors import UsageError
 from .linmodel import SINGULAR_EPS, Dataset, ModelIndex, sse_direct
 
 SSE_SPOT_CHECK_EVERY = 1000
+# the largest p whose sweep keeps the (p+1)x(p+1) swept matrix. Its flips
+# cost O(p^2) each, the inverse Gram's O(k^2). At p=96 on a 2-vCPU host the
+# swept matrix ran 2.5x the inverse Gram's sweeps/s with ~4 flips per sweep
+# and 1.05x with half the bits flipping every sweep; at p=128 the latter
+# fell to 0.69x
+SWEEP_MATRIX_MAX_P = 96
 
 
 @dataclass(frozen=True)
@@ -81,16 +91,124 @@ def _sigmoid(lnr: float) -> float:
     return e / (1.0 + e)
 
 
-class SweepState:
-    """Least-squares state of one model, kept for the Gibbs sweep.
+class _State:
+    """What the Gibbs sweep reads and changes of a least-squares state:
+    ``data``, the bitmask ``bits``, its size ``k`` and its ``sse``, with
+    ``flip_sse(i)``, ``flip(i)`` and ``reset()``."""
+
+    __slots__ = ()
+
+    @property
+    def model(self) -> ModelIndex:
+        return ModelIndex(self.bits, self.k)
+
+
+class SweepState(_State):
+    """Least-squares state of one model, kept for the Gibbs sweep at
+    p <= ``SWEEP_MATRIX_MAX_P``.
+
+    ``M`` is the (p+1)x(p+1) cross-product matrix [[G, X'y], [y'X, sse0]]
+    of the centered design, swept on the active set A (Goodnight 1979, *A
+    tutorial on the SWEEP operator*). For j outside A, M[j,j] is the pivot
+    d_j = G_jj - G_jA G_AA^-1 G_Aj of adding j and M[j,p] is the residual
+    cross-product c_j; for j in A, M[j,j] is -(G_AA^-1)_jj and M[j,p] is
+    beta_j. M[p,p] is the SSE. ``D`` and ``C`` are M's diagonal and last
+    row as Python floats, so ``flip_sse`` gives the SSE after flipping any
+    one bit, add or drop, as sse - C[j]^2/D[j] in O(1). ``flip`` is a sweep
+    (add) or a reverse sweep (drop) on one pivot: an O(p^2) rank-one update
+    of M. When the model empties, M returns to its pristine copy, so the
+    null model's SSE is sse0 exactly and the drift of the updates restarts
+    from zero.
+    """
+
+    __slots__ = ("data", "bits", "k", "sse", "M", "D", "C", "_M0", "_tiny", "_kmax")
+
+    def __init__(self, data: Dataset, bits: int = 0):
+        self.data = data
+        p = data.p
+        M0 = np.empty((p + 1, p + 1))
+        M0[:p, :p] = data.Xc.T @ data.Xc if data.gram is None else data.gram
+        M0[:p, p] = M0[p, :p] = data.xty
+        M0[p, p] = data.sse0
+        self._M0 = M0
+        # an add is singular when its pivot is at most SINGULAR_EPS * G_jj,
+        # the rule of ``FitState.add``
+        self._tiny = (SINGULAR_EPS * M0.diagonal()[:p]).tolist()
+        self._kmax = data.N - 2
+        self.M = np.empty_like(M0)
+        self.bits = bits
+        self.reset()
+
+    def reset(self) -> None:
+        """Sweep the pristine matrix on the current model's columns, which
+        discards the drift of the updates since the last reset."""
+        bits = self.bits
+        np.copyto(self.M, self._M0)
+        self.bits = 0
+        self.k = 0
+        # no singular check here: a model the chain reached in one order of
+        # adds is rebuilt in index order, where a pivot can differ
+        for j in ModelIndex.from_bits(bits).indices():
+            self._sweep(j)
+        self._refresh(min(max(float(self.M[-1, -1]), 0.0), self.data.sse0))
+
+    def flip_sse(self, i: int) -> float | None:
+        """SSE of the model with bit i flipped, or None when that add is
+        singular (the rule of ``FitState.add``) or saturated (k+1 > N-2)."""
+        d = self.D[i]
+        if (self.bits >> i) & 1:
+            if self.k == 1:
+                return self.data.sse0
+        elif self.k >= self._kmax or d <= self._tiny[i]:
+            return None
+        c = self.C[i]
+        return min(max(self.sse - c * c / d, 0.0), self.data.sse0)
+
+    def flip(self, i: int) -> None:
+        """Flip bit i; a singular or saturated add raises ValueError."""
+        sse = self.flip_sse(i)
+        if sse is None:
+            raise ValueError(f"adding column {i} is singular or saturated")
+        self._sweep(i)
+        self._refresh(sse)
+
+    def _sweep(self, i: int) -> None:
+        """Sweep M on pivot i, or reverse-sweep it when i is active."""
+        drop = (self.bits >> i) & 1
+        self.bits ^= 1 << i
+        self.k += -1 if drop else 1
+        M = self.M
+        if not self.k:
+            np.copyto(M, self._M0)
+            return
+        col = M[i].copy()
+        h = col[i]
+        M -= np.multiply.outer(col, col / h)
+        col /= -h if drop else h
+        col[i] = -1.0 / h
+        M[i] = col
+        M[:, i] = col
+
+    def _refresh(self, sse: float) -> None:
+        self.sse = sse
+        M = self.M
+        M[-1, -1] = sse
+        self.D = M.diagonal().tolist()
+        self.C = M[-1].tolist()
+
+
+class InverseGramState(_State):
+    """Least-squares state of one model, kept for the Gibbs sweep at
+    p > ``SWEEP_MATRIX_MAX_P``, where an O(p^2) update per flip costs more
+    than it saves.
 
     Holds the active columns ``cols``, ``Ginv``, the inverse of the active
     centered Gram submatrix G[A,A], the coefficients ``beta`` = Ginv X'y[A]
-    and the active rows ``GA`` = G[A,:], all in the order of ``cols``. From
-    these, ``flip_sse`` gives the SSE after flipping any one bit: O(1) for a
-    drop, one k-vector product for an add. Only ``flip`` pays an O(k^2)
-    rank-one update. The state is built from a bitmask by one solve on
-    G[A,A], which is also how ``run_chain`` resets the drift of the updates.
+    and the active rows ``GA`` = G[A,:], all in the order of ``cols``, in
+    O(min(p, N) * p) memory. From these, ``flip_sse`` gives the SSE after
+    flipping any one bit: O(1) for a drop, one k-vector product for an add.
+    Only ``flip`` pays an O(k^2) rank-one update. ``reset`` rebuilds the
+    state from the bitmask by one solve on G[A,A].
     """
 
     __slots__ = (
@@ -103,16 +221,22 @@ class SweepState:
         self._gdiag = [data.gram_diag(j) for j in range(data.p)]
         self._xty = data.xty.tolist()
         self._kmax = data.N - 2
-        self._add = None  # (i, sse, w, d, c) of the last add conditional
-        self.cols = cols = ModelIndex.from_bits(bits).indices()
-        self.bits = bits
-        k = len(cols)
         # Ginv, beta and GA are views of the leading k rows of buffers
         # sized for the largest model the sweep can reach
-        cap = max(min(data.p, self._kmax), k)
+        cap = max(min(data.p, self._kmax), bits.bit_count())
         self._Gbuf = np.empty((cap, cap))
         self._bbuf = np.empty(cap)
         self._GAbuf = np.empty((cap, data.p))
+        self.bits = bits
+        self.reset()
+
+    def reset(self) -> None:
+        """Rebuild the state of the current model by one solve on G[A,A],
+        which discards the drift of the updates since the last reset."""
+        data = self.data
+        self._add = None  # (i, sse, w, d, c) of the last add conditional
+        self.cols = cols = ModelIndex.from_bits(self.bits).indices()
+        k = len(cols)
         self.sse = data.sse0
         if k:
             GA = self._GAbuf[:k]
@@ -130,10 +254,6 @@ class SweepState:
         self.Ginv = self._Gbuf[:k, :k]
         self.beta = self._bbuf[:k]
         self.GA = self._GAbuf[:k]
-
-    @property
-    def model(self) -> ModelIndex:
-        return ModelIndex(self.bits, self.k)
 
     def flip_sse(self, i: int) -> float | None:
         """SSE of the model with bit i flipped, or None when that add is
@@ -219,12 +339,20 @@ class SweepState:
         self._resize(last)
 
 
+def sweep_state(data: Dataset, bits: int = 0) -> _State:
+    """The Gibbs sweep's state of model ``bits``: the swept matrix up to
+    ``SWEEP_MATRIX_MAX_P`` columns, the active-set inverse above."""
+    if data.p <= SWEEP_MATRIX_MAX_P:
+        return SweepState(data, bits)
+    return InverseGramState(data, bits)
+
+
 def gibbs_sweep(
-    state: SweepState,
+    state: _State,
     g: float,
     prior: GPriorSpec,
     rng: np.random.Generator,
-) -> SweepState:
+) -> _State:
     """One systematic scan over components 1..p, in place.
 
     Component i is included with its full-conditional probability
@@ -252,7 +380,7 @@ def gibbs_sweep(
 
 
 def mh_step_g(
-    state: SweepState,
+    state: _State,
     g: float,
     prior: GPriorSpec,
     rng: np.random.Generator,
@@ -276,8 +404,8 @@ def mh_step_g(
 
 def _initial_state(
     data: Dataset, start: str, rng: np.random.Generator
-) -> SweepState:
-    state = SweepState(data)
+) -> _State:
+    state = sweep_state(data)
     if start == "null_model":
         return state
     kmax = data.N - 2
@@ -327,7 +455,7 @@ def run_chain(data: Dataset, config: SamplerConfig) -> ChainTrace:
                 spot_max_rel, abs(state.sse - ref) / max(ref, data.sse0 * 1e-12)
             )
             # the check measured the drift of the rank-one updates; reset it
-            state = SweepState(data, state.bits)
+            state.reset()
         if raw > config.burn and (raw - config.burn - 1) % config.thin == 0:
             i = len(models)
             models.append(state.model)

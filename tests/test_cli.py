@@ -370,6 +370,41 @@ class TestCompareReport:
         assert 0 <= report["mpm_hits"] <= 3
         assert report["hpm_visited"] >= report["hpm_hits"]
 
+    def test_bit_flips_per_sweep(self, csv5, tmp_path):
+        path, _ = csv5
+        from modelspace import GPriorSpec, SamplerConfig, load_csv, run_chain
+
+        report = run_json(
+            ["compare", path, "--response", "y", "--g", "30",
+             "--runs", "2", "--iterations", "150", "--seed", "3", "--workers", "1"],
+            tmp_path / "cmp.json",
+        )
+        schema = load_schema("compare_report.schema.json")
+        jsonschema.validate(report, schema)
+        data = load_csv(path, "y")
+        seeds = np.random.SeedSequence(3).generate_state(2, dtype=np.uint64)
+        expected = [
+            run_chain(data, SamplerConfig(iterations=150, prior=GPriorSpec.fixed(30.0),
+                                          seed=int(s))).meta["bit_flips_per_sweep"]
+            for s in seeds
+        ]
+        flips = report["bit_flips_per_sweep"]
+        assert flips["per_run"] == expected
+        assert flips["mean"] == pytest.approx(np.mean(expected), rel=1e-12)
+        assert flips["mean"] > 0
+        bad = json.loads(json.dumps(report))
+        bad["bit_flips_per_sweep"]["per_run"][0] = -1.0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
+        bad = json.loads(json.dumps(report))
+        bad["bit_flips_per_sweep"]["mean"] = -1.0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
+        # reports written before the field existed still validate
+        old = json.loads(json.dumps(report))
+        del old["bit_flips_per_sweep"]
+        jsonschema.validate(old, schema)
+
     def test_determinism(self, csv5, tmp_path):
         path, _ = csv5
         args = ["compare", path, "--response", "y", "--g", "30",

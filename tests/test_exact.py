@@ -7,6 +7,7 @@ import pytest
 from modelspace import (
     GPriorSpec,
     ModelIndex,
+    NumericalError,
     UsageError,
     count_models_above,
     enumerate_exact,
@@ -19,7 +20,14 @@ from modelspace import (
 )
 import modelspace.exact as exact_mod
 from modelspace.exact import enumerate_shard, reduce_shards
-from modelspace.linmodel import SINGULAR_EPS, fit_model, sse_direct, subset_members
+from modelspace.cli import main
+from modelspace.linmodel import (
+    SINGULAR_EPS,
+    FitState,
+    fit_model,
+    sse_direct,
+    subset_members,
+)
 from conftest import naive_enumeration, synth_dataset
 
 
@@ -230,6 +238,28 @@ class TestLowBitBlock:
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
         np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
         assert res.hpm.bits == hpm_bits
+
+    def test_nan_log_bf_is_a_numerical_error(self, p8_data, tmp_path, monkeypatch):
+        # a NaN SSE must not pass for an excluded model: the pass raises,
+        # and the exact command exits 4
+        extension_sse = FitState.extension_sse
+
+        def one_nan(self, cols):
+            sse, singular = extension_sse(self, cols)
+            sse[-1] = np.nan
+            return sse, singular
+
+        monkeypatch.setattr(FitState, "extension_sse", one_nan)
+        g = float(p8_data.N)
+        with pytest.raises(NumericalError):
+            enumerate_exact(p8_data, g, GPriorSpec.fixed(g), K=8, workers=1)
+        path = tmp_path / "d8.csv"
+        names = ",".join(["y"] + p8_data.names)
+        np.savetxt(path, np.column_stack([p8_data.y, p8_data.X]), delimiter=",",
+                   header=names, comments="")
+        rc = main(["exact", str(path), "--response", "y", "--g", repr(g),
+                   "--workers", "1", "--out", str(tmp_path / "ex.json")])
+        assert rc == 4
 
     def test_worker_count_invariance_with_outer_walk(self):
         # p=14 in 4 shards leaves 12 free bits: each shard walks 4 outer

@@ -6,6 +6,7 @@ from scipy import stats
 
 from modelspace import (
     GPriorSpec,
+    InverseGramState,
     ModelIndex,
     SamplerConfig,
     SweepState,
@@ -18,6 +19,7 @@ from modelspace import (
     mh_step_g,
     run_chain,
     sse_direct,
+    sweep_state,
 )
 from conftest import naive_enumeration, synth_dataset
 
@@ -35,13 +37,17 @@ class _CountingZeros:
 
 
 class TestComponentProb:
+    # the state under test, and the matrix a flip_sse call must leave alone
+    State = SweepState
+    held = "M"
+
     def test_brute_force_oracle(self):
         # the flipped model's SSE against an independent least-squares refit
         data = synth_dataset(N=20, p=5, active=(0, 3), betas=(0.8, -0.5), seed=3)
         rng = np.random.default_rng(0)
         for _ in range(50):
             bits = int(rng.integers(0, 32))
-            state = SweepState(data, bits)
+            state = self.State(data, bits)
             i = int(rng.integers(5))
             flipped = ModelIndex.from_bits(bits ^ (1 << i))
             got = state.flip_sse(i)
@@ -61,7 +67,7 @@ class TestComponentProb:
         X[:, 2] = X[:, 1]
         y = X[:, 0] + rng.standard_normal(20)
         data = make_dataset(y, X, ["a", "b", "c"])
-        state = SweepState(data, 0b010)
+        state = self.State(data, 0b010)
         assert state.flip_sse(2) is None
         with pytest.raises(ValueError):
             state.flip(2)
@@ -74,7 +80,7 @@ class TestComponentProb:
 
     def test_saturated_target_draws_nothing(self):
         data = synth_dataset(N=5, p=4, seed=4)  # at most N-2 = 3 columns
-        state = SweepState(data)
+        state = self.State(data)
         gen = _CountingZeros()
         gibbs_sweep(state, 5.0, GPriorSpec.fixed(5.0), gen)
         assert state.bits == 0b0111
@@ -82,12 +88,12 @@ class TestComponentProb:
         assert state.flip_sse(3) is None
 
     def test_does_not_mutate_state(self, p10_data):
-        state = SweepState(p10_data, 0b101)
-        Ginv = state.Ginv.copy()
-        state.flip_sse(0)
-        state.flip_sse(1)
+        state = self.State(p10_data, 0b101)
+        before = getattr(state, self.held).copy()
+        for i in range(p10_data.p):
+            state.flip_sse(i)
         assert state.bits == 0b101
-        np.testing.assert_array_equal(state.Ginv, Ginv)
+        np.testing.assert_array_equal(getattr(state, self.held), before)
         assert state.sse == pytest.approx(
             sse_direct(p10_data, state.model), rel=1e-10
         )
@@ -96,11 +102,9 @@ class TestComponentProb:
         # 5,000 flips on a correlated design with no rebuild
         rng = np.random.default_rng(5)
         p, N = 20, 60
-        corr = 0.8 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-        X = rng.standard_normal((N, p)) @ np.linalg.cholesky(corr).T
-        y = X[:, :4] @ np.array([1.0, -0.5, 0.5, 0.3]) + rng.standard_normal(N)
-        data = make_dataset(y, X, [f"x{j}" for j in range(p)])
-        state = SweepState(data)
+        data = _ar_dataset(rng, p, N, 0.8)
+        G = data.gram
+        state = self.State(data)
         flips = 0
         while flips < 5000:
             i = int(rng.integers(p))
@@ -111,11 +115,74 @@ class TestComponentProb:
             if flips % 50 == 0 or state.k == 0:
                 ref = sse_direct(data, state.model)
                 assert abs(state.sse - ref) <= 1e-9 * ref
-                if state.k:
-                    inv = np.linalg.inv(data.gram[np.ix_(state.cols, state.cols)])
-                    assert np.abs(state.Ginv - inv).max() <= 1e-8 * np.abs(inv).max()
-                else:
+                if not state.k:
                     assert state.sse == data.sse0
+                    continue
+                if self.State is InverseGramState:
+                    inv = np.linalg.inv(G[np.ix_(state.cols, state.cols)])
+                    assert np.abs(state.Ginv - inv).max() <= 1e-8 * np.abs(inv).max()
+                    continue
+                A = state.model.indices()
+                U = [j for j in range(p) if j not in A]
+                inv = np.linalg.inv(G[np.ix_(A, A)])
+                M = state.M
+                assert np.abs(-M[np.ix_(A, A)] - inv).max() <= 1e-8 * np.abs(inv).max()
+                # the unswept block, with d_j on its diagonal and c_j in the
+                # last column, is the Schur complement of G[A,A]
+                GUA = G[np.ix_(U, A)]
+                S = G[np.ix_(U, U)] - GUA @ inv @ GUA.T
+                c = data.xty[U] - GUA @ inv @ data.xty[A]
+                scale = np.abs(G).max()
+                assert np.abs(M[np.ix_(U, U)] - S).max() <= 1e-8 * scale
+                assert np.abs(M[U, p] - c).max() <= 1e-8 * np.abs(data.xty).max()
+
+    def test_every_flip_sse_on_a_random_walk(self):
+        # after every flip, the add and drop SSE of every column against an
+        # independent refit, on a strongly correlated AR(0.95) design
+        rng = np.random.default_rng(12)
+        p = 12
+        data = _ar_dataset(rng, p, 40, 0.95)
+        state = self.State(data)
+        for _ in range(300):
+            i = int(rng.integers(p))
+            if state.flip_sse(i) is None:
+                continue
+            state.flip(i)
+            for j in range(p):
+                flipped = ModelIndex.from_bits(state.bits ^ (1 << j))
+                got = state.flip_sse(j)
+                assert got is not None
+                assert got == pytest.approx(
+                    sse_direct(data, flipped), rel=1e-9, abs=1e-12 * data.sse0
+                )
+
+    def test_reset_matches_a_fresh_state(self):
+        # run_chain's rebuild: the state of the current bits, built anew
+        rng = np.random.default_rng(8)
+        data = _ar_dataset(rng, 12, 40, 0.8)
+        state = self.State(data)
+        for _ in range(200):
+            i = int(rng.integers(12))
+            if state.flip_sse(i) is not None:
+                state.flip(i)
+        state.reset()
+        fresh = self.State(data, state.bits)
+        assert (state.k, state.sse) == (fresh.k, fresh.sse)
+        assert [state.flip_sse(j) for j in range(12)] == [fresh.flip_sse(j) for j in range(12)]
+
+
+class TestInverseGramState(TestComponentProb):
+    # every TestComponentProb check, rerun on the state used above SWEEP_MATRIX_MAX_P
+    State = InverseGramState
+    held = "Ginv"
+
+
+def _ar_dataset(rng, p, N, rho):
+    """An AR(rho)-correlated design with a signal on its first four columns."""
+    corr = rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    X = rng.standard_normal((N, p)) @ np.linalg.cholesky(corr).T
+    y = X[:, :4] @ np.array([1.0, -0.5, 0.5, 0.3]) + rng.standard_normal(N)
+    return make_dataset(y, X, [f"x{j}" for j in range(p)])
 
 
 class TestSweep:
@@ -255,6 +322,46 @@ class TestRunChain:
             null = [lbf for m, lbf in zip(trace.models, trace.log_bfs) if m.k == 0]
             assert len(null) > 0
             assert all(lbf == 0.0 for lbf in null)
+
+    def test_gram_built_from_the_design(self, monkeypatch):
+        # above GRAM_PRECOMPUTE_LIMIT the Dataset has no Gram matrix and the
+        # sweep forms it from the centered design; the chain is the same
+        from modelspace import linmodel
+
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((40, 8))
+        y = X[:, 0] - 0.5 * X[:, 3] + rng.standard_normal(40)
+        names = [f"x{j}" for j in range(8)]
+        default = make_dataset(y, X, names)
+        monkeypatch.setattr(linmodel, "GRAM_PRECOMPUTE_LIMIT", 4)
+        no_gram = make_dataset(y, X, names)
+        assert default.gram is not None and no_gram.gram is None
+        for prior in (GPriorSpec.fixed(40.0), GPriorSpec.zellner_siow(40)):
+            cfg = SamplerConfig(iterations=500, prior=prior, seed=2)
+            a, b = run_chain(default, cfg), run_chain(no_gram, cfg)
+            assert [m.bits for m in a.models] == [m.bits for m in b.models]
+            np.testing.assert_array_equal(a.log_bfs, b.log_bfs)
+
+    def test_inverse_gram_state_above_the_limit(self, monkeypatch):
+        # above SWEEP_MATRIX_MAX_P the chain keeps the inverse Gram of the
+        # active set; it records the swept matrix's models
+        from modelspace import sampler
+
+        rng = np.random.default_rng(9)
+        data = _ar_dataset(rng, 16, 50, 0.6)
+        assert type(sweep_state(data)) is SweepState
+        runs = {}
+        for limit in (sampler.SWEEP_MATRIX_MAX_P, 15):
+            monkeypatch.setattr(sampler, "SWEEP_MATRIX_MAX_P", limit)
+            runs[limit] = [
+                run_chain(data, SamplerConfig(iterations=1200, prior=prior, seed=3))
+                for prior in (GPriorSpec.fixed(50.0), GPriorSpec.zellner_siow(50))
+            ]
+        assert type(sweep_state(data)) is InverseGramState
+        for a, b in zip(*runs.values()):
+            assert [m.bits for m in a.models] == [m.bits for m in b.models]
+            np.testing.assert_allclose(a.log_bfs, b.log_bfs, rtol=1e-12, atol=1e-12)
+            assert b.meta["sse_spot_check_max_rel"] <= 1e-12
 
     def test_start_modes(self, p10_data):
         for start in ("null_model", "full_model", "random"):

@@ -310,7 +310,11 @@ def cmd_exact(args) -> int:
             "force": args.force,
         },
         exact_to_json(res, data, args.top_k),
-        {"excluded_count": res.excluded_count},
+        {
+            "excluded_count": res.excluded_count,
+            "shard_bits": res.shard_bits,
+            "low_bits": res.low_bits,
+        },
         {
             "load_seconds": t1 - t0,
             "enumerate_seconds": t2 - t1,

@@ -15,6 +15,18 @@ absorbs each outer model's completions in one weighted column sum over
 the low block's cached membership matrix, and keeps its top K by a
 partition followed by a sort of the survivors. Shards are reduced in index
 order, so results are bit-identical regardless of worker count.
+
+The shard width is s = min(max(0, p - LOW_BITS), DEFAULT_SHARD_BITS): it
+depends on p alone, never on the worker count, and leaves every shard at
+least one full low block of min(p, LOW_BITS) bits, so the numpy calls per
+block and the fixed costs per shard are spread over 2^b models. The width
+fixes the reduction order, so the last bits of a result depend on it;
+reports record it as ``shard_bits`` and ``low_bits``.
+
+No BLAS call whose length grows with 2^b runs in a shard: a threaded BLAS
+starts helper threads for long vectors, and on a host with as many pool
+workers as cores those threads spin against the other workers. The block
+sums are an einsum and a numpy reduction, which stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -36,12 +48,12 @@ from .linmodel import Dataset, FitState, ModelIndex, subset_members
 # Enumerating beyond p=30 (~1e9 models) is an opt-in long job.
 P_GUARD = 30
 
-# Fixed shard-prefix width: independent of worker count so that results are
-# bit-identical for any parallelism level.
+# Widest default shard prefix. The width depends on p only, never on the
+# worker count, so that results are bit-identical for any parallelism level.
 DEFAULT_SHARD_BITS = 8
 
 # Free bit positions of a shard scored in one batch per outer model.
-LOW_BITS = 10
+LOW_BITS = 14
 
 
 def default_workers() -> int:
@@ -57,7 +69,8 @@ def default_workers() -> int:
 
 
 def default_shard_bits(p: int) -> int:
-    return min(p, DEFAULT_SHARD_BITS)
+    """Prefix width that leaves every shard at least one full low block."""
+    return min(max(0, p - LOW_BITS), DEFAULT_SHARD_BITS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,7 +161,9 @@ class Shard:
         # makes every numerator and the denominator go through the same
         # monotone float additions, so no inclusion or dimension can round
         # above 1; each variable of the outer model gets the total itself.
-        sums = (low * w[:, None]).sum(axis=0)
+        # The einsum adds the rows in order, as (low * w[:, None]).sum(axis=0)
+        # would, without building that (2^b, 2b + 2) product.
+        sums = np.einsum("ij,i->j", low, w)
         total = float(sums[-1])
         self.incl[:b] += sums[:b]
         self.incl[b:] += total * ((outer >> np.arange(b, self.incl.size)) & 1)
@@ -157,7 +172,8 @@ class Shard:
         self.total += total
 
         if quantity is not None:
-            self.quantity_sum += float(np.dot(quantity.evaluator(bits), w))
+            # a reduction, not np.dot: see the module docstring on BLAS
+            self.quantity_sum += float((quantity.evaluator(bits) * w).sum())
         if rank_threshold is not None:
             self.rank_count += int(np.count_nonzero(lbf > rank_threshold))
         if self.top_lbf.size == self.K:
@@ -255,6 +271,8 @@ class ExactResult:
     top_models: list[tuple[ModelIndex, float]]
     excluded_count: int
     model_count: int
+    shard_bits: int  # the layout that fixed the reduction order
+    low_bits: int
     quantity_value: float = 0.0
     rank_count: int = 0
 
@@ -299,6 +317,7 @@ def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> Exac
         qsum += s.quantity_sum
 
     hpm, hpm_lbf = top[0]
+    shard_bits = len(shards).bit_length() - 1
     return ExactResult(
         log_total_bf=m + math.log(total),
         inclusion_exact=incl / total,
@@ -309,6 +328,8 @@ def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> Exac
         top_models=top,
         excluded_count=sum(s.excluded_count for s in shards),
         model_count=count,
+        shard_bits=shard_bits,
+        low_bits=min(p - shard_bits, LOW_BITS),
         quantity_value=qsum / total,
         rank_count=sum(s.rank_count for s in shards),
     )
@@ -340,12 +361,12 @@ def enumerate_exact(
 ) -> ExactResult:
     """Sharded exact enumeration of all 2^p models under a fixed g.
 
-    Shards go to a process pool when workers > 1: each worker receives the
-    Dataset once, then contiguous runs of shards, and a quantity's evaluator
-    must pickle (a module-level function, a ufunc, or a ``partial`` of one;
-    a lambda fails in the pool). With workers=1 any callable works. The
-    shard layout does not depend on the worker count, so the result is
-    bit-identical either way.
+    Shards go to a process pool of min(workers, 2^s) processes when that is
+    above 1: each worker receives the Dataset once, then contiguous runs of
+    shards, and a quantity's evaluator must pickle (a module-level function,
+    a ufunc, or a ``partial`` of one; a lambda fails in the pool). With
+    workers=1 any callable works. The shard layout does not depend on the
+    worker count, so the result is bit-identical either way.
     """
     p = data.p
     if K < 1:
@@ -360,14 +381,17 @@ def enumerate_exact(
     s = default_shard_bits(p) if shard_bits is None else shard_bits
     if not 0 <= s <= p:
         raise UsageError(f"shard_bits must be in [0, {p}]")
-    workers = default_workers() if workers is None else max(1, workers)
     prefixes = range(1 << s)
-    if workers == 1 or s == 0:
+    workers = default_workers() if workers is None else max(1, workers)
+    workers = min(workers, len(prefixes))
+    if workers == 1:
         shards = [
             enumerate_shard(data, s, pre, g, prior, K, quantity, rank_threshold)
             for pre in prefixes
         ]
     else:
+        # built before the fork, so that no worker rebuilds it on every pass
+        low_membership(min(p - s, LOW_BITS))
         jobs = [(s, pre, g, prior, K, quantity, rank_threshold) for pre in prefixes]
         chunksize = max(1, len(jobs) // (4 * workers))
         with ProcessPoolExecutor(

@@ -73,9 +73,6 @@ class ModelIndex:
         return cls.from_bits(int(s, 16))
 
 
-NULL_MODEL = ModelIndex(0, 0)
-
-
 @functools.lru_cache(maxsize=None)
 def subset_members(b: int) -> np.ndarray:
     """(b, 2^b) booleans: entry (i, t) is set when subset t holds item i,

@@ -332,6 +332,28 @@ class TestExactReport:
         assert report["summary"]["excluded_count"] == 0
         assert report["summary"]["n_used"] == 32
 
+    @pytest.mark.parametrize(
+        "argv, layout", [([], (0, 5)), (["--shard-bits", "2"], (2, 3))],
+        ids=["default", "explicit"],
+    )
+    def test_layout_in_diagnostics(self, csv5, tmp_path, argv, layout):
+        # the shard layout fixes the reduction order, so the report says
+        # which one made it
+        path, _ = csv5
+        report = run_json(
+            ["exact", path, "--response", "y", "--g", "30", "--workers", "1"] + argv,
+            tmp_path / "ex.json",
+        )
+        schema = load_schema("run_report.schema.json")
+        jsonschema.validate(report, schema)
+        diag = report["diagnostics"]
+        assert (diag["shard_bits"], diag["low_bits"]) == layout
+        for field in ("shard_bits", "low_bits"):
+            bad = json.loads(json.dumps(report))
+            bad["diagnostics"][field] = -1
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, schema)
+
     def test_timing_throughput(self, csv5, tmp_path):
         path, _ = csv5
         report = run_json(

@@ -31,6 +31,20 @@ from modelspace.linmodel import (
 from conftest import naive_enumeration, synth_dataset
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools ``enumerate_exact`` opens."""
+    opened = []
+
+    class SpyPool(exact_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(exact_mod, "ProcessPoolExecutor", SpyPool)
+    return opened
+
+
 @pytest.fixture(scope="module")
 def huge_data():
     # a strong signal with small noise: the best log BF is ~1147, far past
@@ -43,7 +57,7 @@ def huge_data():
 class TestScale:
     @pytest.mark.parametrize(
         "shard_bits, low_bits",
-        [(None, exact_mod.LOW_BITS), (0, 2)],
+        [(8, exact_mod.LOW_BITS), (0, 2)],
         ids=["shard-per-model", "moving-scale"],
     )
     def test_huge_magnitudes(self, huge_data, shard_bits, low_bits, monkeypatch):
@@ -62,7 +76,7 @@ class TestScale:
         np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "shard_bits", [None, 0], ids=["shard-per-model", "one-shard"]
+        "shard_bits", [8, 0], ids=["shard-per-model", "one-shard"]
     )
     def test_probabilities_within_unit_interval(self, huge_data, shard_bits):
         g = float(huge_data.N)
@@ -123,8 +137,8 @@ class TestShardWalk:
         # fixed shard layout makes the reduction bit-identical across workers
         g = float(p8_data.N)
         prior = GPriorSpec.fixed(g)
-        a = enumerate_exact(p8_data, g, prior, K=100, workers=1)
-        b = enumerate_exact(p8_data, g, prior, K=100, workers=2)
+        a = enumerate_exact(p8_data, g, prior, K=100, workers=1, shard_bits=4)
+        b = enumerate_exact(p8_data, g, prior, K=100, workers=2, shard_bits=4)
         assert a.log_total_bf == b.log_total_bf
         np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
         assert [(m.bits, lbf) for m, lbf in a.top_models] == [
@@ -262,12 +276,12 @@ class TestLowBitBlock:
         assert rc == 4
 
     def test_worker_count_invariance_with_outer_walk(self):
-        # p=14 in 4 shards leaves 12 free bits: each shard walks 4 outer
+        # 4 shards leave LOW_BITS + 2 free bits: each shard walks 4 outer
         # models, so workers share shards that each take several batches
+        p = exact_mod.LOW_BITS + 4
         data = synth_dataset(
-            N=60, p=14, active=(2, 9, 12), betas=(0.6, -0.5, 0.4), seed=21
+            N=60, p=p, active=(2, 9, p - 2), betas=(0.6, -0.5, 0.4), seed=21
         )
-        assert 14 - 2 > exact_mod.LOW_BITS
         g = float(data.N)
         prior = GPriorSpec.fixed(g)
         a = enumerate_exact(data, g, prior, K=100, workers=1, shard_bits=2)
@@ -310,6 +324,68 @@ class TestLowBitBlock:
         np.testing.assert_array_equal(singular, ref_singular)
         assert singular.sum() == (1 << (b - 2) if dup else 0)
         np.testing.assert_array_equal(sse[~singular], ref_sse[~singular])
+
+
+class TestShardLayout:
+    """The default shard width leaves every shard a full low block, and the
+    pool never has more workers than shards."""
+
+    def test_default_width_leaves_a_full_block(self):
+        for p in range(41):
+            s = exact_mod.default_shard_bits(p)
+            assert 0 <= s <= exact_mod.DEFAULT_SHARD_BITS
+            assert p - s >= min(p, exact_mod.LOW_BITS)
+            if p <= exact_mod.LOW_BITS:
+                assert s == 0
+
+    def test_worker_count_invariance_at_default_width(self, pools):
+        p = exact_mod.LOW_BITS + 3
+        data = synth_dataset(
+            N=60, p=p, active=(1, 8, p - 1), betas=(0.6, -0.5, 0.4), seed=23
+        )
+        g = float(data.N)
+        prior = GPriorSpec.fixed(g)
+        a = enumerate_exact(data, g, prior, K=100, workers=1)
+        b = enumerate_exact(data, g, prior, K=100, workers=2)
+        assert (a.shard_bits, a.low_bits) == (3, exact_mod.LOW_BITS)
+        assert a.log_total_bf == b.log_total_bf
+        np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
+        np.testing.assert_array_equal(a.dimension_exact, b.dimension_exact)
+        assert a.top_models == b.top_models
+        q = indicator_of_variable(8)
+        assert exact_quantity(data, g, prior, q, workers=1) == exact_quantity(
+            data, g, prior, q, workers=2
+        )
+        assert pools == [2, 2]
+
+    def test_pool_sized_to_the_shards(self, pools):
+        p = exact_mod.LOW_BITS + 1
+        data = synth_dataset(N=60, p=p, active=(0, p - 1), betas=(0.6, -0.5), seed=24)
+        g = float(data.N)
+        res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=1, workers=4)
+        assert res.shard_bits == 1
+        assert pools == [2]
+
+    @pytest.mark.parametrize("excluded", [False, True], ids=["full", "with-excluded"])
+    def test_absorb_matches_explicit_column_sum(self, excluded):
+        b = exact_mod.LOW_BITS
+        p = b + 5
+        rng = np.random.default_rng(13)
+        lbf = rng.normal(0.0, 30.0, 1 << b)
+        if excluded:
+            lbf[rng.random(lbf.size) < 0.3] = -np.inf
+        outer = 0b10110 << b
+        shard = exact_mod.Shard(index=0, K=1, incl=np.zeros(p), dim=np.zeros(p + 1))
+        shard.absorb(outer, lbf, None, None)
+        finite = lbf > -np.inf
+        low = exact_mod.low_membership(b)[finite]
+        w = np.exp(lbf[finite] - lbf.max())
+        sums = (low * w[:, None]).sum(axis=0)
+        assert shard.total == sums[-1]
+        np.testing.assert_array_equal(shard.incl[:b], sums[:b])
+        np.testing.assert_array_equal(shard.incl[b:], sums[-1] * np.array([0, 1, 1, 0, 1]))
+        np.testing.assert_array_equal(shard.dim[3 : 3 + b + 1], sums[b:-1])
+        assert shard.excluded_count == lbf.size - int(finite.sum())
 
 
 def column_cholesky_sse(state, cols):
@@ -412,26 +488,18 @@ class TestExactQuantity:
         ref = sum(k * dk for k, dk in enumerate(dim))
         assert val == pytest.approx(ref, abs=1e-12)
 
-    def test_worker_count_bit_identical(self, p8_data, monkeypatch):
+    def test_worker_count_bit_identical(self, p8_data, pools):
         # a ufunc and a built-in indicator both pickle and go through the
         # pool, and match the single-worker value
         from modelspace.estimators import QuantityOfInterest
 
-        pools = []
-
-        class SpyPool(exact_mod.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(exact_mod, "ProcessPoolExecutor", SpyPool)
         g = float(p8_data.N)
         prior = GPriorSpec.fixed(g)
         size = QuantityOfInterest(np.bitwise_count, "dimension")
         for q in (size, indicator_of_variable(3)):
             pools.clear()
-            a = exact_quantity(p8_data, g, prior, q, workers=1)
-            b = exact_quantity(p8_data, g, prior, q, workers=2)
+            a = exact_quantity(p8_data, g, prior, q, workers=1, shard_bits=2)
+            b = exact_quantity(p8_data, g, prior, q, workers=2, shard_bits=2)
             assert a == b
             assert pools == [2]
 
@@ -445,7 +513,7 @@ class TestExactQuantity:
         assert val == pytest.approx(incl[5], abs=1e-12)
         # a local lambda does not pickle, so it cannot go to the pool
         with pytest.raises((pickle.PicklingError, AttributeError)):
-            exact_quantity(p8_data, g, GPriorSpec.fixed(g), q, workers=2)
+            exact_quantity(p8_data, g, GPriorSpec.fixed(g), q, workers=2, shard_bits=2)
 
 
 class TestRankCount:

@@ -55,7 +55,6 @@ from .sampler import (
     ChainTrace,
     InverseGramState,
     SamplerConfig,
-    SweepState,
     gibbs_sweep,
     mh_step_g,
     run_chain,

@@ -1,6 +1,7 @@
-"""Closed-form log Bayes factors under the g-prior, priors on g, and the
-model-space prior. All arithmetic stays in log space: totals on real data
-reach 1e50 and must never be exponentiated en route.
+"""Closed-form log Bayes factors under the g-prior, and priors on g. The
+model-space prior is uniform, so it cancels from every ratio. All
+arithmetic stays in log space: totals on real data reach 1e50 and must
+never be exponentiated en route.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import numpy as np
 
 from .errors import UsageError
 
-LOG2 = math.log(2.0)
 NEG_INF = float("-inf")
 
 
@@ -46,10 +46,6 @@ class GPriorSpec:
     @property
     def hierarchical(self) -> bool:
         return self.kind == "zellner_siow"
-
-    def log_model_prior(self, p: int) -> float:
-        """log Pr(M_gamma); constant -p*ln2 under the uniform prior."""
-        return -p * LOG2
 
 
 def log_bf_value(sse: float, k: int, sse0: float, N: int, g: float) -> float:

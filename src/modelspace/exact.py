@@ -3,14 +3,15 @@
 The space is partitioned by the s highest-order bit positions into 2^s
 shards. Within a shard a Gray-code walk visits the outer models, the
 settings of the free positions above the lowest b = min(p - s, LOW_BITS),
-with exactly one add or delete per step. Each outer model's 2^b
-completions in the low positions are scored together: the Schur
-complement of its active set in the Gram matrix of the b low columns is
-eliminated by subset doubling (``FitState.extension_sse``), which costs
-O(2^b) array work rather than a Cholesky per completion, and their log
-Bayes factors come from one numpy expression. Each shard keeps one
-log-space scale, m, the largest log Bayes factor it has seen, and plain
-float sums of exp(log BF - m), so 1e50-scale totals never overflow. It
+with exactly one add or delete per step on the swept cross-product matrix
+of ``FitState``. Each outer model's 2^b completions in the low positions
+are scored together: the unswept low block of that matrix is the Schur
+complement of the active set in the Gram matrix of the b low columns, and
+subset doubling eliminates it (``FitState.extension_sse``) in O(2^b) array
+work rather than one factorisation per completion; their log Bayes factors
+come from one numpy expression. Each shard keeps one log-space scale, m,
+the largest log Bayes factor it has seen, and plain float sums of
+exp(log BF - m), so 1e50-scale totals never overflow. It
 absorbs each outer model's completions in one weighted column sum over
 the low block's cached membership matrix, and keeps its top K by a
 partition followed by a sort of the survivors. Shards are reduced in index
@@ -43,7 +44,7 @@ import numpy as np
 from .bayesfactor import NEG_INF, GPriorSpec, log_bf_value, log_bf_values  # noqa: F401
 from .errors import NumericalError, UsageError
 from .estimators import QuantityOfInterest, membership
-from .linmodel import Dataset, FitState, ModelIndex, subset_members
+from .linmodel import Dataset, FitState, ModelIndex
 
 # Enumerating beyond p=30 (~1e9 models) is an opt-in long job.
 P_GUARD = 30
@@ -204,19 +205,21 @@ def enumerate_shard(
 
     A Gray-code walk over the free positions above the lowest b visits the
     outer models; each one's 2^b completions in the low b positions are
-    scored in one batch. Columns of the walk that are collinear with the
-    current active set are held in a pending set: while any remains, all
-    2^b completions are excluded, and pending adds are retried after every
-    delete so the walk recovers as soon as the dependency is broken. A
-    completion is excluded when one of its low pivots is singular by the
-    same rule, or when it is saturated (k > N - 2). The uniform model prior
-    is a constant factor, so ``prior`` does not enter the sums.
+    scored in one batch. Columns of the walk whose add is refused, being
+    collinear with the current active set or saturating it (k > N - 2), are
+    held in a pending set: while any remains, all 2^b completions are
+    excluded, and pending adds are retried after every delete so the walk
+    recovers as soon as the dependency is broken. A completion is excluded
+    when one of its low pivots is singular by the same rule, or when it is
+    saturated (k > N - 2). The uniform model prior is a constant factor, so
+    ``prior`` does not enter the sums.
     """
     p = data.p
     free = p - shard_bits
     b = min(free, LOW_BITS)
     low = np.arange(b)
-    low_k = subset_members(b).sum(axis=0)
+    # int64: with the uint8 counts, N - k - 1 in log_bf_values wraps once N > 255
+    low_k = np.bitwise_count(np.arange(1 << b)).astype(np.int64)
     fixed_bits = prefix << free
 
     shard = Shard(index=prefix, K=K, incl=np.zeros(p), dim=np.zeros(p + 1))

@@ -3,17 +3,17 @@
 A Dataset holds the response and candidate columns; the intercept is never
 a candidate, it is implicit in every model. All linear algebra runs on the
 centered design, which matches the centered Gram matrix used by the g-prior
-covariance. FitState maintains a Cholesky factor of the active centered Gram
-submatrix so that adding or deleting one variable costs O(k^2) and never
-touches the N-length data once the Gram matrix is precomputed; from the
-same factor it scores every extension by subsets of b further columns in
-one batch.
+covariance. FitState keeps the cross-product matrix of the centered design
+and the response swept on the active set, so that adding or deleting one
+variable is one O(p^2) sweep that never touches the N-length data once the
+Gram matrix is precomputed. Its unswept rows hold every extension's Schur
+complement, from which ``subset_sse`` scores the extensions by all subsets
+of b further columns in one batch.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import logging
 import math
@@ -25,8 +25,8 @@ from .errors import DataError, SingularModelError
 
 logger = logging.getLogger(__name__)
 
-# Relative collinearity floor for the Schur complement in a Cholesky
-# extension; hitting it marks the move singular.
+# Relative collinearity floor for the pivot of an added column, a fraction
+# of its Gram diagonal; hitting it marks the move singular.
 SINGULAR_EPS = 1e-10
 
 # Precompute the full p x p centered Gram matrix up to this many columns.
@@ -71,15 +71,6 @@ class ModelIndex:
     @classmethod
     def from_hex(cls, s: str) -> "ModelIndex":
         return cls.from_bits(int(s, 16))
-
-
-@functools.lru_cache(maxsize=None)
-def subset_members(b: int) -> np.ndarray:
-    """(b, 2^b) booleans: entry (i, t) is set when subset t holds item i,
-    that is when bit i of t is set."""
-    members = (np.arange(1 << b) >> np.arange(b)[:, None]) & 1 == 1
-    members.flags.writeable = False
-    return members
 
 
 @dataclass
@@ -267,144 +258,156 @@ def expand_design(data: Dataset, mains: list[str]) -> Dataset:
 
 
 class FitState:
-    """Incrementally maintained least-squares state for one model.
+    """Least-squares state of one model: the cross-product matrix of the
+    centered design and the response, swept on the active set.
 
-    Holds the lower-triangular Cholesky factor L of the active centered Gram
-    submatrix, and the forward-substitution vector b solving L b = X_g' (y - ybar),
-    so that SSE = sse0 - ||b||^2. Single-owner mutable value.
+    ``M`` is the (p+1)x(p+1) cross-product matrix [[G, X'y], [y'X, sse0]]
+    swept on the active set A (Goodnight 1979, *A tutorial on the SWEEP
+    operator*). For j outside A, M[j,j] is the pivot
+    d_j = G_jj - G_jA G_AA^-1 G_Aj of adding j and M[j,p] is the residual
+    cross-product c_j; for j in A, M[j,j] is -(G_AA^-1)_jj and M[j,p] is
+    beta_j. M[p,p] is the SSE. ``D`` and ``C`` are M's diagonal and last
+    row as Python floats, so ``flip_sse`` gives the SSE after flipping any
+    one bit, add or drop, as sse - C[j]^2/D[j] in O(1). ``add`` is a sweep
+    and ``delete`` a reverse sweep on one pivot: an O(p^2) rank-one update
+    of M that never touches the N-length data. When the model empties, M
+    returns to its pristine copy, so the null model's SSE is sse0 exactly
+    and the drift of the updates restarts from zero. Single-owner mutable
+    value.
     """
 
-    __slots__ = ("data", "_L", "_b", "_active", "_pos", "k", "bits", "sse")
+    __slots__ = ("data", "bits", "k", "sse", "M", "D", "C", "_M0", "_tiny", "_kmax")
 
-    def __init__(self, data: Dataset):
+    def __init__(self, data: Dataset, bits: int = 0):
         self.data = data
-        cap = min(data.p, data.N + 1)
-        self._L = np.zeros((cap, cap))
-        self._b = np.zeros(cap)
-        self._active = np.full(cap, -1, dtype=np.int64)
-        self._pos = np.full(data.p, -1, dtype=np.int64)
-        self.k = 0
-        self.bits = 0
-        self.sse = data.sse0
+        p = data.p
+        M0 = np.empty((p + 1, p + 1))
+        M0[:p, :p] = data.Xc.T @ data.Xc if data.gram is None else data.gram
+        M0[:p, p] = M0[p, :p] = data.xty
+        M0[p, p] = data.sse0
+        self._M0 = M0
+        # an add is singular when its pivot is at most SINGULAR_EPS * G_jj
+        self._tiny = (SINGULAR_EPS * M0.diagonal()[:p]).tolist()
+        self._kmax = data.N - 2
+        self.M = np.empty_like(M0)
+        self.bits = bits
+        self.reset()
 
     @property
     def model(self) -> ModelIndex:
         return ModelIndex(self.bits, self.k)
 
+    def reset(self) -> None:
+        """Sweep the pristine matrix on the current model's columns, which
+        discards the drift of the updates since the last reset."""
+        bits = self.bits
+        np.copyto(self.M, self._M0)
+        self.bits = 0
+        self.k = 0
+        # no singular check here: a model reached in one order of adds is
+        # rebuilt in index order, where a pivot can differ
+        for j in ModelIndex.from_bits(bits).indices():
+            self._sweep(j)
+        self._refresh(min(max(float(self.M[-1, -1]), 0.0), self.data.sse0))
+
+    def flip_sse(self, i: int) -> float | None:
+        """SSE of the model with bit i flipped, or None when that add is
+        singular (d_i <= SINGULAR_EPS * G_ii) or saturated (k+1 > N-2)."""
+        d = self.D[i]
+        if (self.bits >> i) & 1:
+            if self.k == 1:
+                return self.data.sse0
+        elif self.k >= self._kmax or d <= self._tiny[i]:
+            return None
+        c = self.C[i]
+        return min(max(self.sse - c * c / d, 0.0), self.data.sse0)
+
     def add(self, j: int) -> bool:
-        """Extend the fit with column j. Returns False (no change) if the
-        move is singular (collinear with the active set)."""
-        k = self.k
-        if self._pos[j] >= 0:
+        """Sweep column j into the model. Returns False, with the state
+        untouched, when the add is singular or saturated."""
+        if (self.bits >> j) & 1:
             raise ValueError(f"column {j} already active")
-        if k >= self._L.shape[0]:
+        sse = self.flip_sse(j)
+        if sse is None:
             return False
-        data = self.data
-        L = self._L
-        row = L[k]
-        gjj = data.gram_diag(j)
-        if k > 0:
-            col = data.gram_col(j)[self._active[:k]]
-            for i in range(k):
-                row[i] = (col[i] - L[i, :i] @ row[:i]) / L[i, i]
-            d = gjj - row[:k] @ row[:k]
-        else:
-            d = gjj
-        if d <= SINGULAR_EPS * gjj:
-            return False
-        ljj = math.sqrt(d)
-        row[k] = ljj
-        b = self._b
-        bnew = (data.xty[j] - row[:k] @ b[:k]) / ljj
-        b[k] = bnew
-        self.sse = max(self.sse - bnew * bnew, 0.0)
-        self._active[k] = j
-        self._pos[j] = k
-        self.bits |= 1 << j
-        self.k = k + 1
+        self._sweep(j)
+        self._refresh(sse)
         return True
 
-    def extension_sse(self, cols) -> tuple[np.ndarray, np.ndarray]:
-        """SSE of this model extended by each subset of the inactive ``cols``.
-
-        Entry t of both returned arrays is for subset t of ``subset_members``.
-        With S = G_LL - G_LA G_AA^-1 G_AL, the Schur complement of the active
-        set A in the Gram matrix of the b columns L, r = X'y_L - G_LA beta_A
-        and T a subset of L, SSE(A + T) = sse - r_T' S_TT^-1 r_T: the last
-        pivot of the Cholesky factor of the bordered matrix
-        [[S_TT, r_T], [r_T', sse]]. The subsets are eliminated by doubling.
-        Level j holds, batch last, the Schur complements of all 2^j subsets
-        of the first j columns, each on the remaining columns and y. The
-        child that leaves column j out is the trailing block, rest; the one
-        that takes it in is rest - c c' with c = T[1:, 0] / sqrt(d), and the
-        children are stacked [left out, taken in], so subset t stays at
-        index t. A subset is singular when a column it takes in has a pivot
-        that meets ``add``'s rule, d <= SINGULAR_EPS * G_jj; its children
-        inherit the flag, and its SSE is meaningless, possibly NaN.
-        """
-        cols = np.asarray(cols, dtype=np.int64)
-        b = cols.size
-        k = self.k
-        G = self.data.gram_col(cols)
-        B = np.zeros((b + 1, b + 1))
-        B[:b, :b] = G[cols]
-        B[:b, b] = B[b, :b] = self.data.xty[cols]
-        gjj = np.diagonal(B)[:b].copy()
-        if k:
-            V = np.empty((k, b + 1))
-            # L is triangular; numpy's general solve stays single-threaded on
-            # this tiny system, where a threaded BLAS triangular solve spins
-            # its helper threads against the other pool workers
-            V[:, :b] = np.linalg.solve(self._L[:k, :k], G[self._active[:k]])
-            V[:, b] = self._b[:k]
-            B -= V.T @ V
-        B[b, b] = self.sse
-        T = B[:, :, None]
-        singular = np.zeros(1, dtype=bool)
-        # a singular subset's children may take the square root of a
-        # negative pivot or divide by a zero one
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for j in range(b):
-                d = T[0, 0]
-                rest = T[1:, 1:]
-                col = T[1:, 0] / np.sqrt(d)
-                T = np.concatenate((rest, rest - col[:, None] * col[None]), axis=2)
-                singular = np.concatenate(
-                    (singular, singular | (d <= SINGULAR_EPS * gjj[j]))
-                )
-        return np.maximum(T[0, 0], 0.0), singular
-
     def delete(self, j: int) -> None:
-        """Remove column j, restoring triangularity via Givens rotations."""
-        idx = int(self._pos[j])
-        if idx < 0:
+        """Reverse-sweep column j out of the model."""
+        if not (self.bits >> j) & 1:
             raise ValueError(f"column {j} is not active")
-        k = self.k
-        L = self._L
-        b = self._b
-        if idx < k - 1:
-            L[idx : k - 1, :k] = L[idx + 1 : k, :k]
-            for jj in range(idx, k - 1):
-                a = L[jj, jj]
-                t = L[jj, jj + 1]
-                r = math.hypot(a, t)
-                c = a / r
-                s = t / r
-                col1 = L[jj : k - 1, jj].copy()
-                col2 = L[jj : k - 1, jj + 1]
-                L[jj : k - 1, jj] = c * col1 + s * col2
-                L[jj : k - 1, jj + 1] = -s * col1 + c * col2
-                b1 = b[jj]
-                b2 = b[jj + 1]
-                b[jj] = c * b1 + s * b2
-                b[jj + 1] = -s * b1 + c * b2
-            self._active[idx : k - 1] = self._active[idx + 1 : k]
-            self._pos[self._active[idx : k - 1]] -= 1
-        removed = b[k - 1]
-        self.sse = min(self.sse + removed * removed, self.data.sse0)
-        self._pos[j] = -1
-        self.bits &= ~(1 << j)
-        self.k = k - 1
+        sse = self.flip_sse(j)
+        self._sweep(j)
+        self._refresh(sse)
+
+    def extension_sse(self, cols) -> tuple[np.ndarray, np.ndarray]:
+        """``subset_sse`` of this model and the inactive ``cols``: their rows
+        and columns of M, with the response's, are the unswept bordered
+        matrix."""
+        ix = np.append(cols, self.data.p)
+        return subset_sse(self.M[np.ix_(ix, ix)], self._M0.diagonal()[cols])
+
+    def _sweep(self, i: int) -> None:
+        """Sweep M on pivot i, or reverse-sweep it when i is active."""
+        drop = (self.bits >> i) & 1
+        self.bits ^= 1 << i
+        self.k += -1 if drop else 1
+        M = self.M
+        if not self.k:
+            np.copyto(M, self._M0)
+            return
+        col = M[i].copy()
+        h = col[i]
+        M -= np.multiply.outer(col, col / h)
+        col /= -h if drop else h
+        col[i] = -1.0 / h
+        M[i] = col
+        M[:, i] = col
+
+    def _refresh(self, sse: float) -> None:
+        self.sse = sse
+        M = self.M
+        M[-1, -1] = sse
+        self.D = M.diagonal().tolist()
+        self.C = M[-1].tolist()
+
+
+def subset_sse(B: np.ndarray, gjj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SSE of one model extended by each subset T of b further columns L,
+    and whether that extension is singular.
+
+    ``B`` is the (b+1)x(b+1) bordered matrix [[S, r], [r', sse]], with S the
+    Schur complement of the model's active set A in the Gram matrix of L,
+    r = X'y_L - G_LA beta_A and sse the model's SSE; ``gjj`` holds the G_jj
+    of L. Then SSE(A + T) = sse - r_T' S_TT^-1 r_T, the last pivot left
+    after eliminating T from [[S_TT, r_T], [r_T', sse]]. Entry t of both
+    returned arrays is for the subset T holding column i of L when bit i of
+    t is set. The subsets are eliminated by doubling. Level j holds, batch last, the
+    Schur complements of all 2^j subsets of the first j columns, each on the
+    remaining columns and y. The child that leaves column j out is the
+    trailing block, rest; the one that takes it in is rest - c c' with
+    c = T[1:, 0] / sqrt(d), and the children are stacked [left out, taken
+    in], so subset t stays at index t. A subset is singular when a column it
+    takes in has a pivot d <= SINGULAR_EPS * G_jj, the rule of
+    ``FitState.add``; its children inherit the flag, and its SSE is
+    meaningless, possibly NaN.
+    """
+    T = B[:, :, None]
+    singular = np.zeros(1, dtype=bool)
+    # a singular subset's children may take the square root of a
+    # negative pivot or divide by a zero one
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(gjj.size):
+            d = T[0, 0]
+            rest = T[1:, 1:]
+            col = T[1:, 0] / np.sqrt(d)
+            T = np.concatenate((rest, rest - col[:, None] * col[None]), axis=2)
+            singular = np.concatenate(
+                (singular, singular | (d <= SINGULAR_EPS * gjj[j]))
+            )
+    return np.maximum(T[0, 0], 0.0), singular
 
 
 def fit_model(data: Dataset, model: ModelIndex) -> FitState:
@@ -413,8 +416,8 @@ def fit_model(data: Dataset, model: ModelIndex) -> FitState:
     for j in model.indices():
         if not state.add(j):
             raise SingularModelError(
-                f"model {model.to_hex()} is rank-deficient at column "
-                f"{data.names[j]!r}"
+                f"model {model.to_hex()} is rank-deficient or saturated at "
+                f"column {data.names[j]!r}"
             )
     return state
 

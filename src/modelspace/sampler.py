@@ -8,16 +8,20 @@ the component full conditionals and in the g-step acceptance ratio, leaving
 pure Bayes-factor ratios evaluated in log space.
 
 Each component's conditional needs only the SSE of the model with that bit
-flipped. Up to ``SWEEP_MATRIX_MAX_P`` columns, ``SweepState`` keeps the
-cross-product matrix of the design and the response swept on the active
-set, so every flip SSE, add or drop, costs O(1) from two lists of floats and
-only a bit that actually flips pays an O(p^2) rank-one update (Goodnight
-1979, *A tutorial on the SWEEP operator*). Above it, ``InverseGramState``
-keeps the inverse Gram matrix of the active set in O(min(p, N) * p) memory:
-a drop SSE costs O(1), an add SSE one k-vector product and a flip an O(k^2)
-update (fast updating as in George & McCulloch 1997, *Approaches for
-Bayesian variable selection*). ``run_chain`` resets the state after each
-SSE spot check, which bounds the drift of the updates.
+flipped. Up to ``SWEEP_MATRIX_MAX_P`` columns, the sweep runs on
+``linmodel.FitState``, the cross-product matrix of the design and the
+response swept on the active set: every flip SSE, add or drop, costs O(1)
+from two lists of floats and only a bit that actually flips pays an O(p^2)
+rank-one update (Goodnight 1979, *A tutorial on the SWEEP operator*). Above
+it, ``InverseGramState`` keeps the inverse Gram matrix of the active set in
+O(min(p, N) * p) memory: a drop SSE costs O(1), an add SSE one k-vector
+product and a flip an O(k^2) update (fast updating as in George &
+McCulloch 1997, *Approaches for Bayesian variable selection*). Both states
+offer what the sweep reads and changes: ``data``, the bitmask ``bits``,
+its size ``k``, its ``sse`` and ``model``, with ``flip_sse(i)``,
+``add(i)`` (False, with the state untouched, on a singular or saturated
+add), ``delete(i)`` and ``reset()``. ``run_chain`` resets the state after
+each SSE spot check, which bounds the drift of the updates.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .bayesfactor import (
     sample_prior_g,
 )
 from .errors import UsageError
-from .linmodel import SINGULAR_EPS, Dataset, ModelIndex, sse_direct
+from .linmodel import SINGULAR_EPS, Dataset, FitState, ModelIndex, sse_direct
 
 SSE_SPOT_CHECK_EVERY = 1000
 # the largest p whose sweep keeps the (p+1)x(p+1) swept matrix. Its flips
@@ -91,113 +95,7 @@ def _sigmoid(lnr: float) -> float:
     return e / (1.0 + e)
 
 
-class _State:
-    """What the Gibbs sweep reads and changes of a least-squares state:
-    ``data``, the bitmask ``bits``, its size ``k`` and its ``sse``, with
-    ``flip_sse(i)``, ``flip(i)`` and ``reset()``."""
-
-    __slots__ = ()
-
-    @property
-    def model(self) -> ModelIndex:
-        return ModelIndex(self.bits, self.k)
-
-
-class SweepState(_State):
-    """Least-squares state of one model, kept for the Gibbs sweep at
-    p <= ``SWEEP_MATRIX_MAX_P``.
-
-    ``M`` is the (p+1)x(p+1) cross-product matrix [[G, X'y], [y'X, sse0]]
-    of the centered design, swept on the active set A (Goodnight 1979, *A
-    tutorial on the SWEEP operator*). For j outside A, M[j,j] is the pivot
-    d_j = G_jj - G_jA G_AA^-1 G_Aj of adding j and M[j,p] is the residual
-    cross-product c_j; for j in A, M[j,j] is -(G_AA^-1)_jj and M[j,p] is
-    beta_j. M[p,p] is the SSE. ``D`` and ``C`` are M's diagonal and last
-    row as Python floats, so ``flip_sse`` gives the SSE after flipping any
-    one bit, add or drop, as sse - C[j]^2/D[j] in O(1). ``flip`` is a sweep
-    (add) or a reverse sweep (drop) on one pivot: an O(p^2) rank-one update
-    of M. When the model empties, M returns to its pristine copy, so the
-    null model's SSE is sse0 exactly and the drift of the updates restarts
-    from zero.
-    """
-
-    __slots__ = ("data", "bits", "k", "sse", "M", "D", "C", "_M0", "_tiny", "_kmax")
-
-    def __init__(self, data: Dataset, bits: int = 0):
-        self.data = data
-        p = data.p
-        M0 = np.empty((p + 1, p + 1))
-        M0[:p, :p] = data.Xc.T @ data.Xc if data.gram is None else data.gram
-        M0[:p, p] = M0[p, :p] = data.xty
-        M0[p, p] = data.sse0
-        self._M0 = M0
-        # an add is singular when its pivot is at most SINGULAR_EPS * G_jj,
-        # the rule of ``FitState.add``
-        self._tiny = (SINGULAR_EPS * M0.diagonal()[:p]).tolist()
-        self._kmax = data.N - 2
-        self.M = np.empty_like(M0)
-        self.bits = bits
-        self.reset()
-
-    def reset(self) -> None:
-        """Sweep the pristine matrix on the current model's columns, which
-        discards the drift of the updates since the last reset."""
-        bits = self.bits
-        np.copyto(self.M, self._M0)
-        self.bits = 0
-        self.k = 0
-        # no singular check here: a model the chain reached in one order of
-        # adds is rebuilt in index order, where a pivot can differ
-        for j in ModelIndex.from_bits(bits).indices():
-            self._sweep(j)
-        self._refresh(min(max(float(self.M[-1, -1]), 0.0), self.data.sse0))
-
-    def flip_sse(self, i: int) -> float | None:
-        """SSE of the model with bit i flipped, or None when that add is
-        singular (the rule of ``FitState.add``) or saturated (k+1 > N-2)."""
-        d = self.D[i]
-        if (self.bits >> i) & 1:
-            if self.k == 1:
-                return self.data.sse0
-        elif self.k >= self._kmax or d <= self._tiny[i]:
-            return None
-        c = self.C[i]
-        return min(max(self.sse - c * c / d, 0.0), self.data.sse0)
-
-    def flip(self, i: int) -> None:
-        """Flip bit i; a singular or saturated add raises ValueError."""
-        sse = self.flip_sse(i)
-        if sse is None:
-            raise ValueError(f"adding column {i} is singular or saturated")
-        self._sweep(i)
-        self._refresh(sse)
-
-    def _sweep(self, i: int) -> None:
-        """Sweep M on pivot i, or reverse-sweep it when i is active."""
-        drop = (self.bits >> i) & 1
-        self.bits ^= 1 << i
-        self.k += -1 if drop else 1
-        M = self.M
-        if not self.k:
-            np.copyto(M, self._M0)
-            return
-        col = M[i].copy()
-        h = col[i]
-        M -= np.multiply.outer(col, col / h)
-        col /= -h if drop else h
-        col[i] = -1.0 / h
-        M[i] = col
-        M[:, i] = col
-
-    def _refresh(self, sse: float) -> None:
-        self.sse = sse
-        M = self.M
-        M[-1, -1] = sse
-        self.D = M.diagonal().tolist()
-        self.C = M[-1].tolist()
-
-
-class InverseGramState(_State):
+class InverseGramState:
     """Least-squares state of one model, kept for the Gibbs sweep at
     p > ``SWEEP_MATRIX_MAX_P``, where an O(p^2) update per flip costs more
     than it saves.
@@ -207,8 +105,8 @@ class InverseGramState(_State):
     and the active rows ``GA`` = G[A,:], all in the order of ``cols``, in
     O(min(p, N) * p) memory. From these, ``flip_sse`` gives the SSE after
     flipping any one bit: O(1) for a drop, one k-vector product for an add.
-    Only ``flip`` pays an O(k^2) rank-one update. ``reset`` rebuilds the
-    state from the bitmask by one solve on G[A,A].
+    Only ``add`` and ``delete`` pay an O(k^2) rank-one update. ``reset``
+    rebuilds the state from the bitmask by one solve on G[A,A].
     """
 
     __slots__ = (
@@ -249,6 +147,10 @@ class InverseGramState(_State):
             self.sse = min(max(data.sse0 - float(xty @ sol[:, k]), 0.0), data.sse0)
         self._resize(k)
 
+    @property
+    def model(self) -> ModelIndex:
+        return ModelIndex(self.bits, self.k)
+
     def _resize(self, k: int) -> None:
         self.k = k
         self.Ginv = self._Gbuf[:k, :k]
@@ -257,7 +159,7 @@ class InverseGramState(_State):
 
     def flip_sse(self, i: int) -> float | None:
         """SSE of the model with bit i flipped, or None when that add is
-        singular (the rule of ``FitState.add``) or saturated (k+1 > N-2)."""
+        singular or saturated, by the rule of ``FitState.flip_sse``."""
         k = self.k
         if (self.bits >> i) & 1:
             if k == 1:
@@ -283,19 +185,16 @@ class InverseGramState(_State):
         self._add = (i, sse, w, d, c)
         return sse
 
-    def flip(self, i: int) -> None:
-        """Flip bit i. An add reuses the pieces of the ``flip_sse(i)`` call
-        just made; a singular or saturated add raises ValueError."""
+    def add(self, i: int) -> bool:
+        """Add column i, reusing the pieces of the ``flip_sse(i)`` call just
+        made. Returns False, with the state untouched, when the add is
+        singular or saturated."""
         if (self.bits >> i) & 1:
-            self._drop(i)
-        else:
-            self._append(i)
-        self._add = None
-
-    def _append(self, i: int) -> None:
+            raise ValueError(f"column {i} already active")
         if (self._add is None or self._add[0] != i) and self.flip_sse(i) is None:
-            raise ValueError(f"adding column {i} is singular or saturated")
+            return False
         _, sse, w, d, c = self._add
+        self._add = None
         k = self.k
         G = self._Gbuf
         if k:
@@ -311,8 +210,11 @@ class InverseGramState(_State):
         self.cols.append(i)
         self.bits |= 1 << i
         self._resize(k + 1)
+        return True
 
-    def _drop(self, i: int) -> None:
+    def delete(self, i: int) -> None:
+        """Drop column i."""
+        self._add = None
         k = self.k
         q = self.cols.index(i)
         last = k - 1
@@ -339,20 +241,20 @@ class InverseGramState(_State):
         self._resize(last)
 
 
-def sweep_state(data: Dataset, bits: int = 0) -> _State:
+def sweep_state(data: Dataset, bits: int = 0) -> FitState | InverseGramState:
     """The Gibbs sweep's state of model ``bits``: the swept matrix up to
     ``SWEEP_MATRIX_MAX_P`` columns, the active-set inverse above."""
     if data.p <= SWEEP_MATRIX_MAX_P:
-        return SweepState(data, bits)
+        return FitState(data, bits)
     return InverseGramState(data, bits)
 
 
 def gibbs_sweep(
-    state: _State,
+    state: FitState | InverseGramState,
     g: float,
     prior: GPriorSpec,
     rng: np.random.Generator,
-) -> _State:
+) -> FitState | InverseGramState:
     """One systematic scan over components 1..p, in place.
 
     Component i is included with its full-conditional probability
@@ -369,18 +271,19 @@ def gibbs_sweep(
             continue
         if (state.bits >> i) & 1:
             lbf_flip = log_bf_value(sse, state.k - 1, sse0, N, g)
-            flip = rng.random() >= _sigmoid(lbf - lbf_flip)
+            if rng.random() >= _sigmoid(lbf - lbf_flip):
+                state.delete(i)
+                lbf = lbf_flip
         else:
             lbf_flip = log_bf_value(sse, state.k + 1, sse0, N, g)
-            flip = rng.random() < _sigmoid(lbf_flip - lbf)
-        if flip:
-            state.flip(i)
-            lbf = lbf_flip
+            if rng.random() < _sigmoid(lbf_flip - lbf):
+                state.add(i)
+                lbf = lbf_flip
     return state
 
 
 def mh_step_g(
-    state: _State,
+    state: FitState | InverseGramState,
     g: float,
     prior: GPriorSpec,
     rng: np.random.Generator,
@@ -404,7 +307,7 @@ def mh_step_g(
 
 def _initial_state(
     data: Dataset, start: str, rng: np.random.Generator
-) -> _State:
+) -> FitState | InverseGramState:
     state = sweep_state(data)
     if start == "null_model":
         return state
@@ -417,8 +320,8 @@ def _initial_state(
         if state.k >= kmax:
             break
         # a singular column is skipped
-        if (full or rng.random() < 0.5) and state.flip_sse(j) is not None:
-            state.flip(j)
+        if full or rng.random() < 0.5:
+            state.add(j)
     return state
 
 

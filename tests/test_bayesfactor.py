@@ -8,6 +8,7 @@ from modelspace import (
     FitState,
     GPriorSpec,
     UsageError,
+    enumerate_exact,
     fit_model,
     log_bf_value,
     log_prior_g_density,
@@ -27,6 +28,13 @@ class TestLogBf:
         state = FitState(p10_data)
         for g in (0.5, 1.0, 50.0, float(p10_data.N), 1e6):
             assert state_log_bf(state, g) == 0.0
+
+    def test_null_model_is_exactly_zero_in_enumeration(self, p8_data):
+        # the uniform model prior cancels, so the null model's posterior
+        # weight rests on its log BF, which exact enumeration scores as 0
+        for g in (0.5, float(p8_data.N), 1e6):
+            res = enumerate_exact(p8_data, g, GPriorSpec.fixed(g), K=256, workers=1)
+            assert dict((m.bits, lbf) for m, lbf in res.top_models)[0] == 0.0
 
     def test_perfect_fit_limit(self):
         # SSE = 0 -> only the (1+g)^((N-k-1)/2) factor survives
@@ -89,37 +97,6 @@ class TestLogBf:
             want = [log_bf_value(s, int(kk), sse0, N, g) for s, kk in zip(sse, k)]
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-12)
             assert np.array_equal(np.isneginf(got), k > N - 2)
-
-
-class TestModelPrior:
-    def test_uniform_constant(self):
-        prior = GPriorSpec.fixed(10.0)
-        assert prior.log_model_prior(35) == pytest.approx(-35 * math.log(2))
-
-    def test_log_posterior_is_shifted_log_bf(self, p10_data):
-        prior = GPriorSpec.fixed(float(p10_data.N))
-        state = fit_model(p10_data, ModelIndex.from_bits(0b1001))
-        lbf = state_log_bf(state, float(p10_data.N))
-        post = lbf + prior.log_model_prior(p10_data.p)
-        assert post == pytest.approx(lbf - 10 * math.log(2))
-
-    def test_null_model_posterior(self, p10_data):
-        prior = GPriorSpec.fixed(1.0)
-        lbf = state_log_bf(FitState(p10_data), 1.0)
-        assert lbf + prior.log_model_prior(p10_data.p) == pytest.approx(
-            -10 * math.log(2)
-        )
-
-    def test_ranking_invariance(self, p8_data):
-        prior = GPriorSpec.fixed(float(p8_data.N))
-        rng = np.random.default_rng(9)
-        models = [ModelIndex.from_bits(int(b)) for b in rng.integers(1, 256, size=30)]
-        lbfs = [state_log_bf(fit_model(p8_data, m), float(p8_data.N)) for m in models]
-        by_bf = sorted(range(30), key=lambda i: lbfs[i])
-        by_post = sorted(
-            range(30), key=lambda i: lbfs[i] + prior.log_model_prior(p8_data.p)
-        )
-        assert by_bf == by_post
 
 
 class TestZellnerSiowPrior:

@@ -26,9 +26,14 @@ from modelspace.linmodel import (
     FitState,
     fit_model,
     sse_direct,
-    subset_members,
 )
 from conftest import naive_enumeration, synth_dataset
+
+
+def subset_members(b):
+    """(b, 2^b) booleans: entry (i, t) is set when subset t holds item i,
+    that is when bit i of t is set."""
+    return (np.arange(1 << b) >> np.arange(b)[:, None]) & 1 == 1
 
 
 @pytest.fixture
@@ -228,12 +233,34 @@ class TestLowBitBlock:
         np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
         assert res.hpm.bits == hpm_bits
 
+    def test_long_walk_matches_naive(self, monkeypatch):
+        # one shard whose Gray-code walk visits 2^10 outer models on one
+        # FitState, never rebuilt, on a correlated design: the swept matrix
+        # it hands to the low block must not drift
+        monkeypatch.setattr(exact_mod, "LOW_BITS", 3)
+        rng = np.random.default_rng(17)
+        N, p = 60, 13
+        corr = 0.8 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+        X = rng.standard_normal((N, p)) @ np.linalg.cholesky(corr).T
+        y = X[:, 1] - 0.6 * X[:, 6] + 0.5 * X[:, 11] + rng.standard_normal(N)
+        data = make_dataset(y, X, [f"x{j}" for j in range(p)])
+        g = float(N)
+        lbfs, log_total, incl, dim, hpm_bits = naive_enumeration(data, g)
+        res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=100, workers=1, shard_bits=0)
+        assert (res.shard_bits, res.low_bits) == (0, 3)
+        assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
+        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
+        np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
+        assert res.hpm.bits == hpm_bits
+        for m, lbf in res.top_models:
+            assert lbf == pytest.approx(float(lbfs[m.bits]), abs=1e-10)
+
     @pytest.mark.parametrize(
-        "copy, of",
-        [(1, 0), (4, 1), (5, 3)],
+        "copy, of, hpm_tied",
+        [(1, 0, False), (4, 1, False), (5, 3, True)],
         ids=["low-low-pair", "low-high-pair", "high-high-pair"],
     )
-    def test_duplicate_pair_excluded(self, copy, of, monkeypatch):
+    def test_duplicate_pair_excluded(self, copy, of, hpm_tied, monkeypatch):
         # with LOW_BITS = 3, columns 0, 1, 2 are low and 3, 4, 5 are walked:
         # the pair is caught by a low pivot or by the walk's pending set. A
         # pair in the low block is flagged at column 1, and the subsets that
@@ -251,7 +278,17 @@ class TestLowBitBlock:
         assert res.excluded_count == int(np.sum(np.isneginf(lbfs))) == 1 << (p - 2)
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
         np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
-        assert res.hpm.bits == hpm_bits
+        assert res.hpm_log_bf == pytest.approx(float(lbfs[hpm_bits]), abs=1e-10)
+        if hpm_tied:
+            # the HPM holds one of the pair, and swapping it for the other
+            # gives the same fit: the oracle scores both exactly alike, and
+            # which one ranks first is set by the last bit of each
+            # elimination order
+            twin = hpm_bits ^ (1 << copy | 1 << of)
+            assert lbfs[twin] == lbfs[hpm_bits]
+            assert res.hpm.bits in (hpm_bits, twin)
+        else:
+            assert res.hpm.bits == hpm_bits
 
     def test_nan_log_bf_is_a_numerical_error(self, p8_data, tmp_path, monkeypatch):
         # a NaN SSE must not pass for an excluded model: the pass raises,
@@ -320,7 +357,10 @@ class TestLowBitBlock:
         state = fit_model(data, ModelIndex.from_indices([b, b + 1, b + 4]))
         low = np.arange(b)
         sse, singular = state.extension_sse(low)
-        ref_sse, ref_singular = column_cholesky_sse(state, low)
+        ix = np.append(low, data.p)
+        ref_sse, ref_singular = column_cholesky_sse(
+            state.M[np.ix_(ix, ix)], np.diagonal(data.gram)[low]
+        )
         np.testing.assert_array_equal(singular, ref_singular)
         assert singular.sum() == (1 << (b - 2) if dup else 0)
         np.testing.assert_array_equal(sse[~singular], ref_sse[~singular])
@@ -388,22 +428,11 @@ class TestShardLayout:
         assert shard.excluded_count == lbf.size - int(finite.sum())
 
 
-def column_cholesky_sse(state, cols):
-    """Reference for ``FitState.extension_sse``: the same bordered matrix,
-    factored by one column Cholesky over a (b+1, b+1, 2^b) stack in which a
-    column outside the subset gets an infinite pivot."""
-    data, k, b = state.data, state.k, cols.size
-    G = data.gram_col(cols)
-    B = np.zeros((b + 1, b + 1))
-    B[:b, :b] = G[cols]
-    B[:b, b] = B[b, :b] = data.xty[cols]
-    gjj = np.diagonal(B)[:b].copy()
-    if k:
-        V = np.empty((k, b + 1))
-        V[:, :b] = np.linalg.solve(state._L[:k, :k], G[state._active[:k]])
-        V[:, b] = state._b[:k]
-        B -= V.T @ V
-    B[b, b] = state.sse
+def column_cholesky_sse(B, gjj):
+    """Reference for ``subset_sse``: the same bordered matrix, factored by
+    one column Cholesky over a (b+1, b+1, 2^b) stack in which a column
+    outside the subset gets an infinite pivot."""
+    b = gjj.size
     members = subset_members(b)
     M = np.broadcast_to(B[:, :, None], (b + 1, b + 1, 1 << b)).copy()
     singular = np.zeros(1 << b, dtype=bool)

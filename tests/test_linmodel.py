@@ -271,6 +271,9 @@ class TestSseDirect:
         data = synth_dataset(N=6, p=5, seed=61)
         with pytest.raises(DataError, match="excluded"):
             sse_direct(data, ModelIndex.from_bits(0b11111))
+        # the incremental fit refuses the same model
+        with pytest.raises(SingularModelError):
+            fit_model(data, ModelIndex.from_bits(0b11111))
 
 
 def test_dataset_digest_tracks_content():

@@ -5,11 +5,11 @@ import pytest
 from scipy import stats
 
 from modelspace import (
+    FitState,
     GPriorSpec,
     InverseGramState,
     ModelIndex,
     SamplerConfig,
-    SweepState,
     UsageError,
     fit_model,
     gibbs_sweep,
@@ -36,9 +36,17 @@ class _CountingZeros:
         return 0.0
 
 
+def flip(state, i):
+    """Flip bit i by ``delete`` or ``add``; False when the add is refused."""
+    if (state.bits >> i) & 1:
+        state.delete(i)
+        return True
+    return state.add(i)
+
+
 class TestComponentProb:
     # the state under test, and the matrix a flip_sse call must leave alone
-    State = SweepState
+    State = FitState
     held = "M"
 
     def test_brute_force_oracle(self):
@@ -68,9 +76,13 @@ class TestComponentProb:
         y = X[:, 0] + rng.standard_normal(20)
         data = make_dataset(y, X, ["a", "b", "c"])
         state = self.State(data, 0b010)
+        before = getattr(state, self.held).copy()
+        sse = state.sse
         assert state.flip_sse(2) is None
-        with pytest.raises(ValueError):
-            state.flip(2)
+        assert not state.add(2)
+        # the refused add leaves the state untouched
+        assert (state.bits, state.k, state.sse) == (0b010, 1, sse)
+        np.testing.assert_array_equal(getattr(state, self.held), before)
         # p_2 = 0: even a uniform of 0.0 leaves column 2 out, and the
         # singular component draws none
         gen = _CountingZeros()
@@ -108,9 +120,8 @@ class TestComponentProb:
         flips = 0
         while flips < 5000:
             i = int(rng.integers(p))
-            if state.flip_sse(i) is None:
+            if not flip(state, i):
                 continue
-            state.flip(i)
             flips += 1
             if flips % 50 == 0 or state.k == 0:
                 ref = sse_direct(data, state.model)
@@ -145,9 +156,8 @@ class TestComponentProb:
         state = self.State(data)
         for _ in range(300):
             i = int(rng.integers(p))
-            if state.flip_sse(i) is None:
+            if not flip(state, i):
                 continue
-            state.flip(i)
             for j in range(p):
                 flipped = ModelIndex.from_bits(state.bits ^ (1 << j))
                 got = state.flip_sse(j)
@@ -162,9 +172,7 @@ class TestComponentProb:
         data = _ar_dataset(rng, 12, 40, 0.8)
         state = self.State(data)
         for _ in range(200):
-            i = int(rng.integers(12))
-            if state.flip_sse(i) is not None:
-                state.flip(i)
+            flip(state, int(rng.integers(12)))
         state.reset()
         fresh = self.State(data, state.bits)
         assert (state.k, state.sse) == (fresh.k, fresh.sse)
@@ -204,7 +212,7 @@ class TestSweep:
         exact = np.exp(lbfs - log_total)
         prior = GPriorSpec.fixed(g)
         rng = np.random.default_rng(99)
-        state = SweepState(data)
+        state = FitState(data)
         counts = np.zeros(1 << data.p)
         for _ in range(sweeps):
             gibbs_sweep(state, g, prior, rng)
@@ -216,7 +224,7 @@ class TestSweep:
 class TestMhStepG:
     def test_null_model_always_accepts(self, p10_data):
         prior = GPriorSpec.zellner_siow(p10_data.N)
-        state = SweepState(p10_data)
+        state = FitState(p10_data)
         rng = np.random.default_rng(0)
         g = 10.0
         for _ in range(200):
@@ -224,7 +232,7 @@ class TestMhStepG:
             assert accepted  # B_00(g) = 1 for every g
 
     def test_fixed_prior_rejected(self, p10_data):
-        state = SweepState(p10_data)
+        state = FitState(p10_data)
         with pytest.raises(UsageError):
             mh_step_g(state, 1.0, GPriorSpec.fixed(1.0), np.random.default_rng(0))
 
@@ -349,7 +357,7 @@ class TestRunChain:
 
         rng = np.random.default_rng(9)
         data = _ar_dataset(rng, 16, 50, 0.6)
-        assert type(sweep_state(data)) is SweepState
+        assert type(sweep_state(data)) is FitState
         runs = {}
         for limit in (sampler.SWEEP_MATRIX_MAX_P, 15):
             monkeypatch.setattr(sampler, "SWEEP_MATRIX_MAX_P", limit)

@@ -292,7 +292,6 @@ def cmd_exact(args) -> int:
         prior,
         K=args.top_k,
         workers=args.workers,
-        shard_bits=args.shard_bits,
         force=args.force,
     )
     t2 = time.perf_counter()
@@ -305,7 +304,6 @@ def cmd_exact(args) -> int:
             "mains": args.mains,
             "g": args.g,
             "workers": args.workers,
-            "shard_bits": args.shard_bits,
             "top_k": args.top_k,
             "force": args.force,
         },
@@ -433,9 +431,20 @@ def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> 
             f"{path}: model {models[beyond[0]].to_hex()} sets a bit beyond "
             f"the {data.p} columns"
         )
-    distinct = dedupe_models(
-        ChainTrace(list(models), np.array(g_draws), np.array(log_bfs))
-    )
+    # -inf marks an excluded model; NaN and +inf are no log Bayes factor
+    log_bfs = np.array(log_bfs)
+    bad = np.flatnonzero(np.isnan(log_bfs) | (log_bfs == np.inf))
+    if bad.size:
+        raise DataError(
+            f"{path}: model {models[bad[0]].to_hex()} has log BF "
+            f"{float(log_bfs[bad[0]])!r}; only -inf (excluded) may be non-finite"
+        )
+    if not (log_bfs > -np.inf).any():
+        raise DataError(
+            f"{path}: model {models[0].to_hex()} and every other record have "
+            "log BF -inf: all models are excluded"
+        )
+    distinct = dedupe_models(ChainTrace(list(models), np.array(g_draws), log_bfs))
     incl = [
         renormalized_estimate(distinct, indicator_of_variable(l), prior).value
         for l in range(data.p)
@@ -567,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--g", type=float, required=True)
     sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--shard-bits", type=int, default=None)
     sp.add_argument(
         "--force",
         action="store_true",
@@ -603,6 +611,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # before any chain or shard runs
+        if getattr(args, "top_k", 1) < 1:
+            raise UsageError(f"--top-k must be >= 1, got {args.top_k}")
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

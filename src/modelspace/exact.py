@@ -10,19 +10,20 @@ complement of the active set in the Gram matrix of the b low columns, and
 subset doubling eliminates it (``FitState.extension_sse``) in O(2^b) array
 work rather than one factorisation per completion; their log Bayes factors
 come from one numpy expression. Each shard keeps one log-space scale, m,
-the largest log Bayes factor it has seen, and plain float sums of
-exp(log BF - m), so 1e50-scale totals never overflow. It
+the largest log Bayes factor it has seen, and one vector of plain float
+sums of exp(log BF - m), so 1e50-scale totals never overflow. It
 absorbs each outer model's completions in one weighted column sum over
 the low block's cached membership matrix, and keeps its top K by a
 partition followed by a sort of the survivors. Shards are reduced in index
 order, so results are bit-identical regardless of worker count.
 
 The shard width is s = min(max(0, p - LOW_BITS), DEFAULT_SHARD_BITS): it
-depends on p alone, never on the worker count, and leaves every shard at
-least one full low block of min(p, LOW_BITS) bits, so the numpy calls per
-block and the fixed costs per shard are spread over 2^b models. The width
-fixes the reduction order, so the last bits of a result depend on it;
-reports record it as ``shard_bits`` and ``low_bits``.
+is a function of p alone, with no option to change it and no dependence on
+the worker count, and leaves every shard at least one full low block of
+min(p, LOW_BITS) bits, so the numpy calls per block and the fixed costs per
+shard are spread over 2^b models. The width fixes the reduction order, so
+an exact result depends on the data and g alone; reports record the layout
+as ``shard_bits`` and ``low_bits``.
 
 No BLAS call whose length grows with 2^b runs in a shard: a threaded BLAS
 starts helper threads for long vectors, and on a host with as many pool
@@ -99,19 +100,17 @@ def _best(lbf: np.ndarray, bits: np.ndarray, K: int) -> tuple[np.ndarray, np.nda
 class Shard:
     """Accumulators for one fixed-prefix slice of the model space.
 
-    ``total``, ``dim``, ``incl`` and ``quantity_sum`` are sums of
-    exp(log BF - m) over the non-excluded models (weighted by the model's
-    dimension, inclusion or quantity value), all on the one scale ``m``.
-    ``top_lbf`` and ``top_bits`` hold the K best models, best first.
+    ``sums`` holds sums of exp(log BF - m) over the non-excluded models, all
+    on the one scale ``m``: first ``membership``'s p + (p + 1) + 1 columns
+    (weighted by each inclusion, each dimension and 1, the total), then the
+    sum weighted by the quantity. ``top_lbf`` and ``top_bits`` hold the K
+    best models, best first.
     """
 
     index: int
     K: int
-    incl: np.ndarray  # per variable
-    dim: np.ndarray  # per dimension 0..p
+    sums: np.ndarray  # length 2p + 3
     m: float = NEG_INF
-    total: float = 0.0
-    quantity_sum: float = 0.0
     count: int = 0
     excluded_count: int = 0
     rank_count: int = 0  # models with log_bf strictly above rank_threshold
@@ -120,11 +119,7 @@ class Shard:
 
     def rescale(self, m: float) -> None:
         """Move every sum onto the scale m >= self.m."""
-        c = math.exp(self.m - m)
-        self.total *= c
-        self.incl *= c
-        self.dim *= c
-        self.quantity_sum *= c
+        self.sums *= math.exp(self.m - m)
         self.m = m
 
     def absorb(
@@ -165,16 +160,17 @@ class Shard:
         # The einsum adds the rows in order, as (low * w[:, None]).sum(axis=0)
         # would, without building that (2^b, 2b + 2) product.
         sums = np.einsum("ij,i->j", low, w)
-        total = float(sums[-1])
-        self.incl[:b] += sums[:b]
-        self.incl[b:] += total * ((outer >> np.arange(b, self.incl.size)) & 1)
-        k = outer.bit_count()
-        self.dim[k : k + b + 1] += sums[b:-1]
-        self.total += total
+        total = sums[-1]
+        p = (self.sums.size - 3) // 2
+        self.sums[:b] += sums[:b]
+        self.sums[b:p] += total * ((outer >> np.arange(b, p)) & 1)
+        k = p + outer.bit_count()
+        self.sums[k : k + b + 1] += sums[b:-1]
+        self.sums[-2] += total
 
         if quantity is not None:
             # a reduction, not np.dot: see the module docstring on BLAS
-            self.quantity_sum += float((quantity.evaluator(bits) * w).sum())
+            self.sums[-1] += (quantity.evaluator(bits) * w).sum()
         if rank_threshold is not None:
             self.rank_count += int(np.count_nonzero(lbf > rank_threshold))
         if self.top_lbf.size == self.K:
@@ -222,7 +218,7 @@ def enumerate_shard(
     low_k = np.bitwise_count(np.arange(1 << b)).astype(np.int64)
     fixed_bits = prefix << free
 
-    shard = Shard(index=prefix, K=K, incl=np.zeros(p), dim=np.zeros(p + 1))
+    shard = Shard(index=prefix, K=K, sums=np.zeros(2 * p + 3))
 
     state = FitState(data)
     pending: set[int] = set()
@@ -308,23 +304,18 @@ def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> Exac
         raise UsageError("no full-rank models found")
 
     m = max(s.m for s in shards)
-    total = 0.0
-    incl = np.zeros(p)
-    dim = np.zeros(p + 1)
-    qsum = 0.0
+    sums = np.zeros(2 * p + 3)
     for s in shards:
         s.rescale(m)
-        total += s.total
-        incl += s.incl
-        dim += s.dim
-        qsum += s.quantity_sum
+        sums += s.sums
+    total = float(sums[-2])
 
     hpm, hpm_lbf = top[0]
     shard_bits = len(shards).bit_length() - 1
     return ExactResult(
         log_total_bf=m + math.log(total),
-        inclusion_exact=incl / total,
-        dimension_exact=dim / total,
+        inclusion_exact=sums[:p] / total,
+        dimension_exact=sums[p:-2] / total,
         hpm=hpm,
         hpm_log_bf=hpm_lbf,
         hpm_posterior=math.exp(hpm_lbf - m) / total,
@@ -333,7 +324,7 @@ def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> Exac
         model_count=count,
         shard_bits=shard_bits,
         low_bits=min(p - shard_bits, LOW_BITS),
-        quantity_value=qsum / total,
+        quantity_value=float(sums[-1]) / total,
         rank_count=sum(s.rank_count for s in shards),
     )
 
@@ -357,7 +348,6 @@ def enumerate_exact(
     prior: GPriorSpec,
     K: int = 1000,
     workers: int | None = None,
-    shard_bits: int | None = None,
     force: bool = False,
     quantity: QuantityOfInterest | None = None,
     rank_threshold: float | None = None,
@@ -368,8 +358,9 @@ def enumerate_exact(
     above 1: each worker receives the Dataset once, then contiguous runs of
     shards, and a quantity's evaluator must pickle (a module-level function,
     a ufunc, or a ``partial`` of one; a lambda fails in the pool). With
-    workers=1 any callable works. The shard layout does not depend on the
-    worker count, so the result is bit-identical either way.
+    workers=1 any callable works. The shard layout is a function of p
+    alone, with no option to change it, so the result depends on the data
+    and g alone and is bit-identical for any worker count.
     """
     p = data.p
     if K < 1:
@@ -381,9 +372,7 @@ def enumerate_exact(
         )
     if prior.hierarchical:
         raise UsageError("exact enumeration supports fixed g only")
-    s = default_shard_bits(p) if shard_bits is None else shard_bits
-    if not 0 <= s <= p:
-        raise UsageError(f"shard_bits must be in [0, {p}]")
+    s = default_shard_bits(p)
     prefixes = range(1 << s)
     workers = default_workers() if workers is None else max(1, workers)
     workers = min(workers, len(prefixes))
@@ -410,7 +399,6 @@ def exact_quantity(
     prior: GPriorSpec,
     q: QuantityOfInterest,
     workers: int | None = None,
-    shard_bits: int | None = None,
     force: bool = False,
 ) -> float:
     """Exact tau(a) = sum_gamma a(M) Pr(M | y) by a full sharded pass.
@@ -418,17 +406,11 @@ def exact_quantity(
     The evaluator maps a bitmask array to a float array. With workers > 1
     it must pickle (a module-level function, a ufunc, or a ``partial`` of
     one; a lambda fails in the pool); with workers=1 any callable works.
-    The value is bit-identical for any worker count.
+    The pass uses ``enumerate_exact``'s layout, a function of p alone, so
+    the value is bit-identical for any worker count.
     """
     res = enumerate_exact(
-        data,
-        g,
-        prior,
-        K=1,
-        workers=workers,
-        shard_bits=shard_bits,
-        force=force,
-        quantity=q,
+        data, g, prior, K=1, workers=workers, force=force, quantity=q
     )
     return res.quantity_value
 
@@ -439,7 +421,6 @@ def count_models_above(
     prior: GPriorSpec,
     log_bf_threshold: float,
     workers: int | None = None,
-    shard_bits: int | None = None,
     force: bool = False,
 ) -> int:
     """Number of models with log Bayes factor strictly above a threshold."""
@@ -449,7 +430,6 @@ def count_models_above(
         prior,
         K=1,
         workers=workers,
-        shard_bits=shard_bits,
         force=force,
         rank_threshold=log_bf_threshold,
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import modelspace.exact as exact_mod
 from modelspace import Dataset, ModelIndex, log_bf_value, make_dataset, sse_direct
 from modelspace.errors import DataError
 
@@ -48,6 +49,17 @@ def naive_enumeration(data: Dataset, g: float):
     finite = np.where(np.isfinite(lbfs))[0]
     hpm_bits = int(finite[np.lexsort((finite, -lbfs[finite]))[0]])
     return lbfs, float(log_total), incl, dim, hpm_bits
+
+
+@pytest.fixture
+def set_shard_bits(monkeypatch):
+    """``set_shard_bits(s)`` makes every exact pass of the test use 2^s
+    shards, whatever p, to reach multi-shard layouts at small p."""
+
+    def set_to(s):
+        monkeypatch.setattr(exact_mod, "default_shard_bits", lambda p: s)
+
+    return set_to
 
 
 @pytest.fixture(scope="session")

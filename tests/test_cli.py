@@ -1,19 +1,19 @@
 import json
 import math
 import os
+import shlex
 
 import numpy as np
 import pytest
 
-from modelspace import ModelIndex
-from modelspace.cli import main, read_trace, write_trace
+from modelspace import ModelIndex, cli
+from modelspace.cli import build_parser, main, read_trace, write_trace
 from conftest import synth_dataset
 
 jsonschema = pytest.importorskip("jsonschema")
 
-SCHEMA_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(__file__)), "src", "modelspace", "schemas"
-)
+ROOT = os.path.dirname(os.path.dirname(__file__))
+SCHEMA_DIR = os.path.join(ROOT, "src", "modelspace", "schemas")
 
 
 def load_schema(name):
@@ -95,13 +95,23 @@ class TestExitCodes:
         assert "MODELSPACE_WORKERS" in capsys.readouterr().err
 
     @pytest.mark.parametrize("top_k", ["0", "-1"])
-    def test_top_k_below_one_is_usage_error(self, csv4, top_k, capsys):
+    @pytest.mark.parametrize(
+        "command",
+        [["exact"], ["gibbs", "--iterations", "20000"],
+         ["compare", "--runs", "4", "--iterations", "20000", "--workers", "1"]],
+        ids=["exact", "gibbs", "compare"],
+    )
+    def test_top_k_below_one_is_usage_error(
+        self, csv4, command, top_k, capsys, monkeypatch
+    ):
+        # refused before any chain runs
+        monkeypatch.setattr(cli, "run_chain", None)
         rc = main(
-            ["exact", csv4, "--response", "y", "--g", "40", "--top-k", top_k,
-             "--out", os.devnull]
+            command + [csv4, "--response", "y", "--g", "40", "--top-k", top_k,
+                       "--out", os.devnull]
         )
         assert rc == 2
-        assert "top-k" in capsys.readouterr().err
+        assert "--top-k" in capsys.readouterr().err
 
     def test_non_finite_g_is_usage_error(self, csv4):
         for g in ("nan", "inf"):
@@ -142,15 +152,28 @@ class TestExitCodes:
         assert rc == 3
         assert "bad.json" in capsys.readouterr().err
 
-    def test_trace_bits_beyond_p_is_data_error(self, csv4, tmp_path):
+    @pytest.mark.parametrize(
+        "text, model",
+        [("1\t30.0\t2.0\nff\t30.0\t99.0\n", "ff"),
+         ("1\t30.0\t1.5\n3\t30.0\tnan\n", "3"),
+         ("1\t30.0\t1.5\n3\t30.0\tinf\n", "3"),
+         ("1\t30.0\t-inf\n3\t30.0\t-inf\n", "1")],
+        ids=["bits-beyond-p", "nan-log-bf", "inf-log-bf", "all-excluded"],
+    )
+    def test_trace_bits_beyond_p_is_data_error(
+        self, csv4, tmp_path, text, model, capsys
+    ):
+        # a record no searcher could have scored is a data error naming it;
+        # -inf on some records only marks excluded models
         trace_path = tmp_path / "foreign.tsv"
-        trace_path.write_text("1\t30.0\t2.0\nff\t30.0\t99.0\n")
+        trace_path.write_text(text)
         rc = main(
             ["compare", csv4, "--response", "y", "--g", "30", "--runs", "2",
              "--iterations", "10", "--workers", "1",
              "--trace-file", str(trace_path), "--out", os.devnull]
         )
         assert rc == 3
+        assert f"model {model} " in capsys.readouterr().err
 
     def test_digest_mismatch_is_data_error(self, csv5, tmp_path):
         path, _ = csv5
@@ -333,15 +356,19 @@ class TestExactReport:
         assert report["summary"]["n_used"] == 32
 
     @pytest.mark.parametrize(
-        "argv, layout", [([], (0, 5)), (["--shard-bits", "2"], (2, 3))],
+        "shard_bits, layout", [(None, (0, 5)), (2, (2, 3))],
         ids=["default", "explicit"],
     )
-    def test_layout_in_diagnostics(self, csv5, tmp_path, argv, layout):
+    def test_layout_in_diagnostics(
+        self, csv5, tmp_path, shard_bits, layout, set_shard_bits
+    ):
         # the shard layout fixes the reduction order, so the report says
         # which one made it
+        if shard_bits is not None:
+            set_shard_bits(shard_bits)
         path, _ = csv5
         report = run_json(
-            ["exact", path, "--response", "y", "--g", "30", "--workers", "1"] + argv,
+            ["exact", path, "--response", "y", "--g", "30", "--workers", "1"],
             tmp_path / "ex.json",
         )
         schema = load_schema("run_report.schema.json")
@@ -492,3 +519,22 @@ class TestTraceFormat:
         path.write_text("")
         with pytest.raises(DataError, match="empty"):
             read_trace(path)
+
+
+def test_readme_cli_examples_parse():
+    # every command the README shows must parse, so that the docs cannot
+    # advertise an option the parser no longer has
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("modelspace ")
+    ]
+    assert [argv[1] for argv in commands] == [
+        "expand", "gibbs", "gibbs", "exact", "compare"
+    ]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

@@ -65,17 +65,18 @@ class TestScale:
         [(8, exact_mod.LOW_BITS), (0, 2)],
         ids=["shard-per-model", "moving-scale"],
     )
-    def test_huge_magnitudes(self, huge_data, shard_bits, low_bits, monkeypatch):
+    def test_huge_magnitudes(
+        self, huge_data, shard_bits, low_bits, monkeypatch, set_shard_bits
+    ):
         # one model per shard, or one shard whose walk absorbs the four
         # completions of each outer model in turn, so that the scale moves
         # between outer models
         monkeypatch.setattr(exact_mod, "LOW_BITS", low_bits)
+        set_shard_bits(shard_bits)
         g = float(huge_data.N)
         lbfs, log_total, incl, dim, _ = naive_enumeration(huge_data, g)
         assert lbfs.max() > 1000.0
-        res = enumerate_exact(
-            huge_data, g, GPriorSpec.fixed(g), K=1, workers=1, shard_bits=shard_bits
-        )
+        res = enumerate_exact(huge_data, g, GPriorSpec.fixed(g), K=1, workers=1)
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
         np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
         np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
@@ -83,11 +84,12 @@ class TestScale:
     @pytest.mark.parametrize(
         "shard_bits", [8, 0], ids=["shard-per-model", "one-shard"]
     )
-    def test_probabilities_within_unit_interval(self, huge_data, shard_bits):
+    def test_probabilities_within_unit_interval(
+        self, huge_data, shard_bits, set_shard_bits
+    ):
+        set_shard_bits(shard_bits)
         g = float(huge_data.N)
-        res = enumerate_exact(
-            huge_data, g, GPriorSpec.fixed(g), K=1, workers=1, shard_bits=shard_bits
-        )
+        res = enumerate_exact(huge_data, g, GPriorSpec.fixed(g), K=1, workers=1)
         assert res.inclusion_exact.max() == 1.0
         for values in (res.inclusion_exact, res.dimension_exact):
             assert np.all((values >= 0.0) & (values <= 1.0))
@@ -102,9 +104,10 @@ class TestShardWalk:
         assert shard.count == 1
         assert shard.top_bits.tolist() == [0b10110001]
 
-    def test_visits_every_model_once(self, p8_data):
+    def test_visits_every_model_once(self, p8_data, set_shard_bits):
+        set_shard_bits(0)
         prior = GPriorSpec.fixed(40.0)
-        res = enumerate_exact(p8_data, 40.0, prior, K=1 << p8_data.p, shard_bits=0)
+        res = enumerate_exact(p8_data, 40.0, prior, K=1 << p8_data.p)
         assert res.model_count == 1 << p8_data.p
         bitmasks = [m.bits for m, _ in res.top_models]
         assert len(set(bitmasks)) == len(bitmasks) == (1 << p8_data.p)
@@ -129,21 +132,24 @@ class TestShardWalk:
         np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
         assert res.hpm.bits == hpm_bits
 
-    def test_shard_split_invariance(self, p8_data):
+    def test_shard_split_invariance(self, p8_data, set_shard_bits):
         g = float(p8_data.N)
         prior = GPriorSpec.fixed(g)
-        a = enumerate_exact(p8_data, g, prior, K=50, shard_bits=0)
-        b = enumerate_exact(p8_data, g, prior, K=50, shard_bits=4)
+        set_shard_bits(0)
+        a = enumerate_exact(p8_data, g, prior, K=50)
+        set_shard_bits(4)
+        b = enumerate_exact(p8_data, g, prior, K=50)
         assert a.log_total_bf == pytest.approx(b.log_total_bf, abs=1e-12)
         np.testing.assert_allclose(a.inclusion_exact, b.inclusion_exact, atol=1e-12)
         assert [m.bits for m, _ in a.top_models] == [m.bits for m, _ in b.top_models]
 
-    def test_worker_count_invariance(self, p8_data):
+    def test_worker_count_invariance(self, p8_data, set_shard_bits):
         # fixed shard layout makes the reduction bit-identical across workers
+        set_shard_bits(4)
         g = float(p8_data.N)
         prior = GPriorSpec.fixed(g)
-        a = enumerate_exact(p8_data, g, prior, K=100, workers=1, shard_bits=4)
-        b = enumerate_exact(p8_data, g, prior, K=100, workers=2, shard_bits=4)
+        a = enumerate_exact(p8_data, g, prior, K=100, workers=1)
+        b = enumerate_exact(p8_data, g, prior, K=100, workers=2)
         assert a.log_total_bf == b.log_total_bf
         np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
         assert [(m.bits, lbf) for m, lbf in a.top_models] == [
@@ -205,13 +211,14 @@ class TestLowBitBlock:
     whole low-bit block."""
 
     @pytest.mark.parametrize("low_bits", [1, 3])
-    def test_matches_naive_p8(self, p8_data, p8_naive, low_bits, monkeypatch):
+    def test_matches_naive_p8(
+        self, p8_data, p8_naive, low_bits, monkeypatch, set_shard_bits
+    ):
         monkeypatch.setattr(exact_mod, "LOW_BITS", low_bits)
+        set_shard_bits(1)
         lbfs, log_total, incl, dim, hpm_bits = p8_naive
         g = float(p8_data.N)
-        res = enumerate_exact(
-            p8_data, g, GPriorSpec.fixed(g), K=256, workers=1, shard_bits=1
-        )
+        res = enumerate_exact(p8_data, g, GPriorSpec.fixed(g), K=256, workers=1)
         assert res.model_count == 1 << p8_data.p
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
         np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
@@ -221,23 +228,23 @@ class TestLowBitBlock:
         for m, lbf in res.top_models:
             assert lbf == pytest.approx(float(lbfs[m.bits]), abs=1e-10)
 
-    def test_matches_naive_p10(self, p10_data, p10_naive, monkeypatch):
+    def test_matches_naive_p10(self, p10_data, p10_naive, monkeypatch, set_shard_bits):
         monkeypatch.setattr(exact_mod, "LOW_BITS", 3)
+        set_shard_bits(2)
         lbfs, log_total, incl, dim, hpm_bits = p10_naive
         g = float(p10_data.N)
-        res = enumerate_exact(
-            p10_data, g, GPriorSpec.fixed(g), K=10, workers=1, shard_bits=2
-        )
+        res = enumerate_exact(p10_data, g, GPriorSpec.fixed(g), K=10, workers=1)
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
         np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
         np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
         assert res.hpm.bits == hpm_bits
 
-    def test_long_walk_matches_naive(self, monkeypatch):
+    def test_long_walk_matches_naive(self, monkeypatch, set_shard_bits):
         # one shard whose Gray-code walk visits 2^10 outer models on one
         # FitState, never rebuilt, on a correlated design: the swept matrix
         # it hands to the low block must not drift
         monkeypatch.setattr(exact_mod, "LOW_BITS", 3)
+        set_shard_bits(0)
         rng = np.random.default_rng(17)
         N, p = 60, 13
         corr = 0.8 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
@@ -246,7 +253,7 @@ class TestLowBitBlock:
         data = make_dataset(y, X, [f"x{j}" for j in range(p)])
         g = float(N)
         lbfs, log_total, incl, dim, hpm_bits = naive_enumeration(data, g)
-        res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=100, workers=1, shard_bits=0)
+        res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=100, workers=1)
         assert (res.shard_bits, res.low_bits) == (0, 3)
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
         np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
@@ -260,12 +267,15 @@ class TestLowBitBlock:
         [(1, 0, False), (4, 1, False), (5, 3, True)],
         ids=["low-low-pair", "low-high-pair", "high-high-pair"],
     )
-    def test_duplicate_pair_excluded(self, copy, of, hpm_tied, monkeypatch):
+    def test_duplicate_pair_excluded(
+        self, copy, of, hpm_tied, monkeypatch, set_shard_bits
+    ):
         # with LOW_BITS = 3, columns 0, 1, 2 are low and 3, 4, 5 are walked:
         # the pair is caught by a low pivot or by the walk's pending set. A
         # pair in the low block is flagged at column 1, and the subsets that
         # also take column 2 must inherit the flag
         monkeypatch.setattr(exact_mod, "LOW_BITS", 3)
+        set_shard_bits(0)
         rng = np.random.default_rng(8)
         N, p = 30, 6
         X = rng.standard_normal((N, p))
@@ -274,7 +284,7 @@ class TestLowBitBlock:
         data = make_dataset(y, X, [f"x{j}" for j in range(p)])
         g = float(N)
         lbfs, log_total, incl, _, hpm_bits = naive_enumeration(data, g)
-        res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=8, workers=1, shard_bits=0)
+        res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=8, workers=1)
         assert res.excluded_count == int(np.sum(np.isneginf(lbfs))) == 1 << (p - 2)
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
         np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
@@ -312,17 +322,18 @@ class TestLowBitBlock:
                    "--workers", "1", "--out", str(tmp_path / "ex.json")])
         assert rc == 4
 
-    def test_worker_count_invariance_with_outer_walk(self):
+    def test_worker_count_invariance_with_outer_walk(self, set_shard_bits):
         # 4 shards leave LOW_BITS + 2 free bits: each shard walks 4 outer
         # models, so workers share shards that each take several batches
+        set_shard_bits(2)
         p = exact_mod.LOW_BITS + 4
         data = synth_dataset(
             N=60, p=p, active=(2, 9, p - 2), betas=(0.6, -0.5, 0.4), seed=21
         )
         g = float(data.N)
         prior = GPriorSpec.fixed(g)
-        a = enumerate_exact(data, g, prior, K=100, workers=1, shard_bits=2)
-        b = enumerate_exact(data, g, prior, K=100, workers=2, shard_bits=2)
+        a = enumerate_exact(data, g, prior, K=100, workers=1)
+        b = enumerate_exact(data, g, prior, K=100, workers=2)
         assert a.log_total_bf == b.log_total_bf
         np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
         np.testing.assert_array_equal(a.dimension_exact, b.dimension_exact)
@@ -415,16 +426,17 @@ class TestShardLayout:
         if excluded:
             lbf[rng.random(lbf.size) < 0.3] = -np.inf
         outer = 0b10110 << b
-        shard = exact_mod.Shard(index=0, K=1, incl=np.zeros(p), dim=np.zeros(p + 1))
+        shard = exact_mod.Shard(index=0, K=1, sums=np.zeros(2 * p + 3))
         shard.absorb(outer, lbf, None, None)
         finite = lbf > -np.inf
         low = exact_mod.low_membership(b)[finite]
         w = np.exp(lbf[finite] - lbf.max())
         sums = (low * w[:, None]).sum(axis=0)
-        assert shard.total == sums[-1]
-        np.testing.assert_array_equal(shard.incl[:b], sums[:b])
-        np.testing.assert_array_equal(shard.incl[b:], sums[-1] * np.array([0, 1, 1, 0, 1]))
-        np.testing.assert_array_equal(shard.dim[3 : 3 + b + 1], sums[b:-1])
+        incl, dim, total = shard.sums[:p], shard.sums[p:-2], shard.sums[-2]
+        assert total == sums[-1]
+        np.testing.assert_array_equal(incl[:b], sums[:b])
+        np.testing.assert_array_equal(incl[b:], sums[-1] * np.array([0, 1, 1, 0, 1]))
+        np.testing.assert_array_equal(dim[3 : 3 + b + 1], sums[b:-1])
         assert shard.excluded_count == lbf.size - int(finite.sum())
 
 
@@ -471,12 +483,13 @@ class TestReduce:
         with pytest.raises(UsageError, match="partition"):
             reduce_shards([s0, s1], p8_data, prior)
 
-    def test_single_shard_identity(self, p8_data):
+    def test_single_shard_identity(self, p8_data, set_shard_bits):
+        set_shard_bits(0)
         g = float(p8_data.N)
         prior = GPriorSpec.fixed(g)
         shard = enumerate_shard(p8_data, 0, 0, g, prior, K=16)
         res = reduce_shards([shard], p8_data, prior)
-        full = enumerate_exact(p8_data, g, prior, K=16, shard_bits=0)
+        full = enumerate_exact(p8_data, g, prior, K=16)
         assert res.log_total_bf == full.log_total_bf
 
 
@@ -517,22 +530,23 @@ class TestExactQuantity:
         ref = sum(k * dk for k, dk in enumerate(dim))
         assert val == pytest.approx(ref, abs=1e-12)
 
-    def test_worker_count_bit_identical(self, p8_data, pools):
+    def test_worker_count_bit_identical(self, p8_data, pools, set_shard_bits):
         # a ufunc and a built-in indicator both pickle and go through the
         # pool, and match the single-worker value
         from modelspace.estimators import QuantityOfInterest
 
+        set_shard_bits(2)
         g = float(p8_data.N)
         prior = GPriorSpec.fixed(g)
         size = QuantityOfInterest(np.bitwise_count, "dimension")
         for q in (size, indicator_of_variable(3)):
             pools.clear()
-            a = exact_quantity(p8_data, g, prior, q, workers=1, shard_bits=2)
-            b = exact_quantity(p8_data, g, prior, q, workers=2, shard_bits=2)
+            a = exact_quantity(p8_data, g, prior, q, workers=1)
+            b = exact_quantity(p8_data, g, prior, q, workers=2)
             assert a == b
             assert pools == [2]
 
-    def test_single_worker_takes_any_callable(self, p8_data, p8_naive):
+    def test_single_worker_takes_any_callable(self, p8_data, p8_naive, set_shard_bits):
         from modelspace.estimators import QuantityOfInterest
 
         _, _, incl, _, _ = p8_naive
@@ -541,8 +555,9 @@ class TestExactQuantity:
         val = exact_quantity(p8_data, g, GPriorSpec.fixed(g), q, workers=1)
         assert val == pytest.approx(incl[5], abs=1e-12)
         # a local lambda does not pickle, so it cannot go to the pool
+        set_shard_bits(2)
         with pytest.raises((pickle.PicklingError, AttributeError)):
-            exact_quantity(p8_data, g, GPriorSpec.fixed(g), q, workers=2, shard_bits=2)
+            exact_quantity(p8_data, g, GPriorSpec.fixed(g), q, workers=2)
 
 
 class TestRankCount:

@@ -187,7 +187,8 @@ def build_run_report(command, data, config_echo, summary, diagnostics, timing):
 
 
 def write_report(path, report: dict) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    # one line: with indent set, json.dumps falls back to its Python encoder
+    text = json.dumps(report, sort_keys=True)
     if path == "-":
         sys.stdout.write(text + "\n")
     else:
@@ -312,6 +313,7 @@ def cmd_exact(args) -> int:
             "excluded_count": res.excluded_count,
             "shard_bits": res.shard_bits,
             "low_bits": res.low_bits,
+            "workers": res.workers,
         },
         {
             "load_seconds": t1 - t0,
@@ -537,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bayesian variable selection under Zellner g-priors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    workers_help = "at most N processes (default: MODELSPACE_WORKERS or the CPU count)"
 
     def add_common(sp):
         sp.add_argument("data", help="input CSV (header row, '.' decimals)")
@@ -575,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exact", help="exact enumeration of the model space")
     add_common(sp)
     sp.add_argument("--g", type=float, required=True)
-    sp.add_argument("--workers", type=int, default=None)
+    sp.add_argument("--workers", type=int, metavar="N", help=workers_help)
     sp.add_argument(
         "--force",
         action="store_true",
@@ -593,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--start", choices=["null_model", "full_model", "random"], default="null_model"
     )
-    sp.add_argument("--workers", type=int, default=None)
+    sp.add_argument("--workers", type=int, metavar="N", help=workers_help)
     sp.add_argument(
         "--exact", default=None, help="exact-result JSON to score hits against"
     )
@@ -614,6 +617,8 @@ def main(argv=None) -> int:
         # before any chain or shard runs
         if getattr(args, "top_k", 1) < 1:
             raise UsageError(f"--top-k must be >= 1, got {args.top_k}")
+        if getattr(args, "workers", None) is not None and args.workers < 1:
+            raise UsageError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

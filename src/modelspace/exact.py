@@ -25,6 +25,17 @@ shard are spread over 2^b models. The width fixes the reduction order, so
 an exact result depends on the data and g alone; reports record the layout
 as ``shard_bits`` and ``low_bits``.
 
+A pass opens a process pool only where the work pays for it: at most
+min(workers, 2^s, max(1, 2^p // MODELS_PER_WORKER)) processes, so that
+each gets at least 2^18 models, and a pass given one runs its shards
+in-process. On a 2-vCPU host a 2-process pool costs 10-14 ms to start and
+join, against 8M models/s per core in a shard. At K = 1000 on the
+benchmark's stand-in it loses at p = 18 (25-30 ms in-process against
+37-40 ms pooled), breaks about even at p = 19 (48-59 ms against 50-55 ms)
+and wins at p = 21 (203 ms against 133-139 ms). The pool's size changes
+only which process runs a shard, never the layout, so results do not
+depend on it.
+
 No BLAS call whose length grows with 2^b runs in a shard: a threaded BLAS
 starts helper threads for long vectors, and on a host with as many pool
 workers as cores those threads spin against the other workers. The block
@@ -56,6 +67,10 @@ DEFAULT_SHARD_BITS = 8
 
 # Free bit positions of a shard scored in one batch per outer model.
 LOW_BITS = 14
+
+# Fewest models that pay for one more pool process: about 30 ms of one
+# core's work, against the 10-14 ms a 2-process pool costs to start and join.
+MODELS_PER_WORKER = 1 << 18
 
 
 def default_workers() -> int:
@@ -274,6 +289,7 @@ class ExactResult:
     low_bits: int
     quantity_value: float = 0.0
     rank_count: int = 0
+    workers: int = 1  # processes that ran the shards; 1 is in-process
 
 
 def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> ExactResult:
@@ -354,13 +370,16 @@ def enumerate_exact(
 ) -> ExactResult:
     """Sharded exact enumeration of all 2^p models under a fixed g.
 
-    Shards go to a process pool of min(workers, 2^s) processes when that is
-    above 1: each worker receives the Dataset once, then contiguous runs of
-    shards, and a quantity's evaluator must pickle (a module-level function,
-    a ufunc, or a ``partial`` of one; a lambda fails in the pool). With
-    workers=1 any callable works. The shard layout is a function of p
-    alone, with no option to change it, so the result depends on the data
-    and g alone and is bit-identical for any worker count.
+    ``workers`` is an upper bound. Shards go to a process pool of
+    min(workers, 2^s, max(1, 2^p // MODELS_PER_WORKER)) processes when that
+    is above 1, so a pass below 2^19 models runs in-process: there a pool
+    costs more to start than it saves (the module docstring has the
+    break-even). Each pool worker receives the Dataset once, then
+    contiguous runs of shards, and a quantity's evaluator must pickle (a
+    module-level function, a ufunc, or a ``partial`` of one; a lambda fails
+    in the pool). In-process, any callable works. The shard layout is a
+    function of p alone, with no option to change it, so the result depends
+    on the data and g alone and is bit-identical for any worker count.
     """
     p = data.p
     if K < 1:
@@ -375,7 +394,7 @@ def enumerate_exact(
     s = default_shard_bits(p)
     prefixes = range(1 << s)
     workers = default_workers() if workers is None else max(1, workers)
-    workers = min(workers, len(prefixes))
+    workers = min(workers, len(prefixes), max(1, (1 << p) // MODELS_PER_WORKER))
     if workers == 1:
         shards = [
             enumerate_shard(data, s, pre, g, prior, K, quantity, rank_threshold)
@@ -390,7 +409,9 @@ def enumerate_exact(
             max_workers=workers, initializer=_init_worker, initargs=(data,)
         ) as pool:
             shards = list(pool.map(_shard_job, jobs, chunksize=chunksize))
-    return reduce_shards(shards, data, prior)
+    res = reduce_shards(shards, data, prior)
+    res.workers = workers
+    return res
 
 
 def exact_quantity(

@@ -62,6 +62,17 @@ def set_shard_bits(monkeypatch):
     return set_to
 
 
+@pytest.fixture
+def set_models_per_worker(monkeypatch):
+    """``set_models_per_worker(n)`` gives every exact pass of the test one
+    pool process per n models, to reach the pool at small p."""
+
+    def set_to(n):
+        monkeypatch.setattr(exact_mod, "MODELS_PER_WORKER", n)
+
+    return set_to
+
+
 @pytest.fixture(scope="session")
 def p10_data() -> Dataset:
     # moderate signal so no inclusion probability is pinned at 0 or 1

@@ -113,6 +113,25 @@ class TestExitCodes:
         assert rc == 2
         assert "--top-k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [["exact"], ["compare", "--runs", "4", "--iterations", "20000"]],
+        ids=["exact", "compare"],
+    )
+    def test_workers_below_one_is_usage_error(
+        self, csv4, command, workers, capsys, monkeypatch
+    ):
+        # refused before any chain or shard runs
+        monkeypatch.setattr(cli, "run_chain", None)
+        monkeypatch.setattr(cli.exact_mod, "enumerate_shard", None)
+        rc = main(
+            command + [csv4, "--response", "y", "--g", "40", "--workers", workers,
+                       "--out", os.devnull]
+        )
+        assert rc == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_non_finite_g_is_usage_error(self, csv4):
         for g in ("nan", "inf"):
             rc = main(["exact", csv4, "--response", "y", "--g", g, "--out", os.devnull])
@@ -380,6 +399,38 @@ class TestExactReport:
             bad["diagnostics"][field] = -1
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(bad, schema)
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])
+    def test_workers_in_diagnostics(
+        self, tmp_path, pooled, set_models_per_worker
+    ):
+        # 8 shards of 2^LOW_BITS models run in-process unless the test
+        # scales down the work a pool process needs
+        if pooled:
+            set_models_per_worker(1 << cli.exact_mod.LOW_BITS)
+        p = cli.exact_mod.LOW_BITS + 3
+        data = synth_dataset(N=40, p=p, active=(0, 5), betas=(0.7, -0.5), seed=31)
+        path = write_csv(tmp_path / "wide.csv", data)
+        report = run_json(
+            ["exact", path, "--response", "y", "--g", "40", "--workers", "2",
+             "--top-k", "5"],
+            tmp_path / "ex.json",
+        )
+        schema = load_schema("run_report.schema.json")
+        jsonschema.validate(report, schema)
+        assert report["diagnostics"]["workers"] == (2 if pooled else 1)
+        assert report["config"]["workers"] == 2
+        bad = json.loads(json.dumps(report))
+        bad["diagnostics"]["workers"] = 0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
+
+    def test_report_is_one_line(self, csv5, tmp_path):
+        path, _ = csv5
+        out = tmp_path / "ex.json"
+        run_json(["exact", path, "--response", "y", "--g", "30"], out)
+        text = out.read_text(encoding="utf-8")
+        assert text.endswith("}\n") and text.count("\n") == 1
 
     def test_timing_throughput(self, csv5, tmp_path):
         path, _ = csv5

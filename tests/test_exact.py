@@ -143,13 +143,17 @@ class TestShardWalk:
         np.testing.assert_allclose(a.inclusion_exact, b.inclusion_exact, atol=1e-12)
         assert [m.bits for m, _ in a.top_models] == [m.bits for m, _ in b.top_models]
 
-    def test_worker_count_invariance(self, p8_data, set_shard_bits):
+    def test_worker_count_invariance(
+        self, p8_data, pools, set_shard_bits, set_models_per_worker
+    ):
         # fixed shard layout makes the reduction bit-identical across workers
         set_shard_bits(4)
+        set_models_per_worker(16)
         g = float(p8_data.N)
         prior = GPriorSpec.fixed(g)
         a = enumerate_exact(p8_data, g, prior, K=100, workers=1)
         b = enumerate_exact(p8_data, g, prior, K=100, workers=2)
+        assert pools == [2]
         assert a.log_total_bf == b.log_total_bf
         np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
         assert [(m.bits, lbf) for m, lbf in a.top_models] == [
@@ -322,10 +326,13 @@ class TestLowBitBlock:
                    "--workers", "1", "--out", str(tmp_path / "ex.json")])
         assert rc == 4
 
-    def test_worker_count_invariance_with_outer_walk(self, set_shard_bits):
+    def test_worker_count_invariance_with_outer_walk(
+        self, pools, set_shard_bits, set_models_per_worker
+    ):
         # 4 shards leave LOW_BITS + 2 free bits: each shard walks 4 outer
         # models, so workers share shards that each take several batches
         set_shard_bits(2)
+        set_models_per_worker(1 << exact_mod.LOW_BITS)
         p = exact_mod.LOW_BITS + 4
         data = synth_dataset(
             N=60, p=p, active=(2, 9, p - 2), betas=(0.6, -0.5, 0.4), seed=21
@@ -334,6 +341,7 @@ class TestLowBitBlock:
         prior = GPriorSpec.fixed(g)
         a = enumerate_exact(data, g, prior, K=100, workers=1)
         b = enumerate_exact(data, g, prior, K=100, workers=2)
+        assert pools == [2]
         assert a.log_total_bf == b.log_total_bf
         np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
         np.testing.assert_array_equal(a.dimension_exact, b.dimension_exact)
@@ -379,7 +387,8 @@ class TestLowBitBlock:
 
 class TestShardLayout:
     """The default shard width leaves every shard a full low block, and the
-    pool never has more workers than shards."""
+    pool never has more workers than shards, nor more than one per
+    MODELS_PER_WORKER models."""
 
     def test_default_width_leaves_a_full_block(self):
         for p in range(41):
@@ -389,7 +398,10 @@ class TestShardLayout:
             if p <= exact_mod.LOW_BITS:
                 assert s == 0
 
-    def test_worker_count_invariance_at_default_width(self, pools):
+    def test_worker_count_invariance_at_default_width(
+        self, pools, set_models_per_worker
+    ):
+        set_models_per_worker(1 << exact_mod.LOW_BITS)
         p = exact_mod.LOW_BITS + 3
         data = synth_dataset(
             N=60, p=p, active=(1, 8, p - 1), betas=(0.6, -0.5, 0.4), seed=23
@@ -409,13 +421,56 @@ class TestShardLayout:
         )
         assert pools == [2, 2]
 
-    def test_pool_sized_to_the_shards(self, pools):
+    def test_pool_sized_to_the_shards(self, pools, set_models_per_worker):
+        set_models_per_worker(1)
         p = exact_mod.LOW_BITS + 1
         data = synth_dataset(N=60, p=p, active=(0, p - 1), betas=(0.6, -0.5), seed=24)
         g = float(data.N)
         res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=1, workers=4)
         assert res.shard_bits == 1
         assert pools == [2]
+        assert res.workers == 2
+
+    def test_small_pass_runs_in_process(self, pools):
+        # 8 shards of 2^LOW_BITS models are too little work for a pool
+        p = exact_mod.LOW_BITS + 3
+        assert 1 << p < 2 * exact_mod.MODELS_PER_WORKER
+        data = synth_dataset(
+            N=60, p=p, active=(1, 8, p - 1), betas=(0.6, -0.5, 0.4), seed=23
+        )
+        g = float(data.N)
+        prior = GPriorSpec.fixed(g)
+        a = enumerate_exact(data, g, prior, K=100, workers=1)
+        b = enumerate_exact(data, g, prior, K=100, workers=2)
+        assert pools == []
+        assert (a.shard_bits, a.workers, b.workers) == (3, 1, 1)
+        assert a.log_total_bf == b.log_total_bf
+        np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
+        np.testing.assert_array_equal(a.dimension_exact, b.dimension_exact)
+        assert a.top_models == b.top_models
+
+    @pytest.mark.parametrize(
+        "shard_bits, models_per_worker, workers, size",
+        [(3, 16, 2, 2), (3, 64, 8, 4), (1, 16, 8, 2), (3, 512, 2, 1)],
+        ids=["by-workers", "by-work", "by-shards", "below-one-worker"],
+    )
+    def test_pool_sized_to_the_work(
+        self, p8_data, pools, set_shard_bits, set_models_per_worker,
+        shard_bits, models_per_worker, workers, size,
+    ):
+        # p = 8: 256 models, so the work allows 256 // models_per_worker
+        # processes, at least 1
+        set_shard_bits(shard_bits)
+        set_models_per_worker(models_per_worker)
+        g = float(p8_data.N)
+        prior = GPriorSpec.fixed(g)
+        res = enumerate_exact(p8_data, g, prior, K=10, workers=workers)
+        assert res.workers == size
+        assert pools == ([size] if size > 1 else [])
+        ref = enumerate_exact(p8_data, g, prior, K=10, workers=1)
+        assert res.log_total_bf == ref.log_total_bf
+        np.testing.assert_array_equal(res.inclusion_exact, ref.inclusion_exact)
+        assert res.top_models == ref.top_models
 
     @pytest.mark.parametrize("excluded", [False, True], ids=["full", "with-excluded"])
     def test_absorb_matches_explicit_column_sum(self, excluded):
@@ -530,12 +585,15 @@ class TestExactQuantity:
         ref = sum(k * dk for k, dk in enumerate(dim))
         assert val == pytest.approx(ref, abs=1e-12)
 
-    def test_worker_count_bit_identical(self, p8_data, pools, set_shard_bits):
+    def test_worker_count_bit_identical(
+        self, p8_data, pools, set_shard_bits, set_models_per_worker
+    ):
         # a ufunc and a built-in indicator both pickle and go through the
         # pool, and match the single-worker value
         from modelspace.estimators import QuantityOfInterest
 
         set_shard_bits(2)
+        set_models_per_worker(16)
         g = float(p8_data.N)
         prior = GPriorSpec.fixed(g)
         size = QuantityOfInterest(np.bitwise_count, "dimension")
@@ -546,7 +604,9 @@ class TestExactQuantity:
             assert a == b
             assert pools == [2]
 
-    def test_single_worker_takes_any_callable(self, p8_data, p8_naive, set_shard_bits):
+    def test_single_worker_takes_any_callable(
+        self, p8_data, p8_naive, pools, set_shard_bits, set_models_per_worker
+    ):
         from modelspace.estimators import QuantityOfInterest
 
         _, _, incl, _, _ = p8_naive
@@ -556,8 +616,10 @@ class TestExactQuantity:
         assert val == pytest.approx(incl[5], abs=1e-12)
         # a local lambda does not pickle, so it cannot go to the pool
         set_shard_bits(2)
+        set_models_per_worker(16)
         with pytest.raises((pickle.PicklingError, AttributeError)):
             exact_quantity(p8_data, g, GPriorSpec.fixed(g), q, workers=2)
+        assert pools == [2]
 
 
 class TestRankCount:

@@ -22,6 +22,7 @@ from .estimators import (
     dedupe_models,
     find_hpm,
     find_mpm,
+    frequency_se,
     hh_dimension,
     hh_estimate,
     hh_inclusion,

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,12 +22,12 @@ from . import exact as exact_mod
 from .bayesfactor import GPriorSpec
 from .errors import DataError, NumericalError, UsageError
 from .estimators import (
-    EstimateWithSE,
     PosteriorSummary,
     bits_array,
     dedupe_models,
     find_hpm,
     find_mpm,
+    frequency_se,
     hh_inclusion,
     renormalized_estimate,
     indicator_of_variable,
@@ -67,8 +68,8 @@ def read_trace(path) -> list[tuple[ModelIndex, float, float]]:
                 except ValueError:
                     raise DataError(f"{path}:{i}: unparseable trace record") from None
                 out.append((m, g, lbf))
-    except FileNotFoundError:
-        raise DataError(f"{path}: file not found") from None
+    except OSError as e:  # missing, a directory, unreadable
+        raise DataError(f"{path}: not found or unreadable ({e.strerror})") from None
     if not out:
         raise DataError(f"{path}: empty trace")
     return out
@@ -81,41 +82,63 @@ def _names_of(model: ModelIndex, data: Dataset) -> list[str]:
     return [data.names[j] for j in model.indices()]
 
 
-def _est_json(name: str, est: EstimateWithSE) -> dict:
-    return {
-        "name": name,
-        "value": est.value,
-        "se": est.se,
-        "method": est.method,
-    }
+def summarize_exact(res: exact_mod.ExactResult, top_k: int) -> PosteriorSummary:
+    """The posterior summary of an exact enumeration; its SEs are 0."""
+    return PosteriorSummary(
+        method="exact",
+        n_used=res.model_count,
+        inclusion=res.inclusion_exact,
+        inclusion_se=np.zeros_like(res.inclusion_exact),
+        dimension=res.dimension_exact,
+        dimension_se=np.zeros_like(res.dimension_exact),
+        hpm=res.hpm,
+        hpm_log_bf=res.hpm_log_bf,
+        mpm=find_mpm(res.inclusion_exact),
+        top_models=res.top_models,
+        mass_log10=topk_mass_log10(res.top_models, top_k),
+        hpm_posterior=res.hpm_posterior,
+        log10_total_bf=res.log_total_bf / LOG10,
+        excluded_count=res.excluded_count,
+    )
+
+
+def _with_se(values: np.ndarray, se: np.ndarray | None) -> zip:
+    """(value, SE) pairs of a per-variable or per-dimension field."""
+    return zip(values.tolist(), [None] * values.size if se is None else se.tolist())
 
 
 def summary_to_json(
     summary: PosteriorSummary, data: Dataset, top_k: int
 ) -> dict:
-    n_used = summary.inclusion[0].n_used
+    """The ``summary`` object of a run report, from a chain or an enumeration."""
+    method = "exact" if summary.method == "exact" else "empirical"
+    renorm = summary.inclusion_renormalized
     return {
-        "method": "gibbs",
+        "method": summary.method,
         "p": data.p,
         "names": list(data.names),
-        "n_used": n_used,
+        "n_used": summary.n_used,
         "inclusion": [
-            _est_json(name, est) for name, est in zip(data.names, summary.inclusion)
+            {"name": name, "value": v, "se": se, "method": method}
+            for name, (v, se) in zip(
+                data.names, _with_se(summary.inclusion, summary.inclusion_se)
+            )
         ],
-        "inclusion_renormalized": [
-            {"name": name, "value": est.value}
-            for name, est in zip(data.names, summary.inclusion_renormalized)
+        "inclusion_renormalized": None if renorm is None else [
+            {"name": name, "value": v} for name, v in zip(data.names, renorm.tolist())
         ],
         "dimension": [
-            {"k": k, "value": est.value, "se": est.se}
-            for k, est in enumerate(summary.dimension)
+            {"k": k, "value": v, "se": se}
+            for k, (v, se) in enumerate(
+                _with_se(summary.dimension, summary.dimension_se)
+            )
         ],
         "hpm": {
             "bits_hex": summary.hpm.to_hex(),
             "variables": _names_of(summary.hpm, data),
             "log_bf": summary.hpm_log_bf,
             "log10_bf": summary.hpm_log_bf / LOG10,
-            "posterior": None,
+            "posterior": summary.hpm_posterior,
         },
         "mpm": {
             "bits_hex": summary.mpm.to_hex(),
@@ -126,50 +149,8 @@ def summary_to_json(
         ],
         "top_k": top_k,
         "topk_mass_log10": summary.mass_log10,
-        "log10_total_bf": None,
-        "excluded_count": None,
-    }
-
-
-def exact_to_json(res: exact_mod.ExactResult, data: Dataset, top_k: int) -> dict:
-    mpm = find_mpm(
-        [
-            EstimateWithSE(float(v), 0.0, "exact", res.model_count)
-            for v in res.inclusion_exact
-        ]
-    )
-    return {
-        "method": "exact",
-        "p": data.p,
-        "names": list(data.names),
-        "n_used": res.model_count,
-        "inclusion": [
-            {"name": name, "value": float(v), "se": 0.0, "method": "exact"}
-            for name, v in zip(data.names, res.inclusion_exact)
-        ],
-        "inclusion_renormalized": None,
-        "dimension": [
-            {"k": k, "value": float(v), "se": 0.0}
-            for k, v in enumerate(res.dimension_exact)
-        ],
-        "hpm": {
-            "bits_hex": res.hpm.to_hex(),
-            "variables": _names_of(res.hpm, data),
-            "log_bf": res.hpm_log_bf,
-            "log10_bf": res.hpm_log_bf / LOG10,
-            "posterior": res.hpm_posterior,
-        },
-        "mpm": {
-            "bits_hex": mpm.to_hex(),
-            "variables": _names_of(mpm, data),
-        },
-        "top_models": [
-            {"bits_hex": m.to_hex(), "log_bf": lbf} for m, lbf in res.top_models
-        ],
-        "top_k": top_k,
-        "topk_mass_log10": topk_mass_log10(res.top_models, top_k),
-        "log10_total_bf": res.log_total_bf / LOG10,
-        "excluded_count": res.excluded_count,
+        "log10_total_bf": summary.log10_total_bf,
+        "excluded_count": summary.excluded_count,
     }
 
 
@@ -187,8 +168,12 @@ def build_run_report(command, data, config_echo, summary, diagnostics, timing):
 
 
 def write_report(path, report: dict) -> None:
-    # one line: with indent set, json.dumps falls back to its Python encoder
-    text = json.dumps(report, sort_keys=True)
+    # one line: with indent set, json.dumps falls back to its Python encoder.
+    # The text is built before the file opens: NaN or infinity leaves no file.
+    try:
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NumericalError(f"report holds a non-finite number ({e})") from None
     if path == "-":
         sys.stdout.write(text + "\n")
     else:
@@ -247,7 +232,7 @@ def cmd_gibbs(args) -> int:
     t2 = time.perf_counter()
     if args.trace:
         write_trace(args.trace, trace)
-    summary = summarize_trace(trace, data, prior, top_k=args.top_k)
+    summary = summarize_trace(trace, data, top_k=args.top_k)
     t3 = time.perf_counter()
     report = build_run_report(
         "gibbs",
@@ -308,7 +293,7 @@ def cmd_exact(args) -> int:
             "top_k": args.top_k,
             "force": args.force,
         },
-        exact_to_json(res, data, args.top_k),
+        summary_to_json(summarize_exact(res, args.top_k), data, args.top_k),
         {
             "excluded_count": res.excluded_count,
             "shard_bits": res.shard_bits,
@@ -331,8 +316,8 @@ def _compare_worker(job):
     distinct = dedupe_models(trace)
     incl = hh_inclusion(trace, data.p)
     return {
-        "inclusion": [e.value for e in incl],
-        "inclusion_se": [e.se for e in incl],
+        "inclusion": incl,
+        "inclusion_se": frequency_se(incl, trace.n),
         "mpm_bits": find_mpm(incl).bits,
         "hpm_bits": find_hpm(distinct).bits,
         "visited_bits": [m.bits for m, _ in distinct],
@@ -357,6 +342,8 @@ def compare_runs(
     HPM and MPM hit counts against an exact result, and top-K mass stability."""
     if runs < 2:
         raise UsageError("compare needs at least 2 runs")
+    if iterations < 2:
+        raise UsageError("compare needs at least 2 iterations per run")
     if exact_report is not None:
         if exact_report.get("dataset_digest") != data.digest():
             raise DataError("exact-result file does not match this dataset")
@@ -385,7 +372,7 @@ def compare_runs(
             results = list(pool.map(_compare_worker, jobs))
 
     incl = np.array([r["inclusion"] for r in results])  # runs x p
-    ses = np.array([r["inclusion_se"] for r in results], dtype=np.float64)
+    ses = np.array([r["inclusion_se"] for r in results])
     masses = np.array([r["topk_mass_log10"] for r in results])
     flips = [r["bit_flips_per_sweep"] for r in results]
     variables = [
@@ -425,7 +412,7 @@ def compare_runs(
 
 def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> dict:
     """Score a third-party searcher's visited-model file with the
-    renormalized estimators."""
+    renormalized estimators; ``prior`` is unused (the model prior cancels)."""
     models, g_draws, log_bfs = zip(*read_trace(path))
     beyond = np.flatnonzero(bits_array(models) >> data.p)
     if beyond.size:
@@ -448,7 +435,7 @@ def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> 
         )
     distinct = dedupe_models(ChainTrace(list(models), np.array(g_draws), log_bfs))
     incl = [
-        renormalized_estimate(distinct, indicator_of_variable(l), prior).value
+        renormalized_estimate(distinct, indicator_of_variable(l)).value
         for l in range(data.p)
     ]
     return {
@@ -469,8 +456,8 @@ def _read_exact_report(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{path}: file not found") from None
+    except OSError as e:
+        raise DataError(f"{path}: not found or unreadable ({e.strerror})") from None
     except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         raise DataError(f"{path}: not a JSON file ({e})") from None
     try:
@@ -619,6 +606,10 @@ def main(argv=None) -> int:
             raise UsageError(f"--top-k must be >= 1, got {args.top_k}")
         if getattr(args, "workers", None) is not None and args.workers < 1:
             raise UsageError(f"--workers must be >= 1, got {args.workers}")
+        for flag in ("out", "trace"):
+            path = getattr(args, flag, None) or "-"
+            if path != "-" and not os.path.isdir(os.path.dirname(path) or "."):
+                raise UsageError(f"--{flag} {path}: no such directory")
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -6,14 +6,13 @@ dimension posterior and top-K mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .bayesfactor import NEG_INF, GPriorSpec
 from .errors import UsageError
 from .linmodel import Dataset, ModelIndex
 from .sampler import ChainTrace
@@ -93,20 +92,30 @@ def membership(bits: np.ndarray, p: int) -> np.ndarray:
 class EstimateWithSE:
     value: float
     se: float | None
-    method: str  # "empirical" | "renormalized" | "exact"
+    method: str  # "empirical" | "renormalized"
     n_used: int
 
 
 @dataclass
 class PosteriorSummary:
-    inclusion: list[EstimateWithSE]
+    """The answers of one chain ("gibbs") or enumeration ("exact"): arrays per
+    variable and per dimension. A one-draw chain's SEs are None, exact ones 0."""
+
+    method: str
+    n_used: int
+    inclusion: np.ndarray
+    inclusion_se: np.ndarray | None
+    dimension: np.ndarray
+    dimension_se: np.ndarray | None
     hpm: ModelIndex
     hpm_log_bf: float
     mpm: ModelIndex
-    dimension: list[EstimateWithSE]
     top_models: list[tuple[ModelIndex, float]]
     mass_log10: float
-    inclusion_renormalized: list[EstimateWithSE] = field(default_factory=list)
+    inclusion_renormalized: np.ndarray | None = None  # a chain only
+    hpm_posterior: float | None = None  # an enumeration only
+    log10_total_bf: float | None = None
+    excluded_count: int | None = None
 
 
 def hh_estimate(trace: ChainTrace, q: QuantityOfInterest) -> EstimateWithSE:
@@ -123,30 +132,32 @@ def hh_estimate(trace: ChainTrace, q: QuantityOfInterest) -> EstimateWithSE:
     return EstimateWithSE(mean, math.sqrt(var), "empirical", n)
 
 
-def _indicator_estimate(count: int, n: int) -> EstimateWithSE:
-    q = count / n
+def frequency_se(freq: np.ndarray, n: int) -> np.ndarray | None:
+    """SEs of the frequencies of 0/1 quantities over n draws, None for one
+    draw. For an indicator hh_estimate's variance collapses to q(1-q)/(n-1)."""
     if n == 1:
-        return EstimateWithSE(q, None, "empirical", 1)
-    # For an indicator the var.tau formula collapses to q(1-q)/(n-1)
-    return EstimateWithSE(q, math.sqrt(q * (1.0 - q) / (n - 1)), "empirical", n)
+        return None
+    return np.sqrt(freq * (1.0 - freq) / (n - 1))
 
 
-def _frequencies(trace: ChainTrace, p: int, columns: slice) -> list[EstimateWithSE]:
+def _frequencies(trace: ChainTrace, p: int, columns: slice) -> np.ndarray:
     """Frequencies of some columns of the trace's membership matrix, built
     ``BLOCK`` draws at a time so that its size stays bounded."""
+    if trace.n == 0:
+        raise UsageError("empty trace")
     bits = bits_array(trace.models)
     counts = np.zeros(2 * p + 2)
     for lo in range(0, bits.size, BLOCK):
         counts += membership(bits[lo : lo + BLOCK], p).sum(axis=0)
-    return [_indicator_estimate(int(c), trace.n) for c in counts[columns]]
+    return counts[columns] / trace.n
 
 
-def hh_inclusion(trace: ChainTrace, p: int) -> list[EstimateWithSE]:
-    """Per-variable inclusion frequencies q_hat_l with their SEs."""
+def hh_inclusion(trace: ChainTrace, p: int) -> np.ndarray:
+    """Per-variable inclusion frequencies q_hat_l."""
     return _frequencies(trace, p, slice(0, p))
 
 
-def hh_dimension(trace: ChainTrace, p: int) -> list[EstimateWithSE]:
+def hh_dimension(trace: ChainTrace, p: int) -> np.ndarray:
     """Posterior-dimension frequencies d_hat(k) for k = 0..p."""
     return _frequencies(trace, p, slice(p, -1))
 
@@ -165,9 +176,7 @@ def dedupe_models(trace: ChainTrace) -> list[tuple[ModelIndex, float]]:
 
 
 def renormalized_estimate(
-    models: list[tuple[ModelIndex, float]],
-    q: QuantityOfInterest,
-    prior: GPriorSpec,
+    models: list[tuple[ModelIndex, float]], q: QuantityOfInterest
 ) -> EstimateWithSE:
     """Estimate of tau(a) weighting each distinct model by its Bayes factor
     renormalized within the visited set. No variance estimate exists for
@@ -196,13 +205,10 @@ def find_hpm(models: list[tuple[ModelIndex, float]]) -> ModelIndex:
     return best[0]
 
 
-def find_mpm(inclusion: list[EstimateWithSE]) -> ModelIndex:
+def find_mpm(inclusion: np.ndarray) -> ModelIndex:
     """Median probability model: variables with inclusion strictly > 0.5."""
-    bits = 0
-    for l, est in enumerate(inclusion):
-        if est.value > 0.5:
-            bits |= 1 << l
-    return ModelIndex.from_bits(bits)
+    above = np.flatnonzero(np.asarray(inclusion) > 0.5)
+    return ModelIndex.from_bits(sum(1 << int(l) for l in above))
 
 
 def rank_models(
@@ -224,31 +230,31 @@ def topk_mass_log10(models: list[tuple[ModelIndex, float]], K: int) -> float:
 
 
 def summarize_trace(
-    trace: ChainTrace, data: Dataset, prior: GPriorSpec, top_k: int = 1000
+    trace: ChainTrace, data: Dataset, top_k: int = 1000
 ) -> PosteriorSummary:
     """Full posterior summary of one chain: empirical estimates with SEs,
     renormalized estimates over the deduplicated visited set, HPM/MPM and
-    top-K mass."""
-    p = data.p
-    inclusion = hh_inclusion(trace, p)
-    dimension = hh_dimension(trace, p)
+    top-K mass. The distinct set is ranked once: the HPM leads it."""
+    inclusion = hh_inclusion(trace, data.p)
+    dimension = hh_dimension(trace, data.p)
     distinct = dedupe_models(trace)
-    hpm = find_hpm(distinct)
-    hpm_log_bf = next(lbf for m, lbf in distinct if m.bits == hpm.bits)
-    mpm = find_mpm(inclusion)
     top = rank_models(distinct, top_k)
-    mass = topk_mass_log10(distinct, top_k)
+    hpm, hpm_log_bf = top[0]
     renorm = [
-        renormalized_estimate(distinct, indicator_of_variable(l), prior)
-        for l in range(p)
+        renormalized_estimate(distinct, indicator_of_variable(l)).value
+        for l in range(data.p)
     ]
     return PosteriorSummary(
+        method="gibbs",
+        n_used=trace.n,
         inclusion=inclusion,
+        inclusion_se=frequency_se(inclusion, trace.n),
+        dimension=dimension,
+        dimension_se=frequency_se(dimension, trace.n),
         hpm=hpm,
         hpm_log_bf=hpm_log_bf,
-        mpm=mpm,
-        dimension=dimension,
+        mpm=find_mpm(inclusion),
         top_models=top,
-        mass_log10=mass,
-        inclusion_renormalized=renorm,
+        mass_log10=topk_mass_log10(top, top_k),
+        inclusion_renormalized=np.array(renorm),
     )

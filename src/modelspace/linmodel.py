@@ -212,8 +212,8 @@ def load_csv(path, response: str) -> Dataset:
                         )
                     parsed.append(v)
                 rows.append(parsed)
-    except FileNotFoundError:
-        raise DataError(f"{path}: file not found") from None
+    except OSError as e:  # missing, a directory, unreadable
+        raise DataError(f"{path}: not found or unreadable ({e.strerror})") from None
 
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -208,6 +208,76 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "runs, iterations", [("2", "1"), ("1", "50")],
+        ids=["one-iteration", "one-run"],
+    )
+    def test_compare_below_two_is_usage_error(
+        self, csv4, runs, iterations, capsys, monkeypatch
+    ):
+        # refused before any chain runs: one draw has no SE, one run no SD
+        monkeypatch.setattr(cli, "run_chain", None)
+        rc = main(
+            ["compare", csv4, "--response", "y", "--g", "30", "--runs", runs,
+             "--iterations", iterations, "--workers", "1", "--out", os.devnull]
+        )
+        assert rc == 2
+        assert "at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_report_is_numerical_error(
+        self, csv5, tmp_path, value, capsys, monkeypatch
+    ):
+        path, _ = csv5
+        to_json = cli.summary_to_json
+
+        def with_non_finite(*args):
+            summary = to_json(*args)
+            summary["topk_mass_log10"] = float(value)
+            return summary
+
+        monkeypatch.setattr(cli, "summary_to_json", with_non_finite)
+        out = tmp_path / "run.json"
+        rc = main(["gibbs", path, "--response", "y", "--g", "30",
+                   "--iterations", "20", "--out", str(out)])
+        assert rc == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["data", "trace-file", "exact"])
+    def test_directory_as_input_is_data_error(
+        self, csv4, exact4, tmp_path, role, capsys
+    ):
+        folder = str(tmp_path)
+        argv = ["compare", csv4, "--response", "y", "--g", "40", "--runs", "2",
+                "--iterations", "10", "--workers", "1", "--out", os.devnull]
+        if role == "data":
+            argv[1] = folder
+        else:
+            argv += [f"--{role}", folder]
+        rc = main(argv)
+        assert rc == 3
+        assert f"{folder}: not found or unreadable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["exact", "--out"], ["gibbs", "--iterations", "20", "--trace"]],
+        ids=["exact-out", "gibbs-trace"],
+    )
+    def test_missing_output_directory_is_usage_error(
+        self, csv4, tmp_path, argv, capsys, monkeypatch
+    ):
+        # refused before any chain or shard runs
+        monkeypatch.setattr(cli, "run_chain", None)
+        monkeypatch.setattr(cli.exact_mod, "enumerate_shard", None)
+        target = str(tmp_path / "missing" / "x")
+        rc = main(
+            [argv[0], csv4, "--response", "y", "--g", "40"] + argv[1:] + [target]
+        )
+        assert rc == 2
+        assert f"{target}: no such directory" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
 
 class TestExpand:
     def test_column_count(self, csv5, tmp_path):
@@ -449,6 +519,27 @@ class TestExactReport:
             bad["timing"][field] = -1.0
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(bad, schema)
+
+
+def _refuse(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def test_gibbs_and_exact_share_one_summary_shape(csv5, tmp_path):
+    # summary_to_json writes both: the same keys, the same schema, strict JSON
+    path, _ = csv5
+    schema = load_schema("run_report.schema.json")
+    summaries = []
+    for command in (["gibbs", "--iterations", "200"], ["exact"]):
+        out = tmp_path / f"{command[0]}.json"
+        assert main(command[:1] + [path, "--response", "y", "--g", "30"]
+                    + command[1:] + ["--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=_refuse)
+        jsonschema.validate(report, schema)
+        summaries.append(report["summary"])
+    gibbs, exact = summaries
+    assert gibbs.keys() == exact.keys()
+    assert (gibbs["method"], exact["method"]) == ("gibbs", "exact")
 
 
 class TestCompareReport:

@@ -13,6 +13,7 @@ from modelspace import (
     find_hpm,
     find_mpm,
     fit_model,
+    frequency_se,
     hh_dimension,
     hh_estimate,
     hh_inclusion,
@@ -79,22 +80,25 @@ class TestHansenHurwitz:
     def test_empty_trace_rejected(self):
         with pytest.raises(UsageError):
             hh_estimate(trace_of([]), indicator_of_variable(0))
+        with pytest.raises(UsageError):
+            hh_inclusion(trace_of([]), 4)
 
     def test_inclusion_matches_per_variable_estimates(self):
         rng = np.random.default_rng(3)
         trace = trace_of(rng.integers(0, 16, size=200))
         incl = hh_inclusion(trace, 4)
+        se = frequency_se(incl, trace.n)
         for l in range(4):
             ref = hh_estimate(trace, indicator_of_variable(l))
-            assert incl[l].value == ref.value
-            assert incl[l].se == pytest.approx(ref.se)
+            assert incl[l] == ref.value
+            assert se[l] == pytest.approx(ref.se)
 
     def test_dimension_partition_sums_to_one(self):
         rng = np.random.default_rng(4)
         trace = trace_of(rng.integers(0, 32, size=333))
         dim = hh_dimension(trace, 5)
         assert len(dim) == 6
-        assert sum(d.value for d in dim) == pytest.approx(1.0, abs=1e-14)
+        assert sum(dim) == pytest.approx(1.0, abs=1e-14)
 
     def test_model_indicator(self):
         trace = trace_of([0b101, 0b001, 0b101, 0b111])
@@ -105,7 +109,7 @@ class TestHansenHurwitz:
 class TestRenormalized:
     def test_single_model_gets_weight_one(self):
         models = [(ModelIndex.from_bits(0b10), 3.7)]
-        est = renormalized_estimate(models, indicator_of_variable(1), GPriorSpec.fixed(1.0))
+        est = renormalized_estimate(models, indicator_of_variable(1))
         assert est.value == 1.0
         assert est.se is None
         assert est.method == "renormalized"
@@ -116,12 +120,12 @@ class TestRenormalized:
         models = [
             (ModelIndex.from_bits(1 | (i << 1)), math.log(i + 1.0)) for i in range(16)
         ]
-        est = renormalized_estimate(models, indicator_of_variable(0), GPriorSpec.fixed(1.0))
+        est = renormalized_estimate(models, indicator_of_variable(0))
         assert est.value == 1.0
 
     def test_equal_log_bfs_average(self):
         models = [(ModelIndex.from_bits(0b01), 2.0), (ModelIndex.from_bits(0b10), 2.0)]
-        est = renormalized_estimate(models, indicator_of_variable(0), GPriorSpec.fixed(1.0))
+        est = renormalized_estimate(models, indicator_of_variable(0))
         assert est.value == pytest.approx(0.5)
 
     def test_weights_from_log_bfs(self):
@@ -129,29 +133,28 @@ class TestRenormalized:
             (ModelIndex.from_bits(0b01), math.log(3.0)),
             (ModelIndex.from_bits(0b10), math.log(1.0)),
         ]
-        est = renormalized_estimate(models, indicator_of_variable(0), GPriorSpec.fixed(1.0))
+        est = renormalized_estimate(models, indicator_of_variable(0))
         assert est.value == pytest.approx(0.75)
 
     def test_full_visited_space_is_exact(self, p8_data, p8_naive):
         # when every model was visited the renormalized estimator recovers
         # the exact posterior quantities
         lbfs, log_total, exact_incl, exact_dim, _ = p8_naive
-        prior = GPriorSpec.fixed(float(p8_data.N))
         models = [
             (ModelIndex.from_bits(b), float(lbfs[b]))
             for b in range(1 << p8_data.p)
             if np.isfinite(lbfs[b])
         ]
         for l in range(p8_data.p):
-            est = renormalized_estimate(models, indicator_of_variable(l), prior)
+            est = renormalized_estimate(models, indicator_of_variable(l))
             assert est.value == pytest.approx(exact_incl[l], abs=1e-10)
         for k in range(p8_data.p + 1):
-            est = renormalized_estimate(models, indicator_of_dimension(k), prior)
+            est = renormalized_estimate(models, indicator_of_dimension(k))
             assert est.value == pytest.approx(exact_dim[k], abs=1e-10)
 
     def test_empty_set_rejected(self):
         with pytest.raises(UsageError):
-            renormalized_estimate([], indicator_of_variable(0), GPriorSpec.fixed(1.0))
+            renormalized_estimate([], indicator_of_variable(0))
 
 
 class TestDedupe:
@@ -174,14 +177,9 @@ class TestModelSelection:
         assert find_hpm(models).bits == 3
 
     def test_mpm_strict_threshold(self):
-        from modelspace.estimators import EstimateWithSE
-
-        incl = [
-            EstimateWithSE(0.51, 0.0, "empirical", 10),
-            EstimateWithSE(0.5, 0.0, "empirical", 10),
-            EstimateWithSE(0.49, 0.0, "empirical", 10),
-        ]
+        incl = [0.51, 0.5, 0.49]
         assert find_mpm(incl).bits == 0b001  # exactly 0.5 is excluded
+        assert find_mpm(np.array(incl)).bits == 0b001
 
     def test_rank_models_order_and_ties(self):
         models = [(ModelIndex.from_bits(b), lbf) for b, lbf in [(5, 1.0), (2, 4.0), (3, 1.0)]]
@@ -223,7 +221,6 @@ class TestSummarizeTrace:
     def test_structure_and_consistency(self, p8_data, p8_naive):
         lbfs, _, _, _, hpm_bits = p8_naive
         g = float(p8_data.N)
-        prior = GPriorSpec.fixed(g)
         # build a synthetic trace visiting every model once
         bitmasks = [b for b in range(1 << p8_data.p) if np.isfinite(lbfs[b])]
         trace = ChainTrace(
@@ -231,7 +228,7 @@ class TestSummarizeTrace:
             np.full(len(bitmasks), g),
             lbfs[bitmasks],
         )
-        summary = summarize_trace(trace, p8_data, prior, top_k=10)
+        summary = summarize_trace(trace, p8_data, top_k=10)
         assert summary.hpm.bits == hpm_bits
         assert summary.hpm_log_bf == pytest.approx(float(lbfs[hpm_bits]))
         assert len(summary.top_models) == 10
@@ -248,11 +245,11 @@ class TestSummarizeTrace:
 
         prior = GPriorSpec.fixed(float(p10_data.N))
         trace = run_chain(p10_data, SamplerConfig(iterations=500, prior=prior, seed=2))
-        summary = summarize_trace(trace, p10_data, prior, top_k=50)
+        summary = summarize_trace(trace, p10_data, top_k=50)
         assert summary.mpm.k <= p10_data.p
-        for est in summary.inclusion:
-            assert 0.0 <= est.value <= 1.0
-        vals = [est.value for est in summary.inclusion_renormalized]
+        for value in summary.inclusion:
+            assert 0.0 <= value <= 1.0
+        vals = summary.inclusion_renormalized
         assert all(0.0 <= v <= 1.0 + 1e-12 for v in vals)
 
 
@@ -289,23 +286,22 @@ class TestWideModels:
         models, n = wide_trace.models, wide_trace.n
         incl = hh_inclusion(wide_trace, self.P)
         for l in range(self.P):
-            assert incl[l].value == sum(m.contains(l) for m in models) / n
+            assert incl[l] == sum(m.contains(l) for m in models) / n
         dim = hh_dimension(wide_trace, self.P)
         for k in range(self.P + 1):
-            assert dim[k].value == sum(m.k == k for m in models) / n
+            assert dim[k] == sum(m.k == k for m in models) / n
         est = hh_estimate(wide_trace, indicator_of_variable(69))
         assert est.value == sum(m.contains(69) for m in models) / n
-        assert est.se == pytest.approx(incl[69].se, rel=1e-12)
+        assert est.se == pytest.approx(frequency_se(incl, n)[69], rel=1e-12)
 
     def test_renormalized_matches_per_model_reference(self, wide_trace):
         distinct = dedupe_models(wide_trace)
-        prior = GPriorSpec.fixed(1.0)
         for l in (0, 62, 63, 64, 69):
-            est = renormalized_estimate(distinct, indicator_of_variable(l), prior)
+            est = renormalized_estimate(distinct, indicator_of_variable(l))
             ref = self.renormalized_reference(distinct, lambda m: m.contains(l))
             assert est.value == pytest.approx(ref, rel=1e-12)
         target = wide_trace.models[301]
-        est = renormalized_estimate(distinct, indicator_of_model(target), prior)
+        est = renormalized_estimate(distinct, indicator_of_model(target))
         ref = self.renormalized_reference(distinct, lambda m: m.bits == target.bits)
         assert 0.0 < est.value == pytest.approx(ref, rel=1e-12)
 
@@ -313,12 +309,12 @@ class TestWideModels:
         from conftest import synth_dataset
 
         data = synth_dataset(N=80, p=self.P, seed=70)
-        summary = summarize_trace(wide_trace, data, GPriorSpec.fixed(80.0), top_k=20)
+        summary = summarize_trace(wide_trace, data, top_k=20)
         models, n = wide_trace.models, wide_trace.n
         distinct = dedupe_models(wide_trace)
         for l in range(self.P):
-            assert summary.inclusion[l].value == sum(m.contains(l) for m in models) / n
+            assert summary.inclusion[l] == sum(m.contains(l) for m in models) / n
             ref = self.renormalized_reference(distinct, lambda m: m.contains(l))
-            assert summary.inclusion_renormalized[l].value == pytest.approx(ref, rel=1e-12)
+            assert summary.inclusion_renormalized[l] == pytest.approx(ref, rel=1e-12)
         for k in range(self.P + 1):
-            assert summary.dimension[k].value == sum(m.k == k for m in models) / n
+            assert summary.dimension[k] == sum(m.k == k for m in models) / n

@@ -24,6 +24,7 @@ from modelspace import (
     expand_design,
     find_mpm,
     fit_model,
+    frequency_se,
     hh_inclusion,
     load_csv,
     log_bf_value,
@@ -103,14 +104,7 @@ class TestExactTargets:
         )
 
     def test_mpm_identity(self, ozone35, exact35):
-        from modelspace.estimators import EstimateWithSE
-
-        mpm = find_mpm(
-            [
-                EstimateWithSE(float(v), 0.0, "exact", exact35.model_count)
-                for v in exact35.inclusion_exact
-            ]
-        )
+        mpm = find_mpm(exact35.inclusion_exact)
         assert mpm.bits == names_to_bits(ozone35, MPM_NAMES)
 
     def test_inclusion_probabilities_table(self, ozone35, exact35):
@@ -149,10 +143,11 @@ class TestSamplerTargets:
         prior = GPriorSpec.fixed(G)
         trace = run_chain(ozone35, SamplerConfig(iterations=10_000, prior=prior, seed=1))
         incl = hh_inclusion(trace, ozone35.p)
+        se = frequency_se(incl, trace.n)
         for name, q in EXACT_INCLUSION.items():
             l = ozone35.names.index(name)
-            tol = 3.0 * max(incl[l].se, 0.003) + 0.0005
-            assert abs(incl[l].value - q) <= tol, name
+            tol = 3.0 * max(se[l], 0.003) + 0.0005
+            assert abs(incl[l] - q) <= tol, name
 
     def test_top_1000_mass_stability(self, ozone35):
         # published Freq statistic: mean 48.77, SD 0.01 over ten runs

@@ -16,6 +16,7 @@ from .errors import (
     UsageError,
 )
 from .estimators import (
+    DistinctModels,
     EstimateWithSE,
     PosteriorSummary,
     QuantityOfInterest,
@@ -31,6 +32,7 @@ from .estimators import (
     indicator_of_variable,
     rank_models,
     renormalized_estimate,
+    renormalized_inclusion,
     summarize_trace,
     topk_mass_log10,
 )

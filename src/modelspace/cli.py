@@ -22,18 +22,20 @@ from . import exact as exact_mod
 from .bayesfactor import GPriorSpec
 from .errors import DataError, NumericalError, UsageError
 from .estimators import (
+    DistinctModels,
     PosteriorSummary,
-    bits_array,
     dedupe_models,
     find_hpm,
     find_mpm,
     frequency_se,
     hh_inclusion,
-    renormalized_estimate,
-    indicator_of_variable,
+    renormalized_inclusion,
     summarize_trace,
     topk_mass_log10,
 )
+# renormalized_estimate stays in this namespace: the benchmark's tracer wraps
+# it by name.
+from .estimators import renormalized_estimate  # noqa: F401
 from .linmodel import Dataset, ModelIndex, expand_design, load_csv
 from .sampler import ChainTrace, SamplerConfig, run_chain
 
@@ -46,33 +48,58 @@ LOG10 = math.log(10.0)
 
 def write_trace(path, trace: ChainTrace) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for m, g, lbf in zip(trace.models, trace.g_draws, trace.log_bfs):
-            fh.write(f"{m.to_hex()}\t{float(g)!r}\t{float(lbf)!r}\n")
+        fh.writelines(
+            f"{b:x}\t{g!r}\t{lbf!r}\n"
+            for b, g, lbf in zip(
+                trace.bits.tolist(), trace.g_draws.tolist(), trace.log_bfs.tolist()
+            )
+        )
 
 
-def read_trace(path) -> list[tuple[ModelIndex, float, float]]:
-    out = []
+def read_trace(path) -> ChainTrace:
+    """A trace file's bitmasks, g draws and log Bayes factors as arrays."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for i, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{i}: expected 3 tab-separated fields")
-                try:
-                    m = ModelIndex.from_hex(parts[0])
-                    g = float(parts[1])
-                    lbf = float(parts[2])
-                except ValueError:
-                    raise DataError(f"{path}:{i}: unparseable trace record") from None
-                out.append((m, g, lbf))
+            lines = fh.read().split("\n")
     except OSError as e:  # missing, a directory, unreadable
         raise DataError(f"{path}: not found or unreadable ({e.strerror})") from None
-    if not out:
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e})") from None
+    rows = [line.split("\t") for line in map(str.strip, lines) if line]
+    if not rows:
         raise DataError(f"{path}: empty trace")
-    return out
+    # numpy converts each field as float() does
+    try:
+        if any(len(row) != 3 for row in rows):
+            raise ValueError("a record without 3 fields")
+        hexes, g_draws, log_bfs = zip(*rows)
+        columns = (
+            [int(h, 16) for h in hexes],
+            np.array(g_draws, dtype=np.float64),
+            np.array(log_bfs, dtype=np.float64),
+        )
+    except ValueError:
+        columns = _parse_records(path, lines)
+    return ChainTrace(*columns)
+
+
+def _parse_records(path, lines: list[str]) -> tuple[list, np.ndarray, np.ndarray]:
+    """Record by record in file order, so that the first bad one is named
+    with its line number."""
+    records = []
+    for i, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{i}: expected 3 tab-separated fields")
+        try:
+            records.append((int(parts[0], 16), float(parts[1]), float(parts[2])))
+        except ValueError:
+            raise DataError(f"{path}:{i}: unparseable trace record") from None
+    bits, g_draws, log_bfs = zip(*records)
+    return list(bits), np.array(g_draws), np.array(log_bfs)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +122,7 @@ def summarize_exact(res: exact_mod.ExactResult, top_k: int) -> PosteriorSummary:
         hpm_log_bf=res.hpm_log_bf,
         mpm=find_mpm(res.inclusion_exact),
         top_models=res.top_models,
-        mass_log10=topk_mass_log10(res.top_models, top_k),
+        mass_log10=topk_mass_log10(DistinctModels.from_pairs(res.top_models), top_k),
         hpm_posterior=res.hpm_posterior,
         log10_total_bf=res.log_total_bf / LOG10,
         excluded_count=res.excluded_count,
@@ -320,7 +347,7 @@ def _compare_worker(job):
         "inclusion_se": frequency_se(incl, trace.n),
         "mpm_bits": find_mpm(incl).bits,
         "hpm_bits": find_hpm(distinct).bits,
-        "visited_bits": [m.bits for m, _ in distinct],
+        "visited_bits": distinct.bits,
         "topk_mass_log10": topk_mass_log10(distinct, top_k),
         "bit_flips_per_sweep": trace.meta["bit_flips_per_sweep"],
     }
@@ -392,7 +419,7 @@ def compare_runs(
         exact_mpm = int(ex["mpm"]["bits_hex"], 16)
         hpm_hits = sum(r["hpm_bits"] == exact_hpm for r in results)
         mpm_hits = sum(r["mpm_bits"] == exact_mpm for r in results)
-        hpm_visited = sum(exact_hpm in set(r["visited_bits"]) for r in results)
+        hpm_visited = sum(exact_hpm in r["visited_bits"].tolist() for r in results)
 
     return {
         "runs": runs,
@@ -413,31 +440,28 @@ def compare_runs(
 def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> dict:
     """Score a third-party searcher's visited-model file with the
     renormalized estimators; ``prior`` is unused (the model prior cancels)."""
-    models, g_draws, log_bfs = zip(*read_trace(path))
-    beyond = np.flatnonzero(bits_array(models) >> data.p)
+    trace = read_trace(path)
+    bits, log_bfs = trace.bits, trace.log_bfs
+    beyond = np.flatnonzero(bits >> data.p)
     if beyond.size:
         raise DataError(
-            f"{path}: model {models[beyond[0]].to_hex()} sets a bit beyond "
+            f"{path}: model {int(bits[beyond[0]]):x} sets a bit beyond "
             f"the {data.p} columns"
         )
     # -inf marks an excluded model; NaN and +inf are no log Bayes factor
-    log_bfs = np.array(log_bfs)
     bad = np.flatnonzero(np.isnan(log_bfs) | (log_bfs == np.inf))
     if bad.size:
         raise DataError(
-            f"{path}: model {models[bad[0]].to_hex()} has log BF "
+            f"{path}: model {int(bits[bad[0]]):x} has log BF "
             f"{float(log_bfs[bad[0]])!r}; only -inf (excluded) may be non-finite"
         )
     if not (log_bfs > -np.inf).any():
         raise DataError(
-            f"{path}: model {models[0].to_hex()} and every other record have "
+            f"{path}: model {int(bits[0]):x} and every other record have "
             "log BF -inf: all models are excluded"
         )
-    distinct = dedupe_models(ChainTrace(list(models), np.array(g_draws), log_bfs))
-    incl = [
-        renormalized_estimate(distinct, indicator_of_variable(l)).value
-        for l in range(data.p)
-    ]
+    distinct = dedupe_models(trace)
+    incl = renormalized_inclusion(distinct, data.p).tolist()
     return {
         "label": str(path),
         "method": "renormalized",
@@ -608,7 +632,11 @@ def main(argv=None) -> int:
             raise UsageError(f"--workers must be >= 1, got {args.workers}")
         for flag in ("out", "trace"):
             path = getattr(args, flag, None) or "-"
-            if path != "-" and not os.path.isdir(os.path.dirname(path) or "."):
+            if path == "-":
+                continue
+            if os.path.isdir(path):
+                raise UsageError(f"--{flag} {path}: is a directory")
+            if not os.path.isdir(os.path.dirname(path) or "."):
                 raise UsageError(f"--{flag} {path}: no such directory")
         return args.func(args)
     except UsageError as e:

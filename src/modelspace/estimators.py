@@ -8,13 +8,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import UsageError
-from .linmodel import Dataset, ModelIndex
+from .linmodel import Dataset, ModelIndex, bits_array
 from .sampler import ChainTrace
 
 LOG10 = math.log(10.0)
@@ -67,15 +67,6 @@ def indicator_of_model(target: ModelIndex) -> QuantityOfInterest:
     )
 
 
-def bits_array(models: Iterable[ModelIndex]) -> np.ndarray:
-    """The models' bitmasks as int64 when all are below 2^63, else as Python
-    ints (dtype=object), so that shifts and popcounts stay exact for any p.
-    numpy's own inference would give uint64 or float64 for larger masks."""
-    bits = [m.bits for m in models]
-    dtype = np.int64 if max(bits, default=0) < 1 << 63 else object
-    return np.array(bits, dtype=dtype)
-
-
 def membership(bits: np.ndarray, p: int) -> np.ndarray:
     """(n, 2p + 2) 0/1 matrix of n bitmasks: column l < p marks the models
     that hold variable l, column p + k those of dimension k, and the last
@@ -124,7 +115,7 @@ def hh_estimate(trace: ChainTrace, q: QuantityOfInterest) -> EstimateWithSE:
     n = trace.n
     if n == 0:
         raise UsageError("empty trace")
-    values = q.evaluator(bits_array(trace.models))
+    values = q.evaluator(trace.bits)
     mean = float(values.mean())
     if n == 1:
         return EstimateWithSE(mean, None, "empirical", 1)
@@ -140,16 +131,25 @@ def frequency_se(freq: np.ndarray, n: int) -> np.ndarray | None:
     return np.sqrt(freq * (1.0 - freq) / (n - 1))
 
 
+def weighted_sums(bits: np.ndarray, p: int, w: np.ndarray) -> np.ndarray:
+    """Column sums of ``membership(bits, p)`` weighted by w, built ``BLOCK``
+    models at a time so that the matrix stays bounded. Every column adds its
+    rows in the same order, as ``Shard.absorb``'s does, so a column never
+    exceeds the last, all-ones one: the total."""
+    sums = np.zeros(2 * p + 2)
+    for lo in range(0, bits.size, BLOCK):
+        sums += np.einsum(
+            "ij,i->j", membership(bits[lo : lo + BLOCK], p), w[lo : lo + BLOCK]
+        )
+    return sums
+
+
 def _frequencies(trace: ChainTrace, p: int, columns: slice) -> np.ndarray:
-    """Frequencies of some columns of the trace's membership matrix, built
-    ``BLOCK`` draws at a time so that its size stays bounded."""
+    """Frequencies of some columns of the trace's membership matrix: each
+    draw weighs 1, and the counts are divided by n."""
     if trace.n == 0:
         raise UsageError("empty trace")
-    bits = bits_array(trace.models)
-    counts = np.zeros(2 * p + 2)
-    for lo in range(0, bits.size, BLOCK):
-        counts += membership(bits[lo : lo + BLOCK], p).sum(axis=0)
-    return counts[columns] / trace.n
+    return weighted_sums(trace.bits, p, np.ones(trace.n))[columns] / trace.n
 
 
 def hh_inclusion(trace: ChainTrace, p: int) -> np.ndarray:
@@ -162,47 +162,86 @@ def hh_dimension(trace: ChainTrace, p: int) -> np.ndarray:
     return _frequencies(trace, p, slice(p, -1))
 
 
-def dedupe_models(trace: ChainTrace) -> list[tuple[ModelIndex, float]]:
-    """Distinct visited models with one cached log Bayes factor each.
+@dataclass
+class DistinctModels:
+    """A set of distinct models: bitmasks (``bits_array``'s dtype rule) and
+    one log Bayes factor each. Iterating yields (``ModelIndex``, log BF)
+    pairs."""
+
+    bits: np.ndarray
+    log_bfs: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[ModelIndex, float]]) -> "DistinctModels":
+        pairs = list(pairs)
+        return cls(
+            bits_array([m.bits for m, _ in pairs]),
+            np.array([lbf for _, lbf in pairs], dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return self.bits.size
+
+    def __iter__(self) -> Iterator[tuple[ModelIndex, float]]:
+        for b, lbf in zip(self.bits.tolist(), self.log_bfs.tolist()):
+            yield ModelIndex.from_bits(b), lbf
+
+
+def dedupe_models(trace: ChainTrace) -> DistinctModels:
+    """Distinct visited models, ascending by bitmask, with one cached log
+    Bayes factor each.
 
     For hierarchical traces the cached value depends on the draw's g; the
-    first visit's value is kept.
+    first visit's value is kept (``np.unique`` gives each value's first
+    index).
     """
-    seen: dict[int, tuple[ModelIndex, float]] = {}
-    for m, lbf in zip(trace.models, trace.log_bfs):
-        if m.bits not in seen:
-            seen[m.bits] = (m, float(lbf))
-    return list(seen.values())
+    bits, first = np.unique(trace.bits, return_index=True)
+    return DistinctModels(bits, trace.log_bfs[first])
+
+
+def _renormalized_weights(models: DistinctModels) -> np.ndarray:
+    """Bayes factors scaled by the largest: under the uniform model prior the
+    prior term is a constant shift."""
+    if not len(models):
+        raise UsageError("empty model set")
+    top = models.log_bfs.max()
+    if not np.isfinite(top):
+        raise UsageError("all models in the set are excluded (log BF = -inf)")
+    return np.exp(models.log_bfs - top)
 
 
 def renormalized_estimate(
-    models: list[tuple[ModelIndex, float]], q: QuantityOfInterest
+    models: DistinctModels, q: QuantityOfInterest
 ) -> EstimateWithSE:
     """Estimate of tau(a) weighting each distinct model by its Bayes factor
     renormalized within the visited set. No variance estimate exists for
     this estimator."""
-    if not models:
-        raise UsageError("empty model set")
-    # uniform model prior: the prior term is a constant shift
-    logw = np.array([lbf for _, lbf in models])
-    top = logw.max()
-    if not np.isfinite(top):
-        raise UsageError("all models in the set are excluded (log BF = -inf)")
-    w = np.exp(logw - top)
-    a = q.evaluator(bits_array(m for m, _ in models))
+    w = _renormalized_weights(models)
+    a = q.evaluator(models.bits)
     # both sums run over arrays of one length, so their additions match
     # term by term: an indicator's estimate cannot round above 1
     value = float(np.sum(w * a) / np.sum(w))
     return EstimateWithSE(value, None, "renormalized", len(models))
 
 
-def find_hpm(models: list[tuple[ModelIndex, float]]) -> ModelIndex:
+def renormalized_inclusion(models: DistinctModels, p: int) -> np.ndarray:
+    """Every variable's renormalized estimate from one weighted column sum;
+    the total is that sum's last column, so none can round above 1."""
+    sums = weighted_sums(models.bits, p, _renormalized_weights(models))
+    return sums[:p] / sums[-1]
+
+
+def _ranking(models: DistinctModels) -> np.ndarray:
+    """Indices by decreasing log BF, ties by ascending bitmask."""
+    if not len(models):
+        raise UsageError("empty model set")
+    return np.lexsort((models.bits, -models.log_bfs))
+
+
+def find_hpm(models: DistinctModels) -> ModelIndex:
     """Model with the largest unnormalized log posterior; ties broken by
     ascending bitmask."""
-    if not models:
-        raise UsageError("empty model set")
-    best = min(models, key=lambda t: (-t[1], t[0].bits))
-    return best[0]
+    return ModelIndex.from_bits(int(models.bits[_ranking(models)[0]]))
 
 
 def find_mpm(inclusion: np.ndarray) -> ModelIndex:
@@ -212,21 +251,20 @@ def find_mpm(inclusion: np.ndarray) -> ModelIndex:
 
 
 def rank_models(
-    models: list[tuple[ModelIndex, float]], K: int | None = None
+    models: DistinctModels, K: int | None = None
 ) -> list[tuple[ModelIndex, float]]:
-    """Distinct models sorted by decreasing log BF, ties by ascending bitmask."""
-    ranked = sorted(models, key=lambda t: (-t[1], t[0].bits))
-    return ranked if K is None else ranked[:K]
+    """The K best models (all when K is None) by decreasing log BF, ties by
+    ascending bitmask."""
+    order = _ranking(models)[:K]
+    return list(DistinctModels(models.bits[order], models.log_bfs[order]))
 
 
-def topk_mass_log10(models: list[tuple[ModelIndex, float]], K: int) -> float:
+def topk_mass_log10(models: DistinctModels, K: int) -> float:
     """Decimal log of the summed Bayes factors of the K best distinct models."""
-    if not models:
-        raise UsageError("empty model set")
+    order = _ranking(models)
     if K < 1:
         raise UsageError("K must be >= 1")
-    top = rank_models(models, K)
-    return float(logsumexp([lbf for _, lbf in top])) / LOG10
+    return float(logsumexp(models.log_bfs[order[:K]])) / LOG10
 
 
 def summarize_trace(
@@ -234,16 +272,12 @@ def summarize_trace(
 ) -> PosteriorSummary:
     """Full posterior summary of one chain: empirical estimates with SEs,
     renormalized estimates over the deduplicated visited set, HPM/MPM and
-    top-K mass. The distinct set is ranked once: the HPM leads it."""
+    top-K mass. The HPM leads the ranked top K."""
     inclusion = hh_inclusion(trace, data.p)
     dimension = hh_dimension(trace, data.p)
     distinct = dedupe_models(trace)
     top = rank_models(distinct, top_k)
     hpm, hpm_log_bf = top[0]
-    renorm = [
-        renormalized_estimate(distinct, indicator_of_variable(l)).value
-        for l in range(data.p)
-    ]
     return PosteriorSummary(
         method="gibbs",
         n_used=trace.n,
@@ -255,6 +289,6 @@ def summarize_trace(
         hpm_log_bf=hpm_log_bf,
         mpm=find_mpm(inclusion),
         top_models=top,
-        mass_log10=topk_mass_log10(top, top_k),
-        inclusion_renormalized=np.array(renorm),
+        mass_log10=topk_mass_log10(distinct, top_k),
+        inclusion_renormalized=renormalized_inclusion(distinct, data.p),
     )

@@ -73,6 +73,18 @@ class ModelIndex:
         return cls.from_bits(int(s, 16))
 
 
+def bits_array(bits) -> np.ndarray:
+    """Bitmasks as int64 when all lie in [0, 2^63), else as Python ints
+    (dtype=object), so that shifts and popcounts stay exact for any p.
+    numpy's own inference would give uint64 or float64 for larger masks.
+    An int64 or object array is returned as it is."""
+    if isinstance(bits, np.ndarray) and bits.dtype in (np.int64, object):
+        return bits
+    bits = [int(b) for b in bits]
+    inside = not bits or (min(bits) >= 0 and max(bits) < 1 << 63)
+    return np.array(bits, dtype=np.int64 if inside else object)
+
+
 @dataclass
 class Dataset:
     """Response, candidate columns, and centering metadata.
@@ -192,38 +204,53 @@ def load_csv(path, response: str) -> Dataset:
             header = [h.strip() for h in header]
             if response not in header:
                 raise DataError(f"{path}: no column named {response!r}")
-            rows = []
-            for i, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{i}: expected {len(header)} cells")
-                parsed = []
-                for name, cell in zip(header, row):
-                    try:
-                        v = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{i}: non-numeric cell in column {name!r}: {cell!r}"
-                        ) from None
-                    if not math.isfinite(v):
-                        raise DataError(
-                            f"{path}:{i}: non-finite value in column {name!r}"
-                        )
-                    parsed.append(v)
-                rows.append(parsed)
+            rows = list(reader)
     except OSError as e:  # missing, a directory, unreadable
         raise DataError(f"{path}: not found or unreadable ({e.strerror})") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e})") from None
 
-    if not rows:
+    body = [row for row in rows if row]
+    if not body:
         raise DataError(f"{path}: no data rows")
-    mat = np.array(rows, dtype=np.float64)
+    # numpy converts each cell as float() does; a ragged body raises
+    try:
+        mat = np.array(body, dtype=np.float64)
+        ok = mat.shape[1] == len(header) and bool(np.isfinite(mat).all())
+    except ValueError:
+        ok = False
+    if not ok:
+        mat = _parse_rows(path, header, rows)
     ridx = header.index(response)
     y = mat[:, ridx]
     cols = [j for j in range(len(header)) if j != ridx]
     X = mat[:, cols]
     names = [header[j] for j in cols]
     return make_dataset(y, X, names)
+
+
+def _parse_rows(path, header: list[str], rows: list[list[str]]) -> np.ndarray:
+    """Cell by cell in file order, so that the first bad cell is named with
+    its line and column."""
+    parsed = []
+    for i, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{i}: expected {len(header)} cells")
+        values = []
+        for name, cell in zip(header, row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}:{i}: non-numeric cell in column {name!r}: {cell!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise DataError(f"{path}:{i}: non-finite value in column {name!r}")
+            values.append(v)
+        parsed.append(values)
+    return np.array(parsed, dtype=np.float64)
 
 
 def expand_design(data: Dataset, mains: list[str]) -> Dataset:

@@ -39,7 +39,14 @@ from .bayesfactor import (
     sample_prior_g,
 )
 from .errors import UsageError
-from .linmodel import SINGULAR_EPS, Dataset, FitState, ModelIndex, sse_direct
+from .linmodel import (
+    SINGULAR_EPS,
+    Dataset,
+    FitState,
+    ModelIndex,
+    bits_array,
+    sse_direct,
+)
 
 SSE_SPOT_CHECK_EVERY = 1000
 # the largest p whose sweep keeps the (p+1)x(p+1) swept matrix. Its flips
@@ -72,17 +79,26 @@ class SamplerConfig:
 
 @dataclass
 class ChainTrace:
-    """Ordered record of one sampler run: visited models, g draws, and the
-    cached log Bayes factors, all aligned."""
+    """Ordered record of one sampler run or trace file: three aligned arrays
+    of the visited models' bitmasks (``bits_array``'s dtype rule), the g
+    draws and the cached log Bayes factors."""
 
-    models: list[ModelIndex]
+    bits: np.ndarray
     g_draws: np.ndarray
     log_bfs: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.bits = bits_array(self.bits)
+
     @property
     def n(self) -> int:
-        return len(self.models)
+        return self.bits.size
+
+    @property
+    def models(self) -> list[ModelIndex]:
+        """The draws as ``ModelIndex`` objects, built on each access."""
+        return [ModelIndex.from_bits(b) for b in self.bits.tolist()]
 
 
 def _sigmoid(lnr: float) -> float:
@@ -336,15 +352,17 @@ def run_chain(data: Dataset, config: SamplerConfig) -> ChainTrace:
         g = prior.g
 
     n = config.iterations
-    models: list[ModelIndex] = []
+    # int64 holds every bitmask of up to 63 columns
+    bits = np.empty(n, dtype=np.int64 if data.p <= 63 else object)
     g_draws = np.empty(n)
     log_bfs = np.empty(n)
     accepts = 0
     raw = 0
     flips = 0
     spot_max_rel = 0.0
+    i = 0
     t0 = time.perf_counter()
-    while len(models) < n:
+    while i < n:
         before = state.bits
         gibbs_sweep(state, g, prior, rng)
         flips += (before ^ state.bits).bit_count()
@@ -360,10 +378,10 @@ def run_chain(data: Dataset, config: SamplerConfig) -> ChainTrace:
             # the check measured the drift of the rank-one updates; reset it
             state.reset()
         if raw > config.burn and (raw - config.burn - 1) % config.thin == 0:
-            i = len(models)
-            models.append(state.model)
+            bits[i] = state.bits
             g_draws[i] = g
             log_bfs[i] = log_bf_value(state.sse, state.k, data.sse0, data.N, g)
+            i += 1
     wall = time.perf_counter() - t0
     meta = {
         "iterations": n,
@@ -380,4 +398,4 @@ def run_chain(data: Dataset, config: SamplerConfig) -> ChainTrace:
         "sse_spot_check_max_rel": spot_max_rel,
         "rng": "numpy PCG64 (default_rng)",
     }
-    return ChainTrace(models=models, g_draws=g_draws, log_bfs=log_bfs, meta=meta)
+    return ChainTrace(bits=bits, g_draws=g_draws, log_bfs=log_bfs, meta=meta)

@@ -278,6 +278,40 @@ class TestExitCodes:
         assert f"{target}: no such directory" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["gibbs", "--iterations", "20", "--out"],
+         ["gibbs", "--iterations", "20", "--trace"],
+         ["exact", "--out"],
+         ["compare", "--runs", "2", "--iterations", "10", "--workers", "1", "--out"]],
+        ids=["gibbs-out", "gibbs-trace", "exact-out", "compare-out"],
+    )
+    def test_output_directory_is_usage_error(
+        self, csv4, tmp_path, argv, capsys, monkeypatch
+    ):
+        # refused before any chain or shard runs
+        monkeypatch.setattr(cli, "run_chain", None)
+        monkeypatch.setattr(cli.exact_mod, "enumerate_shard", None)
+        folder = str(tmp_path)
+        rc = main([argv[0], csv4, "--response", "y", "--g", "40"] + argv[1:] + [folder])
+        assert rc == 2
+        assert f"{folder}: is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["data", "trace-file"])
+    def test_non_utf8_input_is_data_error(self, csv4, tmp_path, role, capsys):
+        binary = tmp_path / "utf16.tsv"
+        binary.write_bytes("1\t40.0\t0.5\n".encode("utf-16"))
+        assert binary.read_bytes()[:2] == b"\xff\xfe"
+        argv = ["compare", csv4, "--response", "y", "--g", "40", "--runs", "2",
+                "--iterations", "10", "--workers", "1", "--out", os.devnull]
+        if role == "data":
+            argv[1] = str(binary)
+        else:
+            argv += ["--trace-file", str(binary)]
+        rc = main(argv)
+        assert rc == 3
+        assert "utf16.tsv: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestExpand:
     def test_column_count(self, csv5, tmp_path):
@@ -332,7 +366,7 @@ class TestGibbsReport:
         )
         schema = load_schema("run_report.schema.json")
         jsonschema.validate(report, schema)
-        bits = [0] + [m.bits for m, _, _ in read_trace(trace_path)]
+        bits = [0] + read_trace(trace_path).bits.tolist()
         hamming = [(a ^ b).bit_count() for a, b in zip(bits, bits[1:])]
         flips = report["diagnostics"]["bit_flips_per_sweep"]
         assert flips == pytest.approx(np.mean(hamming), rel=1e-12)
@@ -383,12 +417,11 @@ class TestGibbsReport:
              "--iterations", "50", "--trace", str(trace_path)],
             tmp_path / "r.json",
         )
-        records = read_trace(trace_path)
-        assert len(records) == 50
-        for m, g, lbf in records:
-            assert g == 30.0
-            assert isinstance(m, ModelIndex)
-            assert math.isfinite(lbf)
+        trace = read_trace(trace_path)
+        assert trace.n == 50
+        assert trace.bits.dtype == np.int64
+        assert (trace.g_draws == 30.0).all()
+        assert np.isfinite(trace.log_bfs).all()
 
     def test_hierarchical_run(self, csv5, tmp_path):
         path, _ = csv5
@@ -635,16 +668,17 @@ class TestTraceFormat:
     def test_roundtrip_values(self, tmp_path):
         from modelspace import ChainTrace
 
-        models = [ModelIndex.from_bits(b) for b in (0, 5, 1023)]
         trace = ChainTrace(
-            models, np.array([1.0, 2.5, 1e6]), np.array([0.0, -3.25, 117.0])
+            [0, 5, 1023], np.array([1.0, 2.5, 1e6]), np.array([0.0, -3.25, 117.0])
         )
         path = tmp_path / "t.tsv"
         write_trace(path, trace)
+        # the format is one "hex<TAB>g<TAB>log_bf" line per draw, reprs exact
+        assert path.read_text() == "0\t1.0\t0.0\n5\t2.5\t-3.25\n3ff\t1000000.0\t117.0\n"
         back = read_trace(path)
-        assert [(m.bits, g, lbf) for m, g, lbf in back] == [
-            (0, 1.0, 0.0), (5, 2.5, -3.25), (1023, 1e6, 117.0)
-        ]
+        assert back.bits.tolist() == [0, 5, 1023]
+        assert back.g_draws.tolist() == [1.0, 2.5, 1e6]
+        assert back.log_bfs.tolist() == [0.0, -3.25, 117.0]
 
     def test_malformed_line(self, tmp_path):
         from modelspace import DataError
@@ -661,6 +695,125 @@ class TestTraceFormat:
         path.write_text("")
         with pytest.raises(DataError, match="empty"):
             read_trace(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1\t1.0\t0.0\n\n  \n2\t1.0\tzz\n", ":4: unparseable"),
+         ("\r\n1\t1.0\t0.0\r\n\r\n2\t1.0\r\n", ":4: expected 3 tab-separated"),
+         ("1\t1.0\tzz\n\n2\t1.0\n", ":1: unparseable"),
+         ("1\t1.0\t0.0\n\n2\t1.0\t0.0\tx\n3\t1.0\tzz\n", ":3: expected 3"),
+         ("1\t1.0\t0.0\x0c2\t1.0\t0.0\n", ":1: expected 3")],
+        ids=["after-blank-lines", "crlf", "first-fault-wins", "extra-field",
+             "form-feed-breaks-no-line"],
+    )
+    def test_bad_record_line_number(self, tmp_path, text, message):
+        from modelspace import DataError
+
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError, match=message):
+            read_trace(path)
+
+    def test_blank_lines_and_spaces_are_skipped(self, tmp_path):
+        path = tmp_path / "spaced.tsv"
+        path.write_text("\n 1f\t 2.5\t-inf \n\n\n0\t1_0\t١\n\n")
+        trace = read_trace(path)
+        assert trace.bits.tolist() == [0x1F, 0]
+        assert trace.g_draws.tolist() == [2.5, 10.0]
+        assert trace.log_bfs.tolist() == [-math.inf, 1.0]
+
+
+def scoring_reference(records, p, top_k):
+    """``score_external_trace`` model by model in plain Python: the first
+    visit's log BF per distinct model, weights exp(lbf - top), the HPM and
+    top K by decreasing log BF with ties by ascending bitmask."""
+    first = {}
+    for bits, _, lbf in records:
+        first.setdefault(bits, lbf)
+    top = max(first.values())
+    w = {b: math.exp(lbf - top) for b, lbf in first.items()}
+    total = sum(w.values())
+    ranked = sorted(first.items(), key=lambda t: (-t[1], t[0]))
+    mass = top + math.log(sum(math.exp(lbf - top) for _, lbf in ranked[:top_k]))
+    return {
+        "distinct_models": len(first),
+        "inclusion": [sum(wb for b, wb in w.items() if b >> l & 1) / total
+                      for l in range(p)],
+        "hpm_bits_hex": format(ranked[0][0], "x"),
+        "topk_mass_log10": mass / math.log(10.0),
+        "ranked": ranked,
+    }
+
+
+class TestExternalTraceScoring:
+    # revisits, excluded (-inf) records, a three-way tie at the top, and
+    # revisits whose log BF differs from the first visit's
+    RECORDS = [
+        (0b0101, 40.0, 2.0),
+        (0b0011, 40.0, 3.5),
+        (0b0110, 40.0, 3.5),
+        (0b0101, 52.0, 9.0),  # the first visit's 2.0 is kept
+        (0b1000, 40.0, -math.inf),
+        (0b0001, 40.0, 3.5),  # ties: the lowest bitmask is the HPM
+        (0b0011, 40.0, 1.0),
+        (0b1111, 40.0, -math.inf),
+        (0b1000, 40.0, 0.5),  # an excluded model stays excluded
+        (0b0100, 40.0, -1.25),
+    ]
+
+    def write(self, path, records):
+        path.write_text("".join(f"{b:x}\t{g!r}\t{lbf!r}\n" for b, g, lbf in records))
+        return path
+
+    @pytest.mark.parametrize("top_k", [1, 2, 4, 1000])
+    def test_matches_per_model_reference(self, csv4, tmp_path, top_k):
+        from modelspace import GPriorSpec, load_csv
+
+        data = load_csv(csv4, "y")
+        path = self.write(tmp_path / "ext.tsv", self.RECORDS)
+        out = cli.score_external_trace(path, data, GPriorSpec.fixed(40.0), top_k)
+        ref = scoring_reference(self.RECORDS, data.p, top_k)
+        assert out["distinct_models"] == ref["distinct_models"] == 7
+        assert out["hpm_bits_hex"] == ref["hpm_bits_hex"] == "1"
+        values = [e["value"] for e in out["inclusion"]]
+        assert values == pytest.approx(ref["inclusion"], rel=1e-14, abs=1e-15)
+        assert out["topk_mass_log10"] == pytest.approx(ref["topk_mass_log10"], rel=1e-14)
+
+    def test_ranking_breaks_ties_by_bitmask(self, tmp_path):
+        from modelspace import dedupe_models, rank_models
+
+        path = self.write(tmp_path / "ext.tsv", self.RECORDS)
+        distinct = dedupe_models(read_trace(path))
+        ranked = [(m.bits, lbf) for m, lbf in rank_models(distinct)]
+        assert ranked == scoring_reference(self.RECORDS, 4, 1)["ranked"]
+        assert [b for b, _ in ranked[:3]] == [0b0001, 0b0011, 0b0110]
+
+    def test_wide_trace_round_trip(self, tmp_path):
+        # p = 70: bitmasks at and above 2^63 take the object-dtype path
+        from modelspace import ChainTrace, GPriorSpec
+
+        p = 70
+        data = synth_dataset(N=80, p=p, seed=70)
+        rng = np.random.default_rng(70)
+        masks = [int.from_bytes(rng.bytes(9), "little") & ((1 << p) - 1)
+                 for _ in range(200)]
+        masks += [(1 << 63) | 5, (1 << 69), (1 << p) - 1, 0] + masks[:30]
+        lbfs = rng.normal(0.0, 3.0, size=len(masks))
+        lbfs[7] = -math.inf
+        path = tmp_path / "wide.tsv"
+        write_trace(path, ChainTrace(masks, np.full(len(masks), 70.0), lbfs))
+        trace = read_trace(path)
+        assert trace.bits.dtype == object
+        assert trace.bits.tolist() == masks
+        assert trace.log_bfs.tolist() == lbfs.tolist()
+        out = cli.score_external_trace(path, data, GPriorSpec.fixed(70.0), 20)
+        records = list(zip(masks, trace.g_draws.tolist(), lbfs.tolist()))
+        ref = scoring_reference(records, p, 20)
+        assert out["distinct_models"] == ref["distinct_models"]
+        assert out["hpm_bits_hex"] == ref["hpm_bits_hex"]
+        values = [e["value"] for e in out["inclusion"]]
+        assert values == pytest.approx(ref["inclusion"], rel=1e-12, abs=1e-15)
+        assert out["topk_mass_log10"] == pytest.approx(ref["topk_mass_log10"], rel=1e-14)
 
 
 def test_readme_cli_examples_parse():

@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from modelspace import (
     ChainTrace,
+    DistinctModels,
     GPriorSpec,
     ModelIndex,
     UsageError,
@@ -22,17 +23,17 @@ from modelspace import (
     indicator_of_variable,
     rank_models,
     renormalized_estimate,
+    renormalized_inclusion,
     summarize_trace,
     topk_mass_log10,
 )
 
 
 def trace_of(bitmasks, p=None, g=1.0, lbfs=None):
-    models = [ModelIndex.from_bits(b) for b in bitmasks]
-    n = len(models)
+    n = len(bitmasks)
     if lbfs is None:
         lbfs = np.zeros(n)
-    return ChainTrace(models, np.full(n, float(g)), np.asarray(lbfs, float))
+    return ChainTrace(bitmasks, np.full(n, float(g)), np.asarray(lbfs, float))
 
 
 class TestHansenHurwitz:
@@ -108,7 +109,7 @@ class TestHansenHurwitz:
 
 class TestRenormalized:
     def test_single_model_gets_weight_one(self):
-        models = [(ModelIndex.from_bits(0b10), 3.7)]
+        models = DistinctModels.from_pairs([(ModelIndex.from_bits(0b10), 3.7)])
         est = renormalized_estimate(models, indicator_of_variable(1))
         assert est.value == 1.0
         assert est.se is None
@@ -117,22 +118,24 @@ class TestRenormalized:
     def test_shared_variable_is_exactly_one(self):
         # Bayes factors 1..16, every model holding variable 0: normalized
         # weights summed to 1 + 7e-16 here
-        models = [
+        models = DistinctModels.from_pairs(
             (ModelIndex.from_bits(1 | (i << 1)), math.log(i + 1.0)) for i in range(16)
-        ]
+        )
         est = renormalized_estimate(models, indicator_of_variable(0))
         assert est.value == 1.0
 
     def test_equal_log_bfs_average(self):
-        models = [(ModelIndex.from_bits(0b01), 2.0), (ModelIndex.from_bits(0b10), 2.0)]
+        models = DistinctModels.from_pairs(
+            [(ModelIndex.from_bits(0b01), 2.0), (ModelIndex.from_bits(0b10), 2.0)]
+        )
         est = renormalized_estimate(models, indicator_of_variable(0))
         assert est.value == pytest.approx(0.5)
 
     def test_weights_from_log_bfs(self):
-        models = [
+        models = DistinctModels.from_pairs([
             (ModelIndex.from_bits(0b01), math.log(3.0)),
             (ModelIndex.from_bits(0b10), math.log(1.0)),
-        ]
+        ])
         est = renormalized_estimate(models, indicator_of_variable(0))
         assert est.value == pytest.approx(0.75)
 
@@ -140,21 +143,23 @@ class TestRenormalized:
         # when every model was visited the renormalized estimator recovers
         # the exact posterior quantities
         lbfs, log_total, exact_incl, exact_dim, _ = p8_naive
-        models = [
+        models = DistinctModels.from_pairs(
             (ModelIndex.from_bits(b), float(lbfs[b]))
             for b in range(1 << p8_data.p)
             if np.isfinite(lbfs[b])
-        ]
+        )
         for l in range(p8_data.p):
             est = renormalized_estimate(models, indicator_of_variable(l))
             assert est.value == pytest.approx(exact_incl[l], abs=1e-10)
+        incl = renormalized_inclusion(models, p8_data.p)
+        assert incl == pytest.approx(exact_incl, abs=1e-10)
         for k in range(p8_data.p + 1):
             est = renormalized_estimate(models, indicator_of_dimension(k))
             assert est.value == pytest.approx(exact_dim[k], abs=1e-10)
 
     def test_empty_set_rejected(self):
         with pytest.raises(UsageError):
-            renormalized_estimate([], indicator_of_variable(0))
+            renormalized_estimate(DistinctModels.from_pairs([]), indicator_of_variable(0))
 
 
 class TestDedupe:
@@ -166,14 +171,29 @@ class TestDedupe:
         assert d[0b1] == 1.0
         assert d[0b10] == 2.0
 
+    @pytest.mark.parametrize("width", [16, 70])
+    def test_length_is_distinct_count(self, width):
+        rng = np.random.default_rng(width)
+        masks = [(b << (width - 6)) | b for b in rng.integers(0, 50, size=400).tolist()]
+        trace = trace_of(masks, lbfs=rng.normal(size=len(masks)))
+        distinct = dedupe_models(trace)
+        assert len(distinct) == len(set(masks)) == distinct.bits.size
+        assert distinct.bits.tolist() == sorted(set(masks))
+        first = {}
+        for b, lbf in zip(masks, trace.log_bfs.tolist()):
+            first.setdefault(b, lbf)
+        assert distinct.log_bfs.tolist() == [first[b] for b in sorted(first)]
+
 
 class TestModelSelection:
     def test_hpm_picks_max(self):
-        models = [(ModelIndex.from_bits(b), lbf) for b, lbf in [(1, 0.5), (2, 3.0), (3, 1.0)]]
+        models = DistinctModels.from_pairs(
+            (ModelIndex.from_bits(b), lbf) for b, lbf in [(1, 0.5), (2, 3.0), (3, 1.0)]
+        )
         assert find_hpm(models).bits == 2
 
     def test_hpm_tie_lowest_bitmask(self):
-        models = [(ModelIndex.from_bits(b), 7.0) for b in (6, 3, 5)]
+        models = DistinctModels.from_pairs((ModelIndex.from_bits(b), 7.0) for b in (6, 3, 5))
         assert find_hpm(models).bits == 3
 
     def test_mpm_strict_threshold(self):
@@ -182,7 +202,9 @@ class TestModelSelection:
         assert find_mpm(np.array(incl)).bits == 0b001
 
     def test_rank_models_order_and_ties(self):
-        models = [(ModelIndex.from_bits(b), lbf) for b, lbf in [(5, 1.0), (2, 4.0), (3, 1.0)]]
+        models = DistinctModels.from_pairs(
+            (ModelIndex.from_bits(b), lbf) for b, lbf in [(5, 1.0), (2, 4.0), (3, 1.0)]
+        )
         ranked = rank_models(models)
         assert [m.bits for m, _ in ranked] == [2, 3, 5]
         assert [m.bits for m, _ in rank_models(models, 2)] == [2, 3]
@@ -190,31 +212,33 @@ class TestModelSelection:
 
 class TestTopKMass:
     def test_single_model(self):
-        models = [(ModelIndex.from_bits(1), 5.0 * math.log(10.0))]
+        models = DistinctModels.from_pairs([(ModelIndex.from_bits(1), 5.0 * math.log(10.0))])
         assert topk_mass_log10(models, 1) == pytest.approx(5.0)
 
     def test_two_equal_models(self):
         lbf = 5.0 * math.log(10.0)
-        models = [(ModelIndex.from_bits(1), lbf), (ModelIndex.from_bits(2), lbf)]
+        models = DistinctModels.from_pairs(
+            [(ModelIndex.from_bits(1), lbf), (ModelIndex.from_bits(2), lbf)]
+        )
         assert topk_mass_log10(models, 2) == pytest.approx(5.0 + math.log10(2.0))
 
     def test_k_larger_than_set(self):
-        models = [(ModelIndex.from_bits(1), 0.0)]
+        models = DistinctModels.from_pairs([(ModelIndex.from_bits(1), 0.0)])
         assert topk_mass_log10(models, 1000) == pytest.approx(0.0)
 
     def test_monotone_in_k(self, p8_naive):
         lbfs, _, _, _, _ = p8_naive
-        models = [
+        models = DistinctModels.from_pairs(
             (ModelIndex.from_bits(b), float(lbfs[b]))
             for b in range(lbfs.size)
             if np.isfinite(lbfs[b])
-        ]
+        )
         masses = [topk_mass_log10(models, K) for K in (1, 2, 5, 20, 100, 256)]
         assert all(a <= b + 1e-12 for a, b in zip(masses, masses[1:]))
 
     def test_bad_k(self):
         with pytest.raises(UsageError):
-            topk_mass_log10([(ModelIndex.from_bits(1), 0.0)], 0)
+            topk_mass_log10(DistinctModels.from_pairs([(ModelIndex.from_bits(1), 0.0)]), 0)
 
 
 class TestSummarizeTrace:
@@ -224,7 +248,7 @@ class TestSummarizeTrace:
         # build a synthetic trace visiting every model once
         bitmasks = [b for b in range(1 << p8_data.p) if np.isfinite(lbfs[b])]
         trace = ChainTrace(
-            [ModelIndex.from_bits(b) for b in bitmasks],
+            bitmasks,
             np.full(len(bitmasks), g),
             lbfs[bitmasks],
         )

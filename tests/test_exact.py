@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from modelspace import (
+    DistinctModels,
     GPriorSpec,
     ModelIndex,
     NumericalError,
@@ -662,7 +663,8 @@ class TestGuards:
     def test_top_k_mass_monotone(self, p8_data):
         g = float(p8_data.N)
         res = enumerate_exact(p8_data, g, GPriorSpec.fixed(g), K=256)
-        masses = [topk_mass_log10(res.top_models, K) for K in (1, 4, 16, 64, 256)]
+        top = DistinctModels.from_pairs(res.top_models)
+        masses = [topk_mass_log10(top, K) for K in (1, 4, 16, 64, 256)]
         assert all(a <= b + 1e-12 for a, b in zip(masses, masses[1:]))
         # the full 256-model mass equals the total on the log10 scale
         assert masses[-1] == pytest.approx(res.log_total_bf / math.log(10.0), abs=1e-10)

@@ -44,6 +44,34 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r":3:.*x1"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("y,x1\n1,0\n\n2,inf\n3\n", ":4: non-finite value in column 'x1'"),
+         ("y,x1\n1,0\n2\n3,oops\n", ":3: expected 2 cells"),
+         ("y,x1,x2\n1,0\n2,1\n3,2\n", ":2: expected 3 cells"),
+         ("y,x1\n1,0\n2,nan\n3,x\n", ":3: non-finite value in column 'x1'")],
+        ids=["non-finite-before-short-row", "short-row-before-text",
+             "every-row-short", "nan"],
+    )
+    def test_first_bad_cell_in_file_order(self, tmp_path, text, message):
+        # blank lines keep their numbers; the earliest fault is the one named
+        with pytest.raises(DataError) as err:
+            load_csv(write(tmp_path, text), "y")
+        assert str(err.value).endswith(message)
+
+    def test_cells_parse_as_float_does(self, tmp_path):
+        cells = ["1_0", " 1.5", "٣", "-2e-3", "7"]
+        text = "y,x1\n" + "".join(f"{c},{j}\n" for j, c in enumerate(cells))
+        data = load_csv(write(tmp_path, text), "y")
+        assert data.y.tolist() == [float(c) for c in cells]
+
+    def test_non_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes("y,x1\n1,0\n2,1\n3,2\n".encode("utf-16"))
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+        with pytest.raises(DataError, match="utf16.csv: not UTF-8 text"):
+            load_csv(path, "y")
+
     def test_constant_response(self, tmp_path):
         with pytest.raises(DataError, match="constant response"):
             load_csv(write(tmp_path, "y,x1\n2,0\n2,1\n2,2\n"), "y")

@@ -371,6 +371,8 @@ def compare_runs(
         raise UsageError("compare needs at least 2 runs")
     if iterations < 2:
         raise UsageError("compare needs at least 2 iterations per run")
+    if base_seed < 0:
+        raise UsageError(f"seed (--seed) must be >= 0, got {base_seed}")
     if exact_report is not None:
         if exact_report.get("dataset_digest") != data.digest():
             raise DataError("exact-result file does not match this dataset")

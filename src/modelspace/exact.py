@@ -1,15 +1,19 @@
 """Parallel exact enumeration of the model space.
 
 The space is partitioned by the s highest-order bit positions into 2^s
-shards. Within a shard a Gray-code walk visits the outer models, the
-settings of the free positions above the lowest b = min(p - s, LOW_BITS),
-with exactly one add or delete per step on the swept cross-product matrix
-of ``FitState``. Each outer model's 2^b completions in the low positions
-are scored together: the unswept low block of that matrix is the Schur
-complement of the active set in the Gram matrix of the b low columns, and
-subset doubling eliminates it (``FitState.extension_sse``) in O(2^b) array
-work rather than one factorisation per completion; their log Bayes factors
-come from one numpy expression. Each shard keeps one log-space scale, m,
+shards. A shard is scored by one elimination on one bordered cross-product
+matrix [[G, X'y], [y'X, sse0]] of its columns: eliminating a column either
+leaves it out, keeping the trailing block, or takes it in, subtracting one
+rank-one term. A depth-first walk takes in the prefix's set columns and
+branches on each free position above the lowest b = min(p - s, LOW_BITS);
+at each outer model it reaches, what is left of the matrix is the Schur
+complement of the model's columns in the Gram matrix of the b low columns,
+bordered by the residual cross-products and the SSE. Subset doubling
+(``subset_sse``) eliminates that block breadth first, scoring the 2^b
+completions in O(2^b) array work rather than one factorisation per
+completion; their log Bayes factors come from one numpy expression. A
+take-in whose pivot is collinear, or that saturates the model, excludes
+every model below it. Each shard keeps one log-space scale, m,
 the largest log Bayes factor it has seen, and one vector of plain float
 sums of exp(log BF - m), so 1e50-scale totals never overflow. It
 absorbs each outer model's completions in one weighted column sum over
@@ -56,7 +60,7 @@ import numpy as np
 from .bayesfactor import NEG_INF, GPriorSpec, log_bf_value, log_bf_values  # noqa: F401
 from .errors import NumericalError, UsageError
 from .estimators import QuantityOfInterest, membership
-from .linmodel import Dataset, FitState, ModelIndex
+from .linmodel import SINGULAR_EPS, Dataset, ModelIndex
 
 # Enumerating beyond p=30 (~1e9 models) is an opt-in long job.
 P_GUARD = 30
@@ -202,6 +206,47 @@ class Shard:
         )
 
 
+def _take_in(T: np.ndarray) -> np.ndarray:
+    """The Schur complement left after eliminating T's first column: the
+    trailing block minus c c' with c = T[1:, 0] / sqrt(T[0, 0]). A stack
+    of matrices, batch last, is eliminated in one call."""
+    col = T[1:, 0] / np.sqrt(T[0, 0])
+    return T[1:, 1:] - col[:, None] * col[None]
+
+
+def subset_sse(B: np.ndarray, gjj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SSE of one model extended by each subset T of b further columns L,
+    and whether that extension is singular.
+
+    ``B`` is the (b+1)x(b+1) bordered matrix [[S, r], [r', sse]], with S the
+    Schur complement of the model's active set A in the Gram matrix of L,
+    r = X'y_L - G_LA beta_A and sse the model's SSE; ``gjj`` holds the G_jj
+    of L. Then SSE(A + T) = sse - r_T' S_TT^-1 r_T, the last pivot left
+    after eliminating T from [[S_TT, r_T], [r_T', sse]]. Entry t of both
+    returned arrays is for the subset T holding column i of L when bit i of
+    t is set. The subsets are eliminated breadth first, by doubling: level
+    j holds, batch last, the Schur complements of all 2^j subsets of the
+    first j columns, each on the remaining columns and y. The child that
+    leaves column j out is the trailing block, the one that takes it in is
+    ``_take_in``'s, and the children are stacked [left out, taken in], so
+    subset t stays at index t. A subset is singular when a column it takes
+    in has a pivot d <= SINGULAR_EPS * G_jj; its children inherit the flag,
+    and its SSE is meaningless, possibly NaN.
+    """
+    T = B[:, :, None]
+    singular = np.zeros(1, dtype=bool)
+    # a singular subset's children may take the square root of a
+    # negative pivot or divide by a zero one
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(gjj.size):
+            d = T[0, 0]
+            T = np.concatenate((T[1:, 1:], _take_in(T)), axis=2)
+            singular = np.concatenate(
+                (singular, singular | (d <= SINGULAR_EPS * gjj[j]))
+            )
+    return np.maximum(T[0, 0], 0.0), singular
+
+
 def enumerate_shard(
     data: Dataset,
     shard_bits: int,
@@ -214,63 +259,55 @@ def enumerate_shard(
 ) -> Shard:
     """Score all completions of one fixed high-bit prefix.
 
-    A Gray-code walk over the free positions above the lowest b visits the
-    outer models; each one's 2^b completions in the low b positions are
-    scored in one batch. Columns of the walk whose add is refused, being
-    collinear with the current active set or saturating it (k > N - 2), are
-    held in a pending set: while any remains, all 2^b completions are
-    excluded, and pending adds are retried after every delete so the walk
-    recovers as soon as the dependency is broken. A completion is excluded
-    when one of its low pivots is singular by the same rule, or when it is
-    saturated (k > N - 2). The uniform model prior is a constant factor, so
-    ``prior`` does not enter the sums.
+    One bordered cross-product matrix holds the prefix's set columns, the
+    outer columns (the free positions above the lowest b) from highest to
+    lowest, the low block and y. A depth-first walk eliminates its columns
+    in that order: the child that leaves a column out is the trailing
+    block, the one that takes it in is ``_take_in``'s, and a prefix column
+    is always taken in. At each outer model, ``subset_sse`` scores its 2^b
+    completions in the low positions in one batch. A take-in is refused
+    when its pivot is d <= SINGULAR_EPS * G_jj, or when it leaves k > N - 2
+    columns, by the rule of ``FitState.add``; every model of the refused
+    subtree is excluded, so exclusion depends on the model and the layout
+    alone. The uniform model prior is a constant factor, so ``prior`` does
+    not enter the sums.
     """
     p = data.p
     free = p - shard_bits
     b = min(free, LOW_BITS)
-    low = np.arange(b)
     # int64: with the uint8 counts, N - k - 1 in log_bf_values wraps once N > 255
     low_k = np.bitwise_count(np.arange(1 << b)).astype(np.int64)
-    fixed_bits = prefix << free
+    taken = [j for j in range(free, p) if (prefix >> (j - free)) & 1]
+    order = taken + list(range(free - 1, b - 1, -1)) + list(range(b))
+    B = np.empty((len(order) + 1, len(order) + 1))
+    B[:-1, :-1] = data.gram[np.ix_(order, order)]
+    B[:-1, -1] = B[-1, :-1] = data.xty[order]
+    B[-1, -1] = data.sse0
+    gjj = np.diagonal(data.gram)[order]
+    depth = len(order) - b
 
     shard = Shard(index=prefix, K=K, sums=np.zeros(2 * p + 3))
 
-    state = FitState(data)
-    pending: set[int] = set()
-    bits = 0
-    for j in range(free, p):
-        if (fixed_bits >> j) & 1:
-            bits |= 1 << j
-            if not state.add(j):
-                pending.add(j)
-
-    for t in range(1 << (free - b)):
-        if t:
-            # Gray code: flip the ctz(t)-th position above the low block
-            j = b + (t & -t).bit_length() - 1
-            if (bits >> j) & 1:
-                bits &= ~(1 << j)
-                if j in pending:
-                    pending.discard(j)
-                else:
-                    state.delete(j)
-                if pending:
-                    # a delete can break a dependency; retry pending adds
-                    for pj in sorted(pending):
-                        if state.add(pj):
-                            pending.discard(pj)
-            else:
-                bits |= 1 << j
-                if not state.add(j):
-                    pending.add(j)
-        if pending:
-            lbf = np.full(1 << b, NEG_INF)
-        else:
-            # with nothing pending the state holds every set bit
-            sse, singular = state.extension_sse(low)
-            lbf = log_bf_values(sse, state.k + low_k, data.sse0, data.N, g)
+    # (matrix, level, model bits, model size); the left child is pushed
+    # last, so outer models are absorbed in ascending order
+    stack = [(B, 0, 0, 0)]
+    while stack:
+        B, level, bits, k = stack.pop()
+        if level == depth:
+            sse, singular = subset_sse(B, gjj[level:])
+            lbf = log_bf_values(sse, k + low_k, data.sse0, data.N, g)
             lbf[singular] = NEG_INF
-        shard.absorb(bits, lbf, quantity, rank_threshold)
+            shard.absorb(bits, lbf, quantity, rank_threshold)
+            continue
+        j = order[level]
+        if k >= data.N - 2 or B[0, 0] <= SINGULAR_EPS * gjj[level]:
+            # the subtree: positions below j, or the whole shard
+            shard.count += 1 << min(j, free)
+            shard.excluded_count += 1 << min(j, free)
+        else:
+            stack.append((_take_in(B), level + 1, bits | 1 << j, k + 1))
+        if j < free:
+            stack.append((B[1:, 1:], level + 1, bits, k))
     return shard
 
 

@@ -1,14 +1,14 @@
-"""Data ingestion, design expansion, and the incremental SSE engine.
+"""Data ingestion, design expansion, and the Gibbs sweep's SSE engine.
 
 A Dataset holds the response and candidate columns; the intercept is never
 a candidate, it is implicit in every model. All linear algebra runs on the
 centered design, which matches the centered Gram matrix used by the g-prior
-covariance. FitState keeps the cross-product matrix of the centered design
-and the response swept on the active set, so that adding or deleting one
-variable is one O(p^2) sweep that never touches the N-length data once the
-Gram matrix is precomputed. Its unswept rows hold every extension's Schur
-complement, from which ``subset_sse`` scores the extensions by all subsets
-of b further columns in one batch.
+covariance. FitState, the state of the Gibbs sweep and of ``fit_model``,
+keeps the cross-product matrix of the centered design and the response
+swept on the active set, so that adding or deleting one variable is one
+O(p^2) sweep that never touches the N-length data once the Gram matrix is
+precomputed. ``SINGULAR_EPS`` is the collinearity rule of every fit,
+exact enumeration's included.
 """
 
 from __future__ import annotations
@@ -369,13 +369,6 @@ class FitState:
         self._sweep(j)
         self._refresh(sse)
 
-    def extension_sse(self, cols) -> tuple[np.ndarray, np.ndarray]:
-        """``subset_sse`` of this model and the inactive ``cols``: their rows
-        and columns of M, with the response's, are the unswept bordered
-        matrix."""
-        ix = np.append(cols, self.data.p)
-        return subset_sse(self.M[np.ix_(ix, ix)], self._M0.diagonal()[cols])
-
     def _sweep(self, i: int) -> None:
         """Sweep M on pivot i, or reverse-sweep it when i is active."""
         drop = (self.bits >> i) & 1
@@ -399,42 +392,6 @@ class FitState:
         M[-1, -1] = sse
         self.D = M.diagonal().tolist()
         self.C = M[-1].tolist()
-
-
-def subset_sse(B: np.ndarray, gjj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SSE of one model extended by each subset T of b further columns L,
-    and whether that extension is singular.
-
-    ``B`` is the (b+1)x(b+1) bordered matrix [[S, r], [r', sse]], with S the
-    Schur complement of the model's active set A in the Gram matrix of L,
-    r = X'y_L - G_LA beta_A and sse the model's SSE; ``gjj`` holds the G_jj
-    of L. Then SSE(A + T) = sse - r_T' S_TT^-1 r_T, the last pivot left
-    after eliminating T from [[S_TT, r_T], [r_T', sse]]. Entry t of both
-    returned arrays is for the subset T holding column i of L when bit i of
-    t is set. The subsets are eliminated by doubling. Level j holds, batch last, the
-    Schur complements of all 2^j subsets of the first j columns, each on the
-    remaining columns and y. The child that leaves column j out is the
-    trailing block, rest; the one that takes it in is rest - c c' with
-    c = T[1:, 0] / sqrt(d), and the children are stacked [left out, taken
-    in], so subset t stays at index t. A subset is singular when a column it
-    takes in has a pivot d <= SINGULAR_EPS * G_jj, the rule of
-    ``FitState.add``; its children inherit the flag, and its SSE is
-    meaningless, possibly NaN.
-    """
-    T = B[:, :, None]
-    singular = np.zeros(1, dtype=bool)
-    # a singular subset's children may take the square root of a
-    # negative pivot or divide by a zero one
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(gjj.size):
-            d = T[0, 0]
-            rest = T[1:, 1:]
-            col = T[1:, 0] / np.sqrt(d)
-            T = np.concatenate((rest, rest - col[:, None] * col[None]), axis=2)
-            singular = np.concatenate(
-                (singular, singular | (d <= SINGULAR_EPS * gjj[j]))
-            )
-    return np.maximum(T[0, 0], 0.0), singular
 
 
 def fit_model(data: Dataset, model: ModelIndex) -> FitState:

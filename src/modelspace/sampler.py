@@ -73,6 +73,8 @@ class SamplerConfig:
             raise UsageError("burn must be >= 0")
         if self.thin < 1:
             raise UsageError("thin must be >= 1")
+        if self.seed < 0:
+            raise UsageError(f"seed (--seed) must be >= 0, got {self.seed}")
         if self.start not in ("null_model", "full_model", "random"):
             raise UsageError(f"unknown start {self.start!r}")
 

@@ -51,6 +51,25 @@ def naive_enumeration(data: Dataset, g: float):
     return lbfs, float(log_total), incl, dim, hpm_bits
 
 
+def standin_dataset(p: int, seed: int = 1) -> Dataset:
+    """The first p columns of the synthetic stand-in for the paper's ozone
+    design: N = 178 rows of seven AR(1) main effects (rho = 0.5), expanded
+    to 7 mains, 7 squares and 21 pairwise interactions, with a sparse signal
+    on five of those 35 columns plus unit noise."""
+    rng = np.random.default_rng([seed, 0])
+    idx = np.arange(7)
+    corr = 0.5 ** np.abs(idx[:, None] - idx[None, :])
+    Z = rng.standard_normal((178, 7)) @ np.linalg.cholesky(corr).T
+    mains = [f"x{i}" for i in range(1, 8)]
+    pairs = [(a, b) for a in range(7) for b in range(a + 1, 7)]
+    X = np.column_stack([Z, Z * Z] + [Z[:, a] * Z[:, b] for a, b in pairs])
+    names = mains + [m + m for m in mains] + [mains[a] + mains[b] for a, b in pairs]
+    signal = {"x1": 0.9, "x3": -0.8, "x2x2": 0.6, "x1x2": 0.7, "x3x4": 0.6}
+    beta = np.array([signal.get(name, 0.0) for name in names])
+    y = X @ beta + rng.standard_normal(178)
+    return make_dataset(y, X[:, :p], names[:p])
+
+
 @pytest.fixture
 def set_shard_bits(monkeypatch):
     """``set_shard_bits(s)`` makes every exact pass of the test use 2^s
@@ -96,6 +115,11 @@ def p8_naive(p8_data):
 @pytest.fixture(scope="session")
 def p10_naive(p10_data):
     return naive_enumeration(p10_data, float(p10_data.N))
+
+
+@pytest.fixture(scope="session")
+def standin_p24() -> Dataset:
+    return standin_dataset(24)
 
 
 def ozone_csv_path():

@@ -132,6 +132,22 @@ class TestExitCodes:
         assert rc == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["gibbs", "--iterations", "10"],
+         ["compare", "--runs", "4", "--iterations", "10", "--workers", "1"]],
+        ids=["gibbs", "compare"],
+    )
+    def test_negative_seed_is_usage_error(self, csv4, command, capsys, monkeypatch):
+        # refused before any chain runs
+        monkeypatch.setattr(cli, "run_chain", None)
+        rc = main(
+            command + [csv4, "--response", "y", "--g", "30", "--seed", "-1",
+                       "--out", os.devnull]
+        )
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_non_finite_g_is_usage_error(self, csv4):
         for g in ("nan", "inf"):
             rc = main(["exact", csv4, "--response", "y", "--g", g, "--out", os.devnull])

@@ -20,14 +20,9 @@ from modelspace import (
     topk_mass_log10,
 )
 import modelspace.exact as exact_mod
-from modelspace.exact import enumerate_shard, reduce_shards
+from modelspace.exact import enumerate_shard, reduce_shards, subset_sse
 from modelspace.cli import main
-from modelspace.linmodel import (
-    SINGULAR_EPS,
-    FitState,
-    fit_model,
-    sse_direct,
-)
+from modelspace.linmodel import SINGULAR_EPS, fit_model, sse_direct
 from conftest import naive_enumeration, synth_dataset
 
 
@@ -234,20 +229,30 @@ class TestLowBitBlock:
             assert lbf == pytest.approx(float(lbfs[m.bits]), abs=1e-10)
 
     def test_matches_naive_p10(self, p10_data, p10_naive, monkeypatch, set_shard_bits):
+        # the second input has N = 9 <= p + 2: the 56 models with k > 7 are
+        # saturated, and the walk refuses take-ins above the low block
         monkeypatch.setattr(exact_mod, "LOW_BITS", 3)
-        set_shard_bits(2)
-        lbfs, log_total, incl, dim, hpm_bits = p10_naive
-        g = float(p10_data.N)
-        res = enumerate_exact(p10_data, g, GPriorSpec.fixed(g), K=10, workers=1)
-        assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
-        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
-        np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
-        assert res.hpm.bits == hpm_bits
+        saturated = synth_dataset(N=9, p=10, active=(1, 6), betas=(1.0, -0.8), seed=31)
+        for data, naive, shard_bits in [
+            (p10_data, p10_naive, 2),
+            (saturated, naive_enumeration(saturated, 9.0), 1),
+        ]:
+            set_shard_bits(shard_bits)
+            lbfs, log_total, incl, dim, hpm_bits = naive
+            g = float(data.N)
+            res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=10, workers=1)
+            assert res.excluded_count == int(np.sum(np.isneginf(lbfs)))
+            assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
+            np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
+            np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
+            assert res.hpm.bits == hpm_bits
+        assert res.excluded_count == 56
 
     def test_long_walk_matches_naive(self, monkeypatch, set_shard_bits):
-        # one shard whose Gray-code walk visits 2^10 outer models on one
-        # FitState, never rebuilt, on a correlated design: the swept matrix
-        # it hands to the low block must not drift
+        # one shard whose depth-first walk eliminates 10 outer columns
+        # above the low block on a correlated design: the Schur complement
+        # it hands to the low block at each of the 2^10 outer models must
+        # not drift
         monkeypatch.setattr(exact_mod, "LOW_BITS", 3)
         set_shard_bits(0)
         rng = np.random.default_rng(17)
@@ -276,9 +281,10 @@ class TestLowBitBlock:
         self, copy, of, hpm_tied, monkeypatch, set_shard_bits
     ):
         # with LOW_BITS = 3, columns 0, 1, 2 are low and 3, 4, 5 are walked:
-        # the pair is caught by a low pivot or by the walk's pending set. A
-        # pair in the low block is flagged at column 1, and the subsets that
-        # also take column 2 must inherit the flag
+        # the pair is caught by a low pivot or by a refused take-in of the
+        # walk, which excludes its subtree. A pair in the low block is
+        # flagged at column 1, and the subsets that also take column 2 must
+        # inherit the flag
         monkeypatch.setattr(exact_mod, "LOW_BITS", 3)
         set_shard_bits(0)
         rng = np.random.default_rng(8)
@@ -308,14 +314,12 @@ class TestLowBitBlock:
     def test_nan_log_bf_is_a_numerical_error(self, p8_data, tmp_path, monkeypatch):
         # a NaN SSE must not pass for an excluded model: the pass raises,
         # and the exact command exits 4
-        extension_sse = FitState.extension_sse
-
-        def one_nan(self, cols):
-            sse, singular = extension_sse(self, cols)
+        def one_nan(B, gjj):
+            sse, singular = subset_sse(B, gjj)
             sse[-1] = np.nan
             return sse, singular
 
-        monkeypatch.setattr(FitState, "extension_sse", one_nan)
+        monkeypatch.setattr(exact_mod, "subset_sse", one_nan)
         g = float(p8_data.N)
         with pytest.raises(NumericalError):
             enumerate_exact(p8_data, g, GPriorSpec.fixed(g), K=8, workers=1)
@@ -353,8 +357,10 @@ class TestLowBitBlock:
         data = synth_dataset(N=60, p=b + 8, active=(1, 11), betas=(0.7, -0.5), seed=9)
         rng = np.random.default_rng(4)
         outer = ModelIndex.from_indices(rng.choice(np.arange(b, data.p), 5, replace=False))
+        low = np.arange(b)
+        ix = np.append(low, data.p)
         state = fit_model(data, outer)
-        sse, singular = state.extension_sse(np.arange(b))
+        sse, singular = subset_sse(state.M[np.ix_(ix, ix)], np.diagonal(data.gram)[low])
         assert not singular.any()
         members = subset_members(b)
         for t in range(1 << b):
@@ -376,11 +382,10 @@ class TestLowBitBlock:
         data = make_dataset(y, X, [f"x{j}" for j in range(b + 6)])
         state = fit_model(data, ModelIndex.from_indices([b, b + 1, b + 4]))
         low = np.arange(b)
-        sse, singular = state.extension_sse(low)
         ix = np.append(low, data.p)
-        ref_sse, ref_singular = column_cholesky_sse(
-            state.M[np.ix_(ix, ix)], np.diagonal(data.gram)[low]
-        )
+        B, gjj = state.M[np.ix_(ix, ix)], np.diagonal(data.gram)[low]
+        sse, singular = subset_sse(B, gjj)
+        ref_sse, ref_singular = column_cholesky_sse(B, gjj)
         np.testing.assert_array_equal(singular, ref_singular)
         assert singular.sum() == (1 << (b - 2) if dup else 0)
         np.testing.assert_array_equal(sse[~singular], ref_sse[~singular])

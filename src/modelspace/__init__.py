@@ -33,6 +33,7 @@ from .estimators import (
     rank_models,
     renormalized_estimate,
     renormalized_inclusion,
+    summarize_exact,
     summarize_trace,
     topk_mass_log10,
 )

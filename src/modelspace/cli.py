@@ -22,20 +22,17 @@ from . import exact as exact_mod
 from .bayesfactor import GPriorSpec
 from .errors import DataError, NumericalError, UsageError
 from .estimators import (
-    DistinctModels,
     PosteriorSummary,
     dedupe_models,
     find_hpm,
-    find_mpm,
-    frequency_se,
-    hh_inclusion,
     renormalized_inclusion,
+    summarize_exact,
     summarize_trace,
     topk_mass_log10,
 )
-# renormalized_estimate stays in this namespace: the benchmark's tracer wraps
-# it by name.
-from .estimators import renormalized_estimate  # noqa: F401
+# find_mpm and renormalized_estimate stay in this namespace: the benchmark's
+# tracer wraps them by name.
+from .estimators import find_mpm, renormalized_estimate  # noqa: F401
 from .linmodel import Dataset, ModelIndex, expand_design, load_csv
 from .sampler import ChainTrace, SamplerConfig, run_chain
 
@@ -59,7 +56,7 @@ def write_trace(path, trace: ChainTrace) -> None:
 def read_trace(path) -> ChainTrace:
     """A trace file's bitmasks, g draws and log Bayes factors as arrays."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except OSError as e:  # missing, a directory, unreadable
         raise DataError(f"{path}: not found or unreadable ({e.strerror})") from None
@@ -109,26 +106,6 @@ def _names_of(model: ModelIndex, data: Dataset) -> list[str]:
     return [data.names[j] for j in model.indices()]
 
 
-def summarize_exact(res: exact_mod.ExactResult, top_k: int) -> PosteriorSummary:
-    """The posterior summary of an exact enumeration; its SEs are 0."""
-    return PosteriorSummary(
-        method="exact",
-        n_used=res.model_count,
-        inclusion=res.inclusion_exact,
-        inclusion_se=np.zeros_like(res.inclusion_exact),
-        dimension=res.dimension_exact,
-        dimension_se=np.zeros_like(res.dimension_exact),
-        hpm=res.hpm,
-        hpm_log_bf=res.hpm_log_bf,
-        mpm=find_mpm(res.inclusion_exact),
-        top_models=res.top_models,
-        mass_log10=topk_mass_log10(DistinctModels.from_pairs(res.top_models), top_k),
-        hpm_posterior=res.hpm_posterior,
-        log10_total_bf=res.log_total_bf / LOG10,
-        excluded_count=res.excluded_count,
-    )
-
-
 def _with_se(values: np.ndarray, se: np.ndarray | None) -> zip:
     """(value, SE) pairs of a per-variable or per-dimension field."""
     return zip(values.tolist(), [None] * values.size if se is None else se.tolist())
@@ -140,6 +117,7 @@ def summary_to_json(
     """The ``summary`` object of a run report, from a chain or an enumeration."""
     method = "exact" if summary.method == "exact" else "empirical"
     renorm = summary.inclusion_renormalized
+    top = summary.top_models
     return {
         "method": summary.method,
         "p": data.p,
@@ -172,7 +150,8 @@ def summary_to_json(
             "variables": _names_of(summary.mpm, data),
         },
         "top_models": [
-            {"bits_hex": m.to_hex(), "log_bf": lbf} for m, lbf in summary.top_models
+            {"bits_hex": format(b, "x"), "log_bf": lbf}
+            for b, lbf in zip(top.bits.tolist(), top.log_bfs.tolist())
         ],
         "top_k": top_k,
         "topk_mass_log10": summary.mass_log10,
@@ -320,7 +299,7 @@ def cmd_exact(args) -> int:
             "top_k": args.top_k,
             "force": args.force,
         },
-        summary_to_json(summarize_exact(res, args.top_k), data, args.top_k),
+        summary_to_json(summarize_exact(res), data, args.top_k),
         {
             "excluded_count": res.excluded_count,
             "shard_bits": res.shard_bits,
@@ -337,20 +316,15 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def _compare_worker(job):
+def _compare_worker(job) -> tuple[PosteriorSummary, float, np.ndarray]:
+    """One chain's summary, its bit flips per sweep and its visited bitmasks."""
     data, config, top_k = job
     trace = run_chain(data, config)
-    distinct = dedupe_models(trace)
-    incl = hh_inclusion(trace, data.p)
-    return {
-        "inclusion": incl,
-        "inclusion_se": frequency_se(incl, trace.n),
-        "mpm_bits": find_mpm(incl).bits,
-        "hpm_bits": find_hpm(distinct).bits,
-        "visited_bits": distinct.bits,
-        "topk_mass_log10": topk_mass_log10(distinct, top_k),
-        "bit_flips_per_sweep": trace.meta["bit_flips_per_sweep"],
-    }
+    return (
+        summarize_trace(trace, data, top_k),
+        trace.meta["bit_flips_per_sweep"],
+        trace.bits,
+    )
 
 
 def compare_runs(
@@ -400,10 +374,10 @@ def compare_runs(
         with ProcessPoolExecutor(max_workers=min(workers, runs)) as pool:
             results = list(pool.map(_compare_worker, jobs))
 
-    incl = np.array([r["inclusion"] for r in results])  # runs x p
-    ses = np.array([r["inclusion_se"] for r in results])
-    masses = np.array([r["topk_mass_log10"] for r in results])
-    flips = [r["bit_flips_per_sweep"] for r in results]
+    summaries, flips, visited = zip(*results)
+    incl = np.array([s.inclusion for s in summaries])  # runs x p
+    ses = np.array([s.inclusion_se for s in summaries])
+    masses = np.array([s.mass_log10 for s in summaries])
     variables = [
         {
             "name": name,
@@ -419,9 +393,9 @@ def compare_runs(
         ex = exact_report["summary"]
         exact_hpm = int(ex["hpm"]["bits_hex"], 16)
         exact_mpm = int(ex["mpm"]["bits_hex"], 16)
-        hpm_hits = sum(r["hpm_bits"] == exact_hpm for r in results)
-        mpm_hits = sum(r["mpm_bits"] == exact_mpm for r in results)
-        hpm_visited = sum(exact_hpm in r["visited_bits"].tolist() for r in results)
+        hpm_hits = sum(s.hpm.bits == exact_hpm for s in summaries)
+        mpm_hits = sum(s.mpm.bits == exact_mpm for s in summaries)
+        hpm_visited = sum(exact_hpm in bits.tolist() for bits in visited)
 
     return {
         "runs": runs,
@@ -432,7 +406,7 @@ def compare_runs(
             "mean": float(masses.mean()),
             "sd": float(masses.std(ddof=1)),
         },
-        "bit_flips_per_sweep": {"per_run": flips, "mean": float(np.mean(flips))},
+        "bit_flips_per_sweep": {"per_run": list(flips), "mean": float(np.mean(flips))},
         "hpm_hits": hpm_hits,
         "mpm_hits": mpm_hits,
         "hpm_visited": hpm_visited,
@@ -487,14 +461,17 @@ def _read_exact_report(path) -> dict:
     except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         raise DataError(f"{path}: not a JSON file ({e})") from None
     try:
+        if report["command"] != "exact":
+            raise ValueError
         report["dataset_digest"]
         report["config"]["g"]
         for key in ("hpm", "mpm"):
             int(report["summary"][key]["bits_hex"], 16)
     except (TypeError, KeyError, ValueError):
         raise DataError(
-            f"{path}: not an exact run report (needs dataset_digest, config.g, "
-            "summary.hpm.bits_hex and summary.mpm.bits_hex)"
+            f"{path}: not an exact run report (needs command \"exact\", "
+            "dataset_digest, config.g, summary.hpm.bits_hex and "
+            "summary.mpm.bits_hex)"
         ) from None
     return report
 

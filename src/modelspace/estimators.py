@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 from scipy.special import logsumexp
@@ -16,6 +16,9 @@ from scipy.special import logsumexp
 from .errors import UsageError
 from .linmodel import Dataset, ModelIndex, bits_array
 from .sampler import ChainTrace
+
+if TYPE_CHECKING:
+    from .exact import ExactResult
 
 LOG10 = math.log(10.0)
 
@@ -90,7 +93,9 @@ class EstimateWithSE:
 @dataclass
 class PosteriorSummary:
     """The answers of one chain ("gibbs") or enumeration ("exact"): arrays per
-    variable and per dimension. A one-draw chain's SEs are None, exact ones 0."""
+    variable and per dimension, and the top models as a ranked
+    ``DistinctModels``, best first, from which the HPM and the top-K mass
+    are read. A one-draw chain's SEs are None, exact ones 0."""
 
     method: str
     n_used: int
@@ -98,15 +103,28 @@ class PosteriorSummary:
     inclusion_se: np.ndarray | None
     dimension: np.ndarray
     dimension_se: np.ndarray | None
-    hpm: ModelIndex
-    hpm_log_bf: float
-    mpm: ModelIndex
-    top_models: list[tuple[ModelIndex, float]]
-    mass_log10: float
+    top_models: DistinctModels
     inclusion_renormalized: np.ndarray | None = None  # a chain only
     hpm_posterior: float | None = None  # an enumeration only
     log10_total_bf: float | None = None
     excluded_count: int | None = None
+
+    @property
+    def hpm(self) -> ModelIndex:
+        return ModelIndex.from_bits(int(self.top_models.bits[0]))
+
+    @property
+    def hpm_log_bf(self) -> float:
+        return float(self.top_models.log_bfs[0])
+
+    @property
+    def mpm(self) -> ModelIndex:
+        return find_mpm(self.inclusion)
+
+    @property
+    def mass_log10(self) -> float:
+        """Decimal log of the summed Bayes factors of the top models."""
+        return float(logsumexp(self.top_models.log_bfs)) / LOG10
 
 
 def hh_estimate(trace: ChainTrace, q: QuantityOfInterest) -> EstimateWithSE:
@@ -231,17 +249,26 @@ def renormalized_inclusion(models: DistinctModels, p: int) -> np.ndarray:
     return sums[:p] / sums[-1]
 
 
-def _ranking(models: DistinctModels) -> np.ndarray:
-    """Indices by decreasing log BF, ties by ascending bitmask."""
+def rank_models(models: DistinctModels, K: int | None = None) -> DistinctModels:
+    """The K >= 1 best models (all when K is None), best first: descending
+    log BF, ties by ascending bitmask. A partition finds the K-th largest
+    log BF, so only the models at or above it, ties included, are sorted."""
     if not len(models):
         raise UsageError("empty model set")
-    return np.lexsort((models.bits, -models.log_bfs))
+    if K is not None and K < 1:
+        raise UsageError("K must be >= 1")
+    bits, lbf = models.bits, models.log_bfs
+    if K is not None and lbf.size > K:
+        keep = lbf >= np.partition(lbf, lbf.size - K)[lbf.size - K]
+        bits, lbf = bits[keep], lbf[keep]
+    order = np.lexsort((bits, -lbf))[:K]
+    return DistinctModels(bits[order], lbf[order])
 
 
 def find_hpm(models: DistinctModels) -> ModelIndex:
     """Model with the largest unnormalized log posterior; ties broken by
     ascending bitmask."""
-    return ModelIndex.from_bits(int(models.bits[_ranking(models)[0]]))
+    return ModelIndex.from_bits(int(rank_models(models, 1).bits[0]))
 
 
 def find_mpm(inclusion: np.ndarray) -> ModelIndex:
@@ -250,34 +277,20 @@ def find_mpm(inclusion: np.ndarray) -> ModelIndex:
     return ModelIndex.from_bits(sum(1 << int(l) for l in above))
 
 
-def rank_models(
-    models: DistinctModels, K: int | None = None
-) -> list[tuple[ModelIndex, float]]:
-    """The K best models (all when K is None) by decreasing log BF, ties by
-    ascending bitmask."""
-    order = _ranking(models)[:K]
-    return list(DistinctModels(models.bits[order], models.log_bfs[order]))
-
-
 def topk_mass_log10(models: DistinctModels, K: int) -> float:
     """Decimal log of the summed Bayes factors of the K best distinct models."""
-    order = _ranking(models)
-    if K < 1:
-        raise UsageError("K must be >= 1")
-    return float(logsumexp(models.log_bfs[order[:K]])) / LOG10
+    return float(logsumexp(rank_models(models, K).log_bfs)) / LOG10
 
 
 def summarize_trace(
     trace: ChainTrace, data: Dataset, top_k: int = 1000
 ) -> PosteriorSummary:
     """Full posterior summary of one chain: empirical estimates with SEs,
-    renormalized estimates over the deduplicated visited set, HPM/MPM and
-    top-K mass. The HPM leads the ranked top K."""
+    renormalized estimates over the deduplicated visited set, and the top K
+    visited models."""
     inclusion = hh_inclusion(trace, data.p)
     dimension = hh_dimension(trace, data.p)
     distinct = dedupe_models(trace)
-    top = rank_models(distinct, top_k)
-    hpm, hpm_log_bf = top[0]
     return PosteriorSummary(
         method="gibbs",
         n_used=trace.n,
@@ -285,10 +298,23 @@ def summarize_trace(
         inclusion_se=frequency_se(inclusion, trace.n),
         dimension=dimension,
         dimension_se=frequency_se(dimension, trace.n),
-        hpm=hpm,
-        hpm_log_bf=hpm_log_bf,
-        mpm=find_mpm(inclusion),
-        top_models=top,
-        mass_log10=topk_mass_log10(distinct, top_k),
+        top_models=rank_models(distinct, top_k),
         inclusion_renormalized=renormalized_inclusion(distinct, data.p),
+    )
+
+
+def summarize_exact(res: ExactResult) -> PosteriorSummary:
+    """The posterior summary of an exact enumeration, with its top K models;
+    its SEs are 0."""
+    return PosteriorSummary(
+        method="exact",
+        n_used=res.model_count,
+        inclusion=res.inclusion_exact,
+        inclusion_se=np.zeros_like(res.inclusion_exact),
+        dimension=res.dimension_exact,
+        dimension_se=np.zeros_like(res.dimension_exact),
+        top_models=res.top_models,
+        hpm_posterior=res.hpm_posterior,
+        log10_total_bf=res.log_total_bf / LOG10,
+        excluded_count=res.excluded_count,
     )

@@ -17,9 +17,10 @@ every model below it. Each shard keeps one log-space scale, m,
 the largest log Bayes factor it has seen, and one vector of plain float
 sums of exp(log BF - m), so 1e50-scale totals never overflow. It
 absorbs each outer model's completions in one weighted column sum over
-the low block's cached membership matrix, and keeps its top K by a
-partition followed by a sort of the survivors. Shards are reduced in index
-order, so results are bit-identical regardless of worker count.
+the low block's cached membership matrix, and keeps its top K as a
+``DistinctModels`` ranked by ``rank_models``; the reduction ranks the
+shards' top models again. Shards are reduced in index order, so results
+are bit-identical regardless of worker count.
 
 The shard width is s = min(max(0, p - LOW_BITS), DEFAULT_SHARD_BITS): it
 is a function of p alone, with no option to change it and no dependence on
@@ -59,7 +60,7 @@ import numpy as np
 # log_bf_value stays in this namespace: the benchmark's tracer wraps it by name.
 from .bayesfactor import NEG_INF, GPriorSpec, log_bf_value, log_bf_values  # noqa: F401
 from .errors import NumericalError, UsageError
-from .estimators import QuantityOfInterest, membership
+from .estimators import DistinctModels, QuantityOfInterest, membership, rank_models
 from .linmodel import SINGULAR_EPS, Dataset, ModelIndex
 
 # Enumerating beyond p=30 (~1e9 models) is an opt-in long job.
@@ -103,18 +104,6 @@ def low_membership(b: int) -> np.ndarray:
     return member
 
 
-def _best(lbf: np.ndarray, bits: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The K >= 1 best models: descending log BF, ties by ascending bitmask.
-    A partition finds the K-th largest log BF, so only the models at or
-    above it, ties included, are sorted."""
-    if lbf.size > K:
-        keep = lbf >= np.partition(lbf, lbf.size - K)[lbf.size - K]
-        lbf = lbf[keep]
-        bits = bits[keep]
-    order = np.lexsort((bits, -lbf))[:K]
-    return lbf[order], bits[order]
-
-
 @dataclass
 class Shard:
     """Accumulators for one fixed-prefix slice of the model space.
@@ -122,8 +111,8 @@ class Shard:
     ``sums`` holds sums of exp(log BF - m) over the non-excluded models, all
     on the one scale ``m``: first ``membership``'s p + (p + 1) + 1 columns
     (weighted by each inclusion, each dimension and 1, the total), then the
-    sum weighted by the quantity. ``top_lbf`` and ``top_bits`` hold the K
-    best models, best first.
+    sum weighted by the quantity. ``top`` holds the K best models, ranked
+    by ``rank_models``.
     """
 
     index: int
@@ -133,8 +122,9 @@ class Shard:
     count: int = 0
     excluded_count: int = 0
     rank_count: int = 0  # models with log_bf strictly above rank_threshold
-    top_lbf: np.ndarray = field(default_factory=lambda: np.empty(0))
-    top_bits: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    top: DistinctModels = field(
+        default_factory=lambda: DistinctModels(np.empty(0, dtype=np.int64), np.empty(0))
+    )
 
     def rescale(self, m: float) -> None:
         """Move every sum onto the scale m >= self.m."""
@@ -192,16 +182,18 @@ class Shard:
             self.sums[-1] += (quantity.evaluator(bits) * w).sum()
         if rank_threshold is not None:
             self.rank_count += int(np.count_nonzero(lbf > rank_threshold))
-        if self.top_lbf.size == self.K:
+        if len(self.top) == self.K:
             # only a model at least as good as the K-th can enter
-            keep = lbf >= self.top_lbf[-1]
+            keep = lbf >= self.top.log_bfs[-1]
             if not keep.any():
                 return
             lbf = lbf[keep]
             bits = bits[keep]
-        self.top_lbf, self.top_bits = _best(
-            np.concatenate((self.top_lbf, lbf)),
-            np.concatenate((self.top_bits, bits)),
+        self.top = rank_models(
+            DistinctModels(
+                np.concatenate((self.top.bits, bits)),
+                np.concatenate((self.top.log_bfs, lbf)),
+            ),
             self.K,
         )
 
@@ -313,13 +305,16 @@ def enumerate_shard(
 
 @dataclass
 class ExactResult:
+    """The exact answers of one pass. ``top_models`` holds the K best
+    models, ranked by ``rank_models``: the HPM and its log BF are its first."""
+
     log_total_bf: float  # ln sum_gamma B (prior factored out)
     inclusion_exact: np.ndarray
     dimension_exact: np.ndarray
     hpm: ModelIndex
     hpm_log_bf: float
     hpm_posterior: float
-    top_models: list[tuple[ModelIndex, float]]
+    top_models: DistinctModels
     excluded_count: int
     model_count: int
     shard_bits: int  # the layout that fixed the reduction order
@@ -344,17 +339,13 @@ def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> Exac
     if count != expected:
         raise UsageError(f"partition visited {count} models, expected {expected}")
 
-    top_lbf, top_bits = _best(
-        np.concatenate([s.top_lbf for s in shards]),
-        np.concatenate([s.top_bits for s in shards]),
-        shards[0].K,
+    top = DistinctModels(
+        np.concatenate([s.top.bits for s in shards]),
+        np.concatenate([s.top.log_bfs for s in shards]),
     )
-    top = [
-        (ModelIndex.from_bits(int(bits)), float(lbf))
-        for lbf, bits in zip(top_lbf, top_bits)
-    ]
-    if not top:
+    if not len(top):
         raise UsageError("no full-rank models found")
+    top = rank_models(top, shards[0].K)
 
     m = max(s.m for s in shards)
     sums = np.zeros(2 * p + 3)
@@ -363,13 +354,13 @@ def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> Exac
         sums += s.sums
     total = float(sums[-2])
 
-    hpm, hpm_lbf = top[0]
+    hpm_lbf = float(top.log_bfs[0])
     shard_bits = len(shards).bit_length() - 1
     return ExactResult(
         log_total_bf=m + math.log(total),
         inclusion_exact=sums[:p] / total,
         dimension_exact=sums[p:-2] / total,
-        hpm=hpm,
+        hpm=ModelIndex.from_bits(int(top.bits[0])),
         hpm_log_bf=hpm_lbf,
         hpm_posterior=math.exp(hpm_lbf - m) / total,
         top_models=top,

@@ -68,10 +68,6 @@ class ModelIndex:
     def to_hex(self) -> str:
         return format(self.bits, "x")
 
-    @classmethod
-    def from_hex(cls, s: str) -> "ModelIndex":
-        return cls.from_bits(int(s, 16))
-
 
 def bits_array(bits) -> np.ndarray:
     """Bitmasks as int64 when all lie in [0, 2^63), else as Python ints
@@ -195,7 +191,9 @@ def make_dataset(y, X, names, dropped=None) -> Dataset:
 def load_csv(path, response: str) -> Dataset:
     """Load a CSV (header row, '.' decimals) and split off the response column."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark (Excel's "CSV UTF-8") is not part of
+        # the first column's name
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -172,13 +172,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "text",
-        ["{not json", "[1, 2]", '{"dataset_digest": "x", "config": {"g": 40.0}, '
-         '"summary": {"mpm": {"bits_hex": "2"}}}'],
-        ids=["not-json", "not-an-object", "no-summary-hpm"],
+        ["{not json", "[1, 2]", '{"command": "exact", "dataset_digest": "x", '
+         '"config": {"g": 40.0}, "summary": {"mpm": {"bits_hex": "2"}}}', None],
+        ids=["not-json", "not-an-object", "no-summary-hpm", "gibbs-report"],
     )
     def test_bad_exact_report_is_data_error(self, csv4, tmp_path, text, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(text)
+        if text is None:
+            # a gibbs report of the same data and g has every field but
+            # the command
+            argv = ["gibbs", csv4, "--response", "y", "--g", "40",
+                    "--iterations", "50", "--out", str(bad)]
+            assert main(argv) == 0
+        else:
+            bad.write_text(text)
         rc = main(
             ["compare", csv4, "--response", "y", "--g", "40", "--runs", "2",
              "--iterations", "10", "--exact", str(bad), "--workers", "1",
@@ -695,6 +702,9 @@ class TestTraceFormat:
         assert back.bits.tolist() == [0, 5, 1023]
         assert back.g_draws.tolist() == [1.0, 2.5, 1e6]
         assert back.log_bfs.tolist() == [0.0, -3.25, 117.0]
+        # a byte-order mark before the first record is not part of it
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_trace(path).bits.tolist() == [0, 5, 1023]
 
     def test_malformed_line(self, tmp_path):
         from modelspace import DataError

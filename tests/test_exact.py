@@ -17,6 +17,7 @@ from modelspace import (
     indicator_of_model,
     indicator_of_variable,
     make_dataset,
+    rank_models,
     topk_mass_log10,
 )
 import modelspace.exact as exact_mod
@@ -24,6 +25,12 @@ from modelspace.exact import enumerate_shard, reduce_shards, subset_sse
 from modelspace.cli import main
 from modelspace.linmodel import SINGULAR_EPS, fit_model, sse_direct
 from conftest import naive_enumeration, synth_dataset
+
+
+def assert_same_models(a, b):
+    """Two ranked model sets hold the same models and log BFs, bit for bit."""
+    np.testing.assert_array_equal(a.bits, b.bits)
+    np.testing.assert_array_equal(a.log_bfs, b.log_bfs)
 
 
 def subset_members(b):
@@ -98,7 +105,7 @@ class TestShardWalk:
         prior = GPriorSpec.fixed(40.0)
         shard = enumerate_shard(p8_data, p8_data.p, 0b10110001, 40.0, prior, K=1)
         assert shard.count == 1
-        assert shard.top_bits.tolist() == [0b10110001]
+        assert shard.top.bits.tolist() == [0b10110001]
 
     def test_visits_every_model_once(self, p8_data, set_shard_bits):
         set_shard_bits(0)
@@ -350,7 +357,7 @@ class TestLowBitBlock:
         assert a.log_total_bf == b.log_total_bf
         np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
         np.testing.assert_array_equal(a.dimension_exact, b.dimension_exact)
-        assert a.top_models == b.top_models
+        assert_same_models(a.top_models, b.top_models)
 
     def test_every_completion_matches_direct_refit(self):
         b = exact_mod.LOW_BITS
@@ -420,7 +427,7 @@ class TestShardLayout:
         assert a.log_total_bf == b.log_total_bf
         np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
         np.testing.assert_array_equal(a.dimension_exact, b.dimension_exact)
-        assert a.top_models == b.top_models
+        assert_same_models(a.top_models, b.top_models)
         q = indicator_of_variable(8)
         assert exact_quantity(data, g, prior, q, workers=1) == exact_quantity(
             data, g, prior, q, workers=2
@@ -453,7 +460,7 @@ class TestShardLayout:
         assert a.log_total_bf == b.log_total_bf
         np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
         np.testing.assert_array_equal(a.dimension_exact, b.dimension_exact)
-        assert a.top_models == b.top_models
+        assert_same_models(a.top_models, b.top_models)
 
     @pytest.mark.parametrize(
         "shard_bits, models_per_worker, workers, size",
@@ -476,7 +483,7 @@ class TestShardLayout:
         ref = enumerate_exact(p8_data, g, prior, K=10, workers=1)
         assert res.log_total_bf == ref.log_total_bf
         np.testing.assert_array_equal(res.inclusion_exact, ref.inclusion_exact)
-        assert res.top_models == ref.top_models
+        assert_same_models(res.top_models, ref.top_models)
 
     @pytest.mark.parametrize("excluded", [False, True], ids=["full", "with-excluded"])
     def test_absorb_matches_explicit_column_sum(self, excluded):
@@ -526,7 +533,8 @@ class TestBest:
         rng = np.random.default_rng(11)
         lbf = rng.choice([-3.5, -1.0, 0.0, 0.25, 2.0, 7.0], size=40)
         bits = rng.permutation(40).astype(np.int64) * 3
-        top_lbf, top_bits = exact_mod._best(lbf, bits, K)
+        top = rank_models(DistinctModels(bits, lbf), K)
+        top_lbf, top_bits = top.log_bfs, top.bits
         order = np.lexsort((bits, -lbf))[:K]
         np.testing.assert_array_equal(top_lbf, lbf[order])
         np.testing.assert_array_equal(top_bits, bits[order])
@@ -668,8 +676,7 @@ class TestGuards:
     def test_top_k_mass_monotone(self, p8_data):
         g = float(p8_data.N)
         res = enumerate_exact(p8_data, g, GPriorSpec.fixed(g), K=256)
-        top = DistinctModels.from_pairs(res.top_models)
-        masses = [topk_mass_log10(top, K) for K in (1, 4, 16, 64, 256)]
+        masses = [topk_mass_log10(res.top_models, K) for K in (1, 4, 16, 64, 256)]
         assert all(a <= b + 1e-12 for a, b in zip(masses, masses[1:]))
         # the full 256-model mass equals the total on the log10 scale
         assert masses[-1] == pytest.approx(res.log_total_bf / math.log(10.0), abs=1e-10)

@@ -23,11 +23,16 @@ def write(tmp_path, text, name="data.csv"):
 
 class TestLoadCsv:
     def test_three_row_example(self, tmp_path):
-        data = load_csv(write(tmp_path, "y,x1\n1,0\n2,1\n3,2\n"), "y")
-        assert data.N == 3
-        assert data.p == 1
-        assert data.ybar == 2.0
-        assert data.sse0 == 2.0
+        # a byte-order mark, as Excel's "CSV UTF-8" writes, is not part of
+        # the first column's name
+        for bom in ("", "\ufeff"):
+            path = write(tmp_path, bom + "y,x1\n1,0\n2,1\n3,2\n")
+            data = load_csv(path, "y")
+            assert data.N == 3
+            assert data.p == 1
+            assert data.ybar == 2.0
+            assert data.sse0 == 2.0
+            assert load_csv(path, "x1").names == ["y"]
 
     def test_constant_column_dropped(self, tmp_path):
         data = load_csv(write(tmp_path, "y,x1,x2\n1,0,5\n2,1,5\n3,2,5\n"), "y")

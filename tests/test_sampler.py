@@ -333,8 +333,12 @@ class TestRunChain:
 
     def test_gram_built_from_the_design(self, monkeypatch):
         # above GRAM_PRECOMPUTE_LIMIT the Dataset has no Gram matrix and the
-        # sweep forms it from the centered design; the chain is the same
-        from modelspace import linmodel
+        # sweep forms its columns from the centered design; the chain visits
+        # the same models. On the swept matrix its log BFs are bit for bit
+        # the same. On the inverse Gram, above a lowered SWEEP_MATRIX_MAX_P,
+        # a column is a matrix-vector product, which rounds apart from the
+        # full product in the last bits
+        from modelspace import linmodel, sampler
 
         rng = np.random.default_rng(6)
         X = rng.standard_normal((40, 8))
@@ -344,11 +348,16 @@ class TestRunChain:
         monkeypatch.setattr(linmodel, "GRAM_PRECOMPUTE_LIMIT", 4)
         no_gram = make_dataset(y, X, names)
         assert default.gram is not None and no_gram.gram is None
-        for prior in (GPriorSpec.fixed(40.0), GPriorSpec.zellner_siow(40)):
-            cfg = SamplerConfig(iterations=500, prior=prior, seed=2)
-            a, b = run_chain(default, cfg), run_chain(no_gram, cfg)
-            assert [m.bits for m in a.models] == [m.bits for m in b.models]
-            np.testing.assert_array_equal(a.log_bfs, b.log_bfs)
+        for limit, state, tol in (
+            (sampler.SWEEP_MATRIX_MAX_P, FitState, 0.0), (4, InverseGramState, 1e-12)
+        ):
+            monkeypatch.setattr(sampler, "SWEEP_MATRIX_MAX_P", limit)
+            assert type(sweep_state(no_gram)) is state
+            for prior in (GPriorSpec.fixed(40.0), GPriorSpec.zellner_siow(40)):
+                cfg = SamplerConfig(iterations=500, prior=prior, seed=2)
+                a, b = run_chain(default, cfg), run_chain(no_gram, cfg)
+                assert [m.bits for m in a.models] == [m.bits for m in b.models]
+                np.testing.assert_allclose(a.log_bfs, b.log_bfs, rtol=tol, atol=tol)
 
     def test_inverse_gram_state_above_the_limit(self, monkeypatch):
         # above SWEEP_MATRIX_MAX_P the chain keeps the inverse Gram of the

@@ -17,9 +17,7 @@ from .errors import (
 )
 from .estimators import (
     DistinctModels,
-    EstimateWithSE,
     PosteriorSummary,
-    QuantityOfInterest,
     dedupe_models,
     find_hpm,
     find_mpm,

@@ -210,6 +210,11 @@ def _prior_from_args(args, data: Dataset) -> GPriorSpec:
 def cmd_expand(args) -> int:
     data = load_csv(args.data, args.response)
     expanded = expand_design(data, args.mains.split(","))
+    if args.response in expanded.names:
+        raise DataError(
+            f"{args.data}: the response {args.response!r} is also the name "
+            "of an expanded column"
+        )
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.response] + expanded.names)
@@ -435,6 +440,32 @@ def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> 
         raise DataError(
             f"{path}: model {int(bits[0]):x} and every other record have "
             "log BF -inf: all models are excluded"
+        )
+    g = trace.g_draws
+    bad = np.flatnonzero(~(np.isfinite(g) & (g > 0)))
+    if bad.size:
+        raise DataError(
+            f"{path}: model {int(bits[bad[0]]):x} has g {float(g[bad[0]])!r}; "
+            "g must be finite and > 0"
+        )
+    # 0 <= SSE <= SSE0 puts a finite log BF of a k-variable model at g in
+    # [-k/2, (N-k-1)/2] * ln(1+g), with a slack for rounding, and leaves a
+    # model of k > N - 2 variables none. Made-up values inside are trusted.
+    N = data.N
+    k = np.bitwise_count(bits).astype(np.float64)
+    scale = np.log1p(g)
+    slack = 1e-9 * N * scale
+    lo = -0.5 * k * scale - slack
+    hi = 0.5 * (N - k - 1) * scale + slack
+    bad = np.flatnonzero(
+        (log_bfs > -np.inf) & ((k > N - 2) | (log_bfs < lo) | (log_bfs > hi))
+    )
+    if bad.size:
+        i = bad[0]
+        raise DataError(
+            f"{path}: model {int(bits[i]):x} has log BF {float(log_bfs[i])!r}, "
+            f"outside the range of a {int(k[i])}-variable model at "
+            f"g={float(g[i])!r} with N={N}"
         )
     distinct = dedupe_models(trace)
     incl = renormalized_inclusion(distinct, data.p).tolist()

@@ -8,13 +8,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import UsageError
-from .linmodel import Dataset, ModelIndex, bits_array
+from .linmodel import Dataset, ModelIndex
 from .sampler import ChainTrace
 
 if TYPE_CHECKING:
@@ -26,24 +26,13 @@ LOG10 = math.log(10.0)
 BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class QuantityOfInterest:
-    """A posterior expectation target: tau(a) = sum_gamma a(M) Pr(M | y).
-
-    The evaluator maps an array of bitmasks (``bits_array``) to a float
-    array of a(M). Exact enumeration with workers > 1 pickles it, so it must
-    be a module-level function, a ufunc, or a ``functools.partial`` of one,
-    as ``indicator_of_*`` build; a lambda then fails in the pool
-    (``pickle.PicklingError``, or ``AttributeError`` when local). With
-    workers=1 any callable works.
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    label: str
-
-
-# Module-level evaluators, bound with functools.partial so that the
-# indicator quantities pickle and can be sent to worker processes.
+# A quantity a(M) is any callable that maps an array of bitmasks
+# (``bits_array``) to a float array of a(M): tau(a) = sum_gamma a(M) Pr(M | y).
+# Exact enumeration with workers > 1 pickles it, so there it must be a
+# module-level function, a ufunc, or a ``functools.partial`` of one, as
+# ``indicator_of_*`` return; a lambda then fails in the pool
+# (``pickle.PicklingError``, or ``AttributeError`` when local). With
+# workers=1 any callable works.
 def _includes(l: int, bits: np.ndarray) -> np.ndarray:
     return ((bits >> l) & 1).astype(np.float64)
 
@@ -56,18 +45,16 @@ def _is_model(target: int, bits: np.ndarray) -> np.ndarray:
     return (bits == target).astype(np.float64)
 
 
-def indicator_of_variable(l: int) -> QuantityOfInterest:
-    return QuantityOfInterest(partial(_includes, l), f"include[{l}]")
+def indicator_of_variable(l: int) -> partial:
+    return partial(_includes, l)
 
 
-def indicator_of_dimension(k: int) -> QuantityOfInterest:
-    return QuantityOfInterest(partial(_has_dimension, k), f"dimension[{k}]")
+def indicator_of_dimension(k: int) -> partial:
+    return partial(_has_dimension, k)
 
 
-def indicator_of_model(target: ModelIndex) -> QuantityOfInterest:
-    return QuantityOfInterest(
-        partial(_is_model, target.bits), f"model[{target.to_hex()}]"
-    )
+def indicator_of_model(target: ModelIndex) -> partial:
+    return partial(_is_model, target.bits)
 
 
 def membership(bits: np.ndarray, p: int) -> np.ndarray:
@@ -80,14 +67,6 @@ def membership(bits: np.ndarray, p: int) -> np.ndarray:
     member[np.arange(n), p + np.bitwise_count(bits).astype(np.intp)] = 1.0
     member[:, -1] = 1.0
     return member
-
-
-@dataclass(frozen=True)
-class EstimateWithSE:
-    value: float
-    se: float | None
-    method: str  # "empirical" | "renormalized"
-    n_used: int
 
 
 @dataclass
@@ -127,18 +106,21 @@ class PosteriorSummary:
         return float(logsumexp(self.top_models.log_bfs)) / LOG10
 
 
-def hh_estimate(trace: ChainTrace, q: QuantityOfInterest) -> EstimateWithSE:
-    """Hansen-Hurwitz estimate of tau(a) over a trace, with the unbiased
-    variance estimate (1/(n(n-1))) sum (a_j - mean)^2."""
+def hh_estimate(
+    trace: ChainTrace, q: Callable[[np.ndarray], np.ndarray]
+) -> tuple[float, float | None]:
+    """Hansen-Hurwitz estimate of tau(a) over a trace and its SE, from the
+    unbiased variance estimate (1/(n(n-1))) sum (a_j - mean)^2; the SE is
+    None for a one-draw trace."""
     n = trace.n
     if n == 0:
         raise UsageError("empty trace")
-    values = q.evaluator(trace.bits)
+    values = q(trace.bits)
     mean = float(values.mean())
     if n == 1:
-        return EstimateWithSE(mean, None, "empirical", 1)
+        return mean, None
     var = float(np.sum((values - mean) ** 2)) / (n * (n - 1))
-    return EstimateWithSE(mean, math.sqrt(var), "empirical", n)
+    return mean, math.sqrt(var)
 
 
 def frequency_se(freq: np.ndarray, n: int) -> np.ndarray | None:
@@ -162,47 +144,33 @@ def weighted_sums(bits: np.ndarray, p: int, w: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _frequencies(trace: ChainTrace, p: int, columns: slice) -> np.ndarray:
-    """Frequencies of some columns of the trace's membership matrix: each
-    draw weighs 1, and the counts are divided by n."""
+def hh_inclusion(trace: ChainTrace, p: int) -> np.ndarray:
+    """Per-variable inclusion frequencies q_hat_l: the variables' columns of
+    the trace's membership matrix, each draw weighing 1, divided by n."""
     if trace.n == 0:
         raise UsageError("empty trace")
-    return weighted_sums(trace.bits, p, np.ones(trace.n))[columns] / trace.n
-
-
-def hh_inclusion(trace: ChainTrace, p: int) -> np.ndarray:
-    """Per-variable inclusion frequencies q_hat_l."""
-    return _frequencies(trace, p, slice(0, p))
+    return weighted_sums(trace.bits, p, np.ones(trace.n))[:p] / trace.n
 
 
 def hh_dimension(trace: ChainTrace, p: int) -> np.ndarray:
-    """Posterior-dimension frequencies d_hat(k) for k = 0..p."""
-    return _frequencies(trace, p, slice(p, -1))
+    """Posterior-dimension frequencies d_hat(k) for k = 0..p: the counts of
+    the draws' popcounts, exact integers as in ``weighted_sums``, over n."""
+    if trace.n == 0:
+        raise UsageError("empty trace")
+    k = np.bitwise_count(trace.bits).astype(np.intp)
+    return np.bincount(k, minlength=p + 1) / trace.n
 
 
 @dataclass
 class DistinctModels:
-    """A set of distinct models: bitmasks (``bits_array``'s dtype rule) and
-    one log Bayes factor each. Iterating yields (``ModelIndex``, log BF)
-    pairs."""
+    """A set of distinct models as two aligned arrays: bitmasks
+    (``bits_array``'s dtype rule) and one log Bayes factor each."""
 
     bits: np.ndarray
     log_bfs: np.ndarray
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[ModelIndex, float]]) -> "DistinctModels":
-        pairs = list(pairs)
-        return cls(
-            bits_array([m.bits for m, _ in pairs]),
-            np.array([lbf for _, lbf in pairs], dtype=np.float64),
-        )
-
     def __len__(self) -> int:
         return self.bits.size
-
-    def __iter__(self) -> Iterator[tuple[ModelIndex, float]]:
-        for b, lbf in zip(self.bits.tolist(), self.log_bfs.tolist()):
-            yield ModelIndex.from_bits(b), lbf
 
 
 def dedupe_models(trace: ChainTrace) -> DistinctModels:
@@ -229,17 +197,15 @@ def _renormalized_weights(models: DistinctModels) -> np.ndarray:
 
 
 def renormalized_estimate(
-    models: DistinctModels, q: QuantityOfInterest
-) -> EstimateWithSE:
+    models: DistinctModels, q: Callable[[np.ndarray], np.ndarray]
+) -> float:
     """Estimate of tau(a) weighting each distinct model by its Bayes factor
     renormalized within the visited set. No variance estimate exists for
     this estimator."""
     w = _renormalized_weights(models)
-    a = q.evaluator(models.bits)
     # both sums run over arrays of one length, so their additions match
     # term by term: an indicator's estimate cannot round above 1
-    value = float(np.sum(w * a) / np.sum(w))
-    return EstimateWithSE(value, None, "renormalized", len(models))
+    return float(np.sum(w * q(models.bits)) / np.sum(w))
 
 
 def renormalized_inclusion(models: DistinctModels, p: int) -> np.ndarray:

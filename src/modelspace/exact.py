@@ -54,13 +54,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 # log_bf_value stays in this namespace: the benchmark's tracer wraps it by name.
 from .bayesfactor import NEG_INF, GPriorSpec, log_bf_value, log_bf_values  # noqa: F401
 from .errors import NumericalError, UsageError
-from .estimators import DistinctModels, QuantityOfInterest, membership, rank_models
+from .estimators import DistinctModels, membership, rank_models
 from .linmodel import SINGULAR_EPS, Dataset, ModelIndex
 
 # Enumerating beyond p=30 (~1e9 models) is an opt-in long job.
@@ -80,14 +81,15 @@ MODELS_PER_WORKER = 1 << 18
 
 def default_workers() -> int:
     env = os.environ.get("MODELSPACE_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(
-                f"MODELSPACE_WORKERS must be an integer, got {env!r}"
-            ) from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"MODELSPACE_WORKERS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def default_shard_bits(p: int) -> int:
@@ -135,7 +137,7 @@ class Shard:
         self,
         outer: int,
         lbf: np.ndarray,
-        quantity: QuantityOfInterest | None,
+        quantity: Callable[[np.ndarray], np.ndarray] | None,
         rank_threshold: float | None,
     ) -> None:
         """Add the 2^b completions of one outer model: entry t of ``lbf`` is
@@ -179,7 +181,7 @@ class Shard:
 
         if quantity is not None:
             # a reduction, not np.dot: see the module docstring on BLAS
-            self.sums[-1] += (quantity.evaluator(bits) * w).sum()
+            self.sums[-1] += (quantity(bits) * w).sum()
         if rank_threshold is not None:
             self.rank_count += int(np.count_nonzero(lbf > rank_threshold))
         if len(self.top) == self.K:
@@ -246,7 +248,7 @@ def enumerate_shard(
     g: float,
     prior: GPriorSpec,
     K: int,
-    quantity: QuantityOfInterest | None = None,
+    quantity: Callable[[np.ndarray], np.ndarray] | None = None,
     rank_threshold: float | None = None,
 ) -> Shard:
     """Score all completions of one fixed high-bit prefix.
@@ -311,8 +313,6 @@ class ExactResult:
     log_total_bf: float  # ln sum_gamma B (prior factored out)
     inclusion_exact: np.ndarray
     dimension_exact: np.ndarray
-    hpm: ModelIndex
-    hpm_log_bf: float
     hpm_posterior: float
     top_models: DistinctModels
     excluded_count: int
@@ -322,6 +322,14 @@ class ExactResult:
     quantity_value: float = 0.0
     rank_count: int = 0
     workers: int = 1  # processes that ran the shards; 1 is in-process
+
+    @property
+    def hpm(self) -> ModelIndex:
+        return ModelIndex.from_bits(int(self.top_models.bits[0]))
+
+    @property
+    def hpm_log_bf(self) -> float:
+        return float(self.top_models.log_bfs[0])
 
 
 def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> ExactResult:
@@ -354,15 +362,12 @@ def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> Exac
         sums += s.sums
     total = float(sums[-2])
 
-    hpm_lbf = float(top.log_bfs[0])
     shard_bits = len(shards).bit_length() - 1
     return ExactResult(
         log_total_bf=m + math.log(total),
         inclusion_exact=sums[:p] / total,
         dimension_exact=sums[p:-2] / total,
-        hpm=ModelIndex.from_bits(int(top.bits[0])),
-        hpm_log_bf=hpm_lbf,
-        hpm_posterior=math.exp(hpm_lbf - m) / total,
+        hpm_posterior=math.exp(float(top.log_bfs[0]) - m) / total,
         top_models=top,
         excluded_count=sum(s.excluded_count for s in shards),
         model_count=count,
@@ -393,7 +398,7 @@ def enumerate_exact(
     K: int = 1000,
     workers: int | None = None,
     force: bool = False,
-    quantity: QuantityOfInterest | None = None,
+    quantity: Callable[[np.ndarray], np.ndarray] | None = None,
     rank_threshold: float | None = None,
 ) -> ExactResult:
     """Sharded exact enumeration of all 2^p models under a fixed g.
@@ -403,7 +408,7 @@ def enumerate_exact(
     is above 1, so a pass below 2^19 models runs in-process: there a pool
     costs more to start than it saves (the module docstring has the
     break-even). Each pool worker receives the Dataset once, then
-    contiguous runs of shards, and a quantity's evaluator must pickle (a
+    contiguous runs of shards, and a quantity must pickle (a
     module-level function, a ufunc, or a ``partial`` of one; a lambda fails
     in the pool). In-process, any callable works. The shard layout is a
     function of p alone, with no option to change it, so the result depends
@@ -446,13 +451,13 @@ def exact_quantity(
     data: Dataset,
     g: float,
     prior: GPriorSpec,
-    q: QuantityOfInterest,
+    q: Callable[[np.ndarray], np.ndarray],
     workers: int | None = None,
     force: bool = False,
 ) -> float:
     """Exact tau(a) = sum_gamma a(M) Pr(M | y) by a full sharded pass.
 
-    The evaluator maps a bitmask array to a float array. With workers > 1
+    The quantity maps a bitmask array to a float array. With workers > 1
     it must pickle (a module-level function, a ufunc, or a ``partial`` of
     one; a lambda fails in the pool); with workers=1 any callable works.
     The pass uses ``enumerate_exact``'s layout, a function of p alone, so

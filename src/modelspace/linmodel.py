@@ -51,9 +51,6 @@ class ModelIndex:
             bits |= 1 << int(j)
         return cls.from_bits(bits)
 
-    def contains(self, j: int) -> bool:
-        return bool((self.bits >> j) & 1)
-
     def indices(self) -> list[int]:
         out = []
         bits = self.bits
@@ -200,6 +197,9 @@ def load_csv(path, response: str) -> Dataset:
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             header = [h.strip() for h in header]
+            if len(set(header)) < len(header):
+                dupes = sorted({h for h in header if header.count(h) > 1})
+                raise DataError(f"{path}: duplicate column names: {dupes}")
             if response not in header:
                 raise DataError(f"{path}: no column named {response!r}")
             rows = list(reader)

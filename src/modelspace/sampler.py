@@ -97,11 +97,6 @@ class ChainTrace:
     def n(self) -> int:
         return self.bits.size
 
-    @property
-    def models(self) -> list[ModelIndex]:
-        """The draws as ``ModelIndex`` objects, built on each access."""
-        return [ModelIndex.from_bits(b) for b in self.bits.tolist()]
-
 
 def _sigmoid(lnr: float) -> float:
     """1 / (1 + exp(-lnr)), stable for any lnr including +-inf."""

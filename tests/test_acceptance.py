@@ -225,9 +225,10 @@ def test_criterion_7_determinism(acc_data):
     b = enumerate_exact(acc_data, g, prior, K=100, workers=8)
     dz = abs(a.log_total_bf - b.log_total_bf)
     di = float(np.abs(a.inclusion_exact - b.inclusion_exact).max())
-    same_top = [(m.bits, lbf) for m, lbf in a.top_models] == [
-        (m.bits, lbf) for m, lbf in b.top_models
-    ]
+    same_top = (
+        a.top_models.bits.tolist() == b.top_models.bits.tolist()
+        and a.top_models.log_bfs.tolist() == b.top_models.log_bfs.tolist()
+    )
     ok = same_bytes and dz < 1e-12 and di < 1e-12 and same_top
     report(
         7,

@@ -34,7 +34,8 @@ class TestLogBf:
         # weight rests on its log BF, which exact enumeration scores as 0
         for g in (0.5, float(p8_data.N), 1e6):
             res = enumerate_exact(p8_data, g, GPriorSpec.fixed(g), K=256, workers=1)
-            assert dict((m.bits, lbf) for m, lbf in res.top_models)[0] == 0.0
+            top = res.top_models
+            assert top.log_bfs[top.bits == 0].tolist() == [0.0]
 
     def test_perfect_fit_limit(self):
         # SSE = 0 -> only the (1+g)^((N-k-1)/2) factor survives

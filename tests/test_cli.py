@@ -6,7 +6,7 @@ import shlex
 import numpy as np
 import pytest
 
-from modelspace import ModelIndex, cli
+from modelspace import ChainTrace, ModelIndex, cli
 from modelspace.cli import build_parser, main, read_trace, write_trace
 from conftest import synth_dataset
 
@@ -89,10 +89,12 @@ class TestExitCodes:
 
     def test_bad_worker_env_is_usage_error(self, csv5, monkeypatch, capsys):
         path, _ = csv5
-        monkeypatch.setenv("MODELSPACE_WORKERS", "x")
-        rc = main(["exact", path, "--response", "y", "--g", "20"])
-        assert rc == 2
-        assert "MODELSPACE_WORKERS" in capsys.readouterr().err
+        for env in ("x", "0", "-3"):
+            monkeypatch.setenv("MODELSPACE_WORKERS", env)
+            rc = main(["exact", path, "--response", "y", "--g", "20",
+                       "--out", os.devnull])
+            assert rc == 2, env
+            assert "MODELSPACE_WORKERS" in capsys.readouterr().err
 
     @pytest.mark.parametrize("top_k", ["0", "-1"])
     @pytest.mark.parametrize(
@@ -199,14 +201,24 @@ class TestExitCodes:
         [("1\t30.0\t2.0\nff\t30.0\t99.0\n", "ff"),
          ("1\t30.0\t1.5\n3\t30.0\tnan\n", "3"),
          ("1\t30.0\t1.5\n3\t30.0\tinf\n", "3"),
-         ("1\t30.0\t-inf\n3\t30.0\t-inf\n", "1")],
-        ids=["bits-beyond-p", "nan-log-bf", "inf-log-bf", "all-excluded"],
+         ("1\t30.0\t-inf\n3\t30.0\t-inf\n", "1"),
+         # k = 1 at g = 30, N = 25: log BF <= (23/2) ln 31 = 39.491
+         ("1\t30.0\t1e308\n2\t30.0\t-1e308\n", "1"),
+         ("3\t30.0\t2.0\n1\t30.0\t39.5\n", "1"),
+         # k = 2: log BF >= -ln 31 = -3.434
+         ("1\t30.0\t2.0\n3\t30.0\t-3.44\n", "3"),
+         ("1\t30.0\t2.0\n2\t0.0\t1.0\n", "2"),
+         ("1\t30.0\t2.0\n2\tnan\t-inf\n", "2")],
+        ids=["bits-beyond-p", "nan-log-bf", "inf-log-bf", "all-excluded",
+             "log-bf-overflows", "log-bf-above-range", "log-bf-below-range",
+             "g-zero", "g-nan"],
     )
     def test_trace_bits_beyond_p_is_data_error(
         self, csv4, tmp_path, text, model, capsys
     ):
         # a record no searcher could have scored is a data error naming it;
-        # -inf on some records only marks excluded models
+        # -inf on some records only marks excluded models. A finite log BF
+        # must lie in the range that 0 <= SSE <= SSE0 gives at its g
         trace_path = tmp_path / "foreign.tsv"
         trace_path.write_text(text)
         rc = main(
@@ -216,6 +228,20 @@ class TestExitCodes:
         )
         assert rc == 3
         assert f"model {model} " in capsys.readouterr().err
+
+    def test_repeated_header_name_is_data_error(self, tmp_path, capsys):
+        # a second "y" is neither the response nor a candidate
+        rng = np.random.default_rng(5)
+        rows = "".join(
+            ",".join(repr(float(v)) for v in row) + "\n"
+            for row in rng.standard_normal((12, 4))
+        )
+        path = tmp_path / "dup.csv"
+        path.write_text("y,a,y,b\n" + rows)
+        rc = main(["gibbs", str(path), "--response", "y", "--g", "12",
+                   "--iterations", "10", "--out", os.devnull])
+        assert rc == 3
+        assert "'y'" in capsys.readouterr().err
 
     def test_digest_mismatch_is_data_error(self, csv5, tmp_path):
         path, _ = csv5
@@ -350,6 +376,23 @@ class TestExpand:
         assert len(header) == 10
         assert header[0] == "y"
         assert "x0x1" in header and "x2x2" in header
+
+    def test_response_name_clash_is_data_error(self, tmp_path, capsys):
+        # the square of main "a" is "aa", the response's name: refused
+        # before the output file is written
+        rng = np.random.default_rng(6)
+        rows = "".join(
+            ",".join(repr(float(v)) for v in row) + "\n"
+            for row in rng.standard_normal((12, 3))
+        )
+        path = tmp_path / "d.csv"
+        path.write_text("aa,a,b\n" + rows)
+        out = tmp_path / "expanded.csv"
+        rc = main(["expand", str(path), "--response", "aa", "--mains", "a,b",
+                   "--out", str(out)])
+        assert rc == 3
+        assert "'aa'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_roundtrip_through_loader(self, csv5, tmp_path):
         from modelspace import load_csv
@@ -581,6 +624,43 @@ def _refuse(constant):
     raise ValueError(f"non-standard JSON constant {constant}")
 
 
+@pytest.fixture(scope="module")
+def run_reports(csv5, tmp_path_factory):
+    path, _ = csv5
+    out = tmp_path_factory.mktemp("reports")
+    gibbs = ["gibbs", path, "--response", "y", "--iterations", "300", "--seed", "3"]
+    return {
+        "fixed-g": run_json(gibbs + ["--g", "30"], out / "fixed.json"),
+        "zellner-siow": run_json(gibbs + ["--zellner-siow"], out / "zs.json"),
+        "exact": run_json(["exact", path, "--response", "y", "--g", "30"],
+                          out / "exact.json"),
+    }
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("g_accept_rate", 1.5), ("g_accept_rate", -0.1), ("g_accept_rate", "0.5"),
+     ("sse_spot_check_max_rel", -1.0), ("sse_spot_check_max_rel", None),
+     ("distinct_models", -4), ("distinct_models", 0), ("distinct_models", 2.5),
+     ("excluded_count", -1), ("excluded_count", 1.5)],
+)
+def test_run_report_diagnostics_bounds(run_reports, field, value):
+    # real fixed-g, Zellner-Siow and exact reports validate; each one that
+    # has the field fails with the bad value in its place
+    schema = load_schema("run_report.schema.json")
+    checked = 0
+    for report in run_reports.values():
+        jsonschema.validate(report, schema)
+        if field not in report["diagnostics"]:
+            continue
+        bad = json.loads(json.dumps(report))
+        bad["diagnostics"][field] = value
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
+        checked += 1
+    assert checked >= 1
+
+
 def test_gibbs_and_exact_share_one_summary_shape(csv5, tmp_path):
     # summary_to_json writes both: the same keys, the same schema, strict JSON
     path, _ = csv5
@@ -810,9 +890,60 @@ class TestExternalTraceScoring:
 
         path = self.write(tmp_path / "ext.tsv", self.RECORDS)
         distinct = dedupe_models(read_trace(path))
-        ranked = [(m.bits, lbf) for m, lbf in rank_models(distinct)]
+        top = rank_models(distinct)
+        ranked = list(zip(top.bits.tolist(), top.log_bfs.tolist()))
         assert ranked == scoring_reference(self.RECORDS, 4, 1)["ranked"]
         assert [b for b, _ in ranked[:3]] == [0b0001, 0b0011, 0b0110]
+
+    @pytest.mark.parametrize("prior", [["--g", "12"], ["--zellner-siow"]],
+                             ids=["fixed-g", "zellner-siow"])
+    @pytest.mark.parametrize(
+        "N, p, betas, noise",
+        [(12, 8, (3.0, -2.0, 1.5), 0.05), (60, 6, (), 1.0)],
+        ids=["near-saturation", "pure-noise"],
+    )
+    @pytest.mark.parametrize("max_p", [96, 4], ids=["swept-matrix", "inverse-gram"])
+    def test_sampler_traces_are_in_range(
+        self, tmp_path, monkeypatch, prior, N, p, betas, noise, max_p
+    ):
+        # every record a chain writes, from either sweep state, passes the
+        # range check, with SSE near 0 on the near-saturated design and near
+        # SSE0 on the noise one; a log BF just beyond its bound does not
+        from modelspace import DataError, GPriorSpec, load_csv, sampler
+
+        monkeypatch.setattr(sampler, "SWEEP_MATRIX_MAX_P", max_p)
+
+        data = synth_dataset(N=N, p=p, active=range(len(betas)), betas=betas,
+                             noise=noise, seed=N)
+        path = write_csv(tmp_path / "d.csv", data)
+        trace_path = tmp_path / "trace.tsv"
+        assert main(["gibbs", path, "--response", "y", *prior, "--iterations", "2000",
+                     "--seed", "5", "--trace", str(trace_path), "--out", os.devnull]) == 0
+        data = load_csv(path, "y")
+        fixed = GPriorSpec.fixed(12.0)
+        cli.score_external_trace(trace_path, data, fixed, 10)
+        trace = read_trace(trace_path)
+        k = np.bitwise_count(trace.bits).astype(float)
+        scale = np.log1p(trace.g_draws)
+        beyond = 1e-6 * N * scale
+        for row, lbf in ((0, 0.5 * (N - k[0] - 1) * scale[0] + beyond[0]),
+                         (-1, -0.5 * k[-1] * scale[-1] - beyond[-1])):
+            lbfs = trace.log_bfs.copy()
+            lbfs[row] = lbf
+            write_trace(trace_path, ChainTrace(trace.bits, trace.g_draws, lbfs))
+            with pytest.raises(DataError, match=f"model {int(trace.bits[row]):x} "):
+                cli.score_external_trace(trace_path, data, fixed, 10)
+
+    def test_saturated_model_has_no_finite_log_bf(self, tmp_path):
+        from modelspace import DataError, GPriorSpec
+
+        data = synth_dataset(N=6, p=5, seed=6)
+        path = tmp_path / "sat.tsv"
+        path.write_text("1\t6.0\t0.5\n1f\t6.0\t-inf\n")
+        cli.score_external_trace(path, data, GPriorSpec.fixed(6.0), 10)
+        path.write_text("1\t6.0\t0.5\n1f\t6.0\t-0.5\n")
+        with pytest.raises(DataError, match="model 1f .*5-variable .*N=6"):
+            cli.score_external_trace(path, data, GPriorSpec.fixed(6.0), 10)
 
     def test_wide_trace_round_trip(self, tmp_path):
         # p = 70: bitmasks at and above 2^63 take the object-dtype path
@@ -824,7 +955,8 @@ class TestExternalTraceScoring:
         masks = [int.from_bytes(rng.bytes(9), "little") & ((1 << p) - 1)
                  for _ in range(200)]
         masks += [(1 << 63) | 5, (1 << 69), (1 << p) - 1, 0] + masks[:30]
-        lbfs = rng.normal(0.0, 3.0, size=len(masks))
+        # log BFs >= 0 lie in every model's range here, the null model's too
+        lbfs = np.abs(rng.normal(0.0, 3.0, size=len(masks)))
         lbfs[7] = -math.inf
         path = tmp_path / "wide.tsv"
         write_trace(path, ChainTrace(masks, np.full(len(masks), 70.0), lbfs))

@@ -112,7 +112,7 @@ class TestShardWalk:
         prior = GPriorSpec.fixed(40.0)
         res = enumerate_exact(p8_data, 40.0, prior, K=1 << p8_data.p)
         assert res.model_count == 1 << p8_data.p
-        bitmasks = [m.bits for m, _ in res.top_models]
+        bitmasks = res.top_models.bits.tolist()
         assert len(set(bitmasks)) == len(bitmasks) == (1 << p8_data.p)
 
     def test_matches_naive_enumeration(self, p8_data, p8_naive):
@@ -123,9 +123,8 @@ class TestShardWalk:
         np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
         np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
         assert res.hpm.bits == hpm_bits
-        ranked = {m.bits: lbf for m, lbf in res.top_models}
-        for bits, lbf in ranked.items():
-            assert lbf == pytest.approx(float(lbfs[bits]), abs=1e-10)
+        top = res.top_models
+        np.testing.assert_allclose(top.log_bfs, lbfs[top.bits], rtol=0, atol=1e-10)
 
     def test_matches_naive_p10(self, p10_data, p10_naive):
         lbfs, log_total, incl, _, hpm_bits = p10_naive
@@ -144,7 +143,7 @@ class TestShardWalk:
         b = enumerate_exact(p8_data, g, prior, K=50)
         assert a.log_total_bf == pytest.approx(b.log_total_bf, abs=1e-12)
         np.testing.assert_allclose(a.inclusion_exact, b.inclusion_exact, atol=1e-12)
-        assert [m.bits for m, _ in a.top_models] == [m.bits for m, _ in b.top_models]
+        np.testing.assert_array_equal(a.top_models.bits, b.top_models.bits)
 
     def test_worker_count_invariance(
         self, p8_data, pools, set_shard_bits, set_models_per_worker
@@ -159,9 +158,7 @@ class TestShardWalk:
         assert pools == [2]
         assert a.log_total_bf == b.log_total_bf
         np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
-        assert [(m.bits, lbf) for m, lbf in a.top_models] == [
-            (m.bits, lbf) for m, lbf in b.top_models
-        ]
+        assert_same_models(a.top_models, b.top_models)
 
     def test_collinear_columns_excluded(self):
         # one duplicate pair: every model containing both copies is excluded
@@ -207,7 +204,7 @@ class TestShardWalk:
         lbfs, _, _, _, _ = naive_enumeration(data, g)
         assert lbfs[0b01] == pytest.approx(lbfs[0b10], abs=1e-9)
         res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=4)
-        ranked = [m.bits for m, _ in res.top_models]
+        ranked = res.top_models.bits.tolist()
         # full model fits perfectly, then the tied pair in bitmask order
         assert ranked[0] == 0b11
         assert ranked.index(0b01) < ranked.index(0b10)
@@ -231,9 +228,9 @@ class TestLowBitBlock:
         np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
         np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
         assert res.hpm.bits == hpm_bits
-        assert sorted(m.bits for m, _ in res.top_models) == list(range(256))
-        for m, lbf in res.top_models:
-            assert lbf == pytest.approx(float(lbfs[m.bits]), abs=1e-10)
+        top = res.top_models
+        assert sorted(top.bits.tolist()) == list(range(256))
+        np.testing.assert_allclose(top.log_bfs, lbfs[top.bits], rtol=0, atol=1e-10)
 
     def test_matches_naive_p10(self, p10_data, p10_naive, monkeypatch, set_shard_bits):
         # the second input has N = 9 <= p + 2: the 56 models with k > 7 are
@@ -276,8 +273,8 @@ class TestLowBitBlock:
         np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
         np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
         assert res.hpm.bits == hpm_bits
-        for m, lbf in res.top_models:
-            assert lbf == pytest.approx(float(lbfs[m.bits]), abs=1e-10)
+        top = res.top_models
+        np.testing.assert_allclose(top.log_bfs, lbfs[top.bits], rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize(
         "copy, of, hpm_tied",
@@ -564,11 +561,8 @@ class TestReduce:
 
 class TestExactQuantity:
     def test_constant_quantity_is_one(self, p8_data):
-        from modelspace.estimators import QuantityOfInterest
-
         g = float(p8_data.N)
-        one = QuantityOfInterest(np.ones_like, "one")
-        val = exact_quantity(p8_data, g, GPriorSpec.fixed(g), one)
+        val = exact_quantity(p8_data, g, GPriorSpec.fixed(g), np.ones_like)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_null_model_indicator(self, p8_data, p8_naive):
@@ -590,12 +584,9 @@ class TestExactQuantity:
             assert val == pytest.approx(incl[l], abs=1e-12)
 
     def test_mean_dimension_consistent(self, p8_data, p8_naive):
-        from modelspace.estimators import QuantityOfInterest
-
         _, _, _, dim, _ = p8_naive
         g = float(p8_data.N)
-        size = QuantityOfInterest(np.bitwise_count, "dimension")
-        val = exact_quantity(p8_data, g, GPriorSpec.fixed(g), size)
+        val = exact_quantity(p8_data, g, GPriorSpec.fixed(g), np.bitwise_count)
         ref = sum(k * dk for k, dk in enumerate(dim))
         assert val == pytest.approx(ref, abs=1e-12)
 
@@ -604,14 +595,11 @@ class TestExactQuantity:
     ):
         # a ufunc and a built-in indicator both pickle and go through the
         # pool, and match the single-worker value
-        from modelspace.estimators import QuantityOfInterest
-
         set_shard_bits(2)
         set_models_per_worker(16)
         g = float(p8_data.N)
         prior = GPriorSpec.fixed(g)
-        size = QuantityOfInterest(np.bitwise_count, "dimension")
-        for q in (size, indicator_of_variable(3)):
+        for q in (np.bitwise_count, indicator_of_variable(3)):
             pools.clear()
             a = exact_quantity(p8_data, g, prior, q, workers=1)
             b = exact_quantity(p8_data, g, prior, q, workers=2)
@@ -621,14 +609,15 @@ class TestExactQuantity:
     def test_single_worker_takes_any_callable(
         self, p8_data, p8_naive, pools, set_shard_bits, set_models_per_worker
     ):
-        from modelspace.estimators import QuantityOfInterest
-
         _, _, incl, _, _ = p8_naive
         g = float(p8_data.N)
-        q = QuantityOfInterest(lambda bits: ((bits >> 5) & 1) * 1.0, "include 5")
+
+        def q(bits):
+            return ((bits >> 5) & 1) * 1.0
+
         val = exact_quantity(p8_data, g, GPriorSpec.fixed(g), q, workers=1)
         assert val == pytest.approx(incl[5], abs=1e-12)
-        # a local lambda does not pickle, so it cannot go to the pool
+        # a local function does not pickle, so it cannot go to the pool
         set_shard_bits(2)
         set_models_per_worker(16)
         with pytest.raises((pickle.PicklingError, AttributeError)):

@@ -247,7 +247,7 @@ class TestFitState:
         worst = 0.0
         for step in range(10_000):
             j = int(rng.integers(12))
-            if state.model.contains(j):
+            if state.bits >> j & 1:
                 state.delete(j)
             else:
                 if state.k >= data.N - 2:

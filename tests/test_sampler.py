@@ -279,7 +279,7 @@ class TestRunChain:
         cfg = SamplerConfig(iterations=200, prior=GPriorSpec.fixed(50.0), seed=123)
         t1 = run_chain(p10_data, cfg)
         t2 = run_chain(p10_data, cfg)
-        assert [m.bits for m in t1.models] == [m.bits for m in t2.models]
+        np.testing.assert_array_equal(t1.bits, t2.bits)
         np.testing.assert_array_equal(t1.g_draws, t2.g_draws)
         np.testing.assert_array_equal(t1.log_bfs, t2.log_bfs)
 
@@ -300,7 +300,7 @@ class TestRunChain:
         cfg = SamplerConfig(iterations=300, prior=GPriorSpec.fixed(50.0), seed=5)
         trace = run_chain(p10_data, cfg)
         for i in range(0, trace.n, 37):
-            m = trace.models[i]
+            m = ModelIndex.from_bits(int(trace.bits[i]))
             sse = sse_direct(p10_data, m)
             ref = log_bf_value(sse, m.k, p10_data.sse0, p10_data.N, trace.g_draws[i])
             assert trace.log_bfs[i] == pytest.approx(ref, abs=1e-10)
@@ -327,7 +327,7 @@ class TestRunChain:
         )
         for prior in (GPriorSpec.fixed(float(data.N)), GPriorSpec.zellner_siow(data.N)):
             trace = run_chain(data, SamplerConfig(iterations=5000, prior=prior, seed=3))
-            null = [lbf for m, lbf in zip(trace.models, trace.log_bfs) if m.k == 0]
+            null = trace.log_bfs[trace.bits == 0].tolist()
             assert len(null) > 0
             assert all(lbf == 0.0 for lbf in null)
 
@@ -356,7 +356,7 @@ class TestRunChain:
             for prior in (GPriorSpec.fixed(40.0), GPriorSpec.zellner_siow(40)):
                 cfg = SamplerConfig(iterations=500, prior=prior, seed=2)
                 a, b = run_chain(default, cfg), run_chain(no_gram, cfg)
-                assert [m.bits for m in a.models] == [m.bits for m in b.models]
+                np.testing.assert_array_equal(a.bits, b.bits)
                 np.testing.assert_allclose(a.log_bfs, b.log_bfs, rtol=tol, atol=tol)
 
     def test_inverse_gram_state_above_the_limit(self, monkeypatch):
@@ -376,7 +376,7 @@ class TestRunChain:
             ]
         assert type(sweep_state(data)) is InverseGramState
         for a, b in zip(*runs.values()):
-            assert [m.bits for m in a.models] == [m.bits for m in b.models]
+            np.testing.assert_array_equal(a.bits, b.bits)
             np.testing.assert_allclose(a.log_bfs, b.log_bfs, rtol=1e-12, atol=1e-12)
             assert b.meta["sse_spot_check_max_rel"] <= 1e-12
 
@@ -395,11 +395,7 @@ class TestRunChain:
         for r in range(R):
             cfg = SamplerConfig(iterations=n, prior=GPriorSpec.fixed(g), seed=1000 + r)
             trace = run_chain(p10_data, cfg)
-            counts = np.zeros(p10_data.p)
-            for m in trace.models:
-                for j in m.indices():
-                    counts[j] += 1
-            qhat[r] = counts / n
+            qhat[r] = ((trace.bits[:, None] >> np.arange(p10_data.p)) & 1).sum(axis=0) / n
         mean = qhat.mean(axis=0)
         sd = qhat.std(axis=0, ddof=1)
         for l in range(p10_data.p):

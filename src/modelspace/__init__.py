@@ -31,12 +31,10 @@ from .estimators import (
     rank_models,
     renormalized_estimate,
     renormalized_inclusion,
-    summarize_exact,
     summarize_trace,
     topk_mass_log10,
 )
 from .exact import (
-    ExactResult,
     count_models_above,
     enumerate_exact,
     enumerate_shard,

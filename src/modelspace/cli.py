@@ -26,7 +26,6 @@ from .estimators import (
     dedupe_models,
     find_hpm,
     renormalized_inclusion,
-    summarize_exact,
     summarize_trace,
     topk_mass_log10,
 )
@@ -38,6 +37,10 @@ from .sampler import ChainTrace, SamplerConfig, run_chain
 
 SCHEMA_VERSION = 1
 LOG10 = math.log(10.0)
+
+# The diagnostics of an exact summary that its run report carries, beside
+# its excluded_count.
+EXACT_DIAGNOSTICS = ("shard_bits", "low_bits", "workers")
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +121,7 @@ def summary_to_json(
     method = "exact" if summary.method == "exact" else "empirical"
     renorm = summary.inclusion_renormalized
     top = summary.top_models
+    log_total = summary.log_total_bf
     return {
         "method": summary.method,
         "p": data.p,
@@ -155,7 +159,7 @@ def summary_to_json(
         ],
         "top_k": top_k,
         "topk_mass_log10": summary.mass_log10,
-        "log10_total_bf": summary.log10_total_bf,
+        "log10_total_bf": None if log_total is None else log_total / LOG10,
         "excluded_count": summary.excluded_count,
     }
 
@@ -262,12 +266,7 @@ def cmd_gibbs(args) -> int:
             "top_k": args.top_k,
         },
         summary_to_json(summary, data, args.top_k),
-        {
-            "g_accept_rate": trace.meta["g_accept_rate"],
-            "sse_spot_check_max_rel": trace.meta["sse_spot_check_max_rel"],
-            "bit_flips_per_sweep": trace.meta["bit_flips_per_sweep"],
-            "distinct_models": len(dedupe_models(trace)),
-        },
+        {**summary.diagnostics, "distinct_models": summary.model_count},
         {
             "load_seconds": t1 - t0,
             "sample_seconds": t2 - t1,
@@ -283,7 +282,7 @@ def cmd_exact(args) -> int:
     data = _load(args)
     prior = GPriorSpec.fixed(args.g)
     t1 = time.perf_counter()
-    res = exact_mod.enumerate_exact(
+    summary = exact_mod.enumerate_exact(
         data,
         args.g,
         prior,
@@ -304,32 +303,26 @@ def cmd_exact(args) -> int:
             "top_k": args.top_k,
             "force": args.force,
         },
-        summary_to_json(summarize_exact(res), data, args.top_k),
+        summary_to_json(summary, data, args.top_k),
         {
-            "excluded_count": res.excluded_count,
-            "shard_bits": res.shard_bits,
-            "low_bits": res.low_bits,
-            "workers": res.workers,
+            "excluded_count": summary.excluded_count,
+            **{key: summary.diagnostics[key] for key in EXACT_DIAGNOSTICS},
         },
         {
             "load_seconds": t1 - t0,
             "enumerate_seconds": t2 - t1,
-            "models_per_s": res.model_count / (t2 - t1),
+            "models_per_s": summary.model_count / (t2 - t1),
         },
     )
     write_report(args.out, report)
     return 0
 
 
-def _compare_worker(job) -> tuple[PosteriorSummary, float, np.ndarray]:
-    """One chain's summary, its bit flips per sweep and its visited bitmasks."""
+def _compare_worker(job) -> tuple[PosteriorSummary, np.ndarray]:
+    """One chain's summary and its visited bitmasks."""
     data, config, top_k = job
     trace = run_chain(data, config)
-    return (
-        summarize_trace(trace, data, top_k),
-        trace.meta["bit_flips_per_sweep"],
-        trace.bits,
-    )
+    return summarize_trace(trace, data, top_k), trace.bits
 
 
 def compare_runs(
@@ -366,7 +359,10 @@ def compare_runs(
                 f"exact-result file was made with g={exact_g}, "
                 f"this run uses g={prior.g}"
             )
-    seeds = np.random.SeedSequence(base_seed).generate_state(runs, dtype=np.uint64)
+    try:
+        seeds = np.random.SeedSequence(base_seed).generate_state(runs, dtype=np.uint64)
+    except (MemoryError, ValueError):  # more seeds than memory can hold
+        raise UsageError(f"runs (--runs) {runs} is too many to seed") from None
     configs = [
         SamplerConfig(iterations=iterations, prior=prior, seed=int(s), start=start)
         for s in seeds
@@ -379,7 +375,8 @@ def compare_runs(
         with ProcessPoolExecutor(max_workers=min(workers, runs)) as pool:
             results = list(pool.map(_compare_worker, jobs))
 
-    summaries, flips, visited = zip(*results)
+    summaries, visited = zip(*results)
+    flips = [s.diagnostics["bit_flips_per_sweep"] for s in summaries]
     incl = np.array([s.inclusion for s in summaries])  # runs x p
     ses = np.array([s.inclusion_se for s in summaries])
     masses = np.array([s.mass_log10 for s in summaries])
@@ -411,7 +408,7 @@ def compare_runs(
             "mean": float(masses.mean()),
             "sd": float(masses.std(ddof=1)),
         },
-        "bit_flips_per_sweep": {"per_run": list(flips), "mean": float(np.mean(flips))},
+        "bit_flips_per_sweep": {"per_run": flips, "mean": float(np.mean(flips))},
         "hpm_hits": hpm_hits,
         "mpm_hits": mpm_hits,
         "hpm_visited": hpm_visited,

@@ -6,9 +6,9 @@ dimension posterior and top-K mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -17,13 +17,13 @@ from .errors import UsageError
 from .linmodel import Dataset, ModelIndex
 from .sampler import ChainTrace
 
-if TYPE_CHECKING:
-    from .exact import ExactResult
-
 LOG10 = math.log(10.0)
 
-# Most models in one membership matrix.
+# Most models in one membership or bit matrix.
 BLOCK = 4096
+
+# The values of a chain's ``trace.meta`` that its summary keeps.
+CHAIN_DIAGNOSTICS = ("g_accept_rate", "sse_spot_check_max_rel", "bit_flips_per_sweep")
 
 
 # A quantity a(M) is any callable that maps an array of bitmasks
@@ -71,13 +71,24 @@ def membership(bits: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass
 class PosteriorSummary:
-    """The answers of one chain ("gibbs") or enumeration ("exact"): arrays per
-    variable and per dimension, and the top models as a ranked
-    ``DistinctModels``, best first, from which the HPM and the top-K mass
-    are read. A one-draw chain's SEs are None, exact ones 0."""
+    """The one result type of a chain ("gibbs") and of an enumeration
+    ("exact"): arrays per variable and per dimension, and the top models as
+    a ranked ``DistinctModels``, best first, from which the HPM and the
+    top-K mass are read. A one-draw chain's SEs are None, exact ones 0.
+
+    ``model_count`` is the number of distinct models scored: 2^p for an
+    enumeration, the distinct visited models for a chain.
+    ``log_total_bf`` is the natural log of the summed Bayes factors of
+    every model, an enumeration only. ``diagnostics`` holds the
+    method's own values: a chain's ``g_accept_rate``,
+    ``sse_spot_check_max_rel`` and ``bit_flips_per_sweep``, an
+    enumeration's layout (``shard_bits``, ``low_bits``), its ``workers``
+    and, for the optional pass arguments, ``quantity_value`` and
+    ``rank_count``."""
 
     method: str
     n_used: int
+    model_count: int
     inclusion: np.ndarray
     inclusion_se: np.ndarray | None
     dimension: np.ndarray
@@ -85,8 +96,9 @@ class PosteriorSummary:
     top_models: DistinctModels
     inclusion_renormalized: np.ndarray | None = None  # a chain only
     hpm_posterior: float | None = None  # an enumeration only
-    log10_total_bf: float | None = None
+    log_total_bf: float | None = None
     excluded_count: int | None = None
+    diagnostics: dict = field(default_factory=dict)
 
     @property
     def hpm(self) -> ModelIndex:
@@ -145,16 +157,22 @@ def weighted_sums(bits: np.ndarray, p: int, w: np.ndarray) -> np.ndarray:
 
 
 def hh_inclusion(trace: ChainTrace, p: int) -> np.ndarray:
-    """Per-variable inclusion frequencies q_hat_l: the variables' columns of
-    the trace's membership matrix, each draw weighing 1, divided by n."""
+    """Per-variable inclusion frequencies q_hat_l: each variable's count of
+    set bits over the draws, ``BLOCK`` draws at a time so that the bit
+    matrix stays bounded, divided by n."""
     if trace.n == 0:
         raise UsageError("empty trace")
-    return weighted_sums(trace.bits, p, np.ones(trace.n))[:p] / trace.n
+    shifts = np.arange(p)
+    counts = sum(
+        ((trace.bits[lo : lo + BLOCK, None] >> shifts) & 1).sum(axis=0)
+        for lo in range(0, trace.n, BLOCK)
+    )
+    return counts.astype(np.float64) / trace.n
 
 
 def hh_dimension(trace: ChainTrace, p: int) -> np.ndarray:
     """Posterior-dimension frequencies d_hat(k) for k = 0..p: the counts of
-    the draws' popcounts, exact integers as in ``weighted_sums``, over n."""
+    the draws' popcounts, exact integers as in ``hh_inclusion``, over n."""
     if trace.n == 0:
         raise UsageError("empty trace")
     k = np.bitwise_count(trace.bits).astype(np.intp)
@@ -252,35 +270,20 @@ def summarize_trace(
     trace: ChainTrace, data: Dataset, top_k: int = 1000
 ) -> PosteriorSummary:
     """Full posterior summary of one chain: empirical estimates with SEs,
-    renormalized estimates over the deduplicated visited set, and the top K
-    visited models."""
+    renormalized estimates over the deduplicated visited set, the top K
+    visited models and the chain's diagnostics from ``trace.meta``."""
     inclusion = hh_inclusion(trace, data.p)
     dimension = hh_dimension(trace, data.p)
     distinct = dedupe_models(trace)
     return PosteriorSummary(
         method="gibbs",
         n_used=trace.n,
+        model_count=len(distinct),
         inclusion=inclusion,
         inclusion_se=frequency_se(inclusion, trace.n),
         dimension=dimension,
         dimension_se=frequency_se(dimension, trace.n),
         top_models=rank_models(distinct, top_k),
         inclusion_renormalized=renormalized_inclusion(distinct, data.p),
-    )
-
-
-def summarize_exact(res: ExactResult) -> PosteriorSummary:
-    """The posterior summary of an exact enumeration, with its top K models;
-    its SEs are 0."""
-    return PosteriorSummary(
-        method="exact",
-        n_used=res.model_count,
-        inclusion=res.inclusion_exact,
-        inclusion_se=np.zeros_like(res.inclusion_exact),
-        dimension=res.dimension_exact,
-        dimension_se=np.zeros_like(res.dimension_exact),
-        top_models=res.top_models,
-        hpm_posterior=res.hpm_posterior,
-        log10_total_bf=res.log_total_bf / LOG10,
-        excluded_count=res.excluded_count,
+        diagnostics={key: trace.meta.get(key) for key in CHAIN_DIAGNOSTICS},
     )

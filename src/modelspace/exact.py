@@ -61,8 +61,8 @@ import numpy as np
 # log_bf_value stays in this namespace: the benchmark's tracer wraps it by name.
 from .bayesfactor import NEG_INF, GPriorSpec, log_bf_value, log_bf_values  # noqa: F401
 from .errors import NumericalError, UsageError
-from .estimators import DistinctModels, membership, rank_models
-from .linmodel import SINGULAR_EPS, Dataset, ModelIndex
+from .estimators import DistinctModels, PosteriorSummary, membership, rank_models
+from .linmodel import SINGULAR_EPS, Dataset
 
 # Enumerating beyond p=30 (~1e9 models) is an opt-in long job.
 P_GUARD = 30
@@ -305,37 +305,16 @@ def enumerate_shard(
     return shard
 
 
-@dataclass
-class ExactResult:
-    """The exact answers of one pass. ``top_models`` holds the K best
-    models, ranked by ``rank_models``: the HPM and its log BF are its first."""
-
-    log_total_bf: float  # ln sum_gamma B (prior factored out)
-    inclusion_exact: np.ndarray
-    dimension_exact: np.ndarray
-    hpm_posterior: float
-    top_models: DistinctModels
-    excluded_count: int
-    model_count: int
-    shard_bits: int  # the layout that fixed the reduction order
-    low_bits: int
-    quantity_value: float = 0.0
-    rank_count: int = 0
-    workers: int = 1  # processes that ran the shards; 1 is in-process
-
-    @property
-    def hpm(self) -> ModelIndex:
-        return ModelIndex.from_bits(int(self.top_models.bits[0]))
-
-    @property
-    def hpm_log_bf(self) -> float:
-        return float(self.top_models.log_bfs[0])
-
-
-def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> ExactResult:
+def reduce_shards(shards: list[Shard], data: Dataset) -> PosteriorSummary:
     """Combine shard accumulators in index order (bit-reproducible): move
     each shard, in place, onto the common largest scale, then add. The
-    uniform model prior cancels from every ratio, so ``prior`` is unused."""
+    uniform model prior cancels from every ratio, so no prior enters.
+
+    The result is the exact ``PosteriorSummary``: ``top_models`` holds the
+    K best models, ranked by ``rank_models``, ``log_total_bf`` is
+    ln sum_gamma B, and ``diagnostics`` hold the layout that fixed the
+    reduction order (``shard_bits``, ``low_bits``) and the pass's
+    ``quantity_value`` and ``rank_count``."""
     p = data.p
     shards = sorted(shards, key=lambda s: s.index)
     seen = {s.index for s in shards}
@@ -361,20 +340,28 @@ def reduce_shards(shards: list[Shard], data: Dataset, prior: GPriorSpec) -> Exac
         s.rescale(m)
         sums += s.sums
     total = float(sums[-2])
+    inclusion = sums[:p] / total
+    dimension = sums[p:-2] / total
 
     shard_bits = len(shards).bit_length() - 1
-    return ExactResult(
-        log_total_bf=m + math.log(total),
-        inclusion_exact=sums[:p] / total,
-        dimension_exact=sums[p:-2] / total,
-        hpm_posterior=math.exp(float(top.log_bfs[0]) - m) / total,
-        top_models=top,
-        excluded_count=sum(s.excluded_count for s in shards),
+    return PosteriorSummary(
+        method="exact",
+        n_used=count,
         model_count=count,
-        shard_bits=shard_bits,
-        low_bits=min(p - shard_bits, LOW_BITS),
-        quantity_value=float(sums[-1]) / total,
-        rank_count=sum(s.rank_count for s in shards),
+        inclusion=inclusion,
+        inclusion_se=np.zeros_like(inclusion),
+        dimension=dimension,
+        dimension_se=np.zeros_like(dimension),
+        top_models=top,
+        hpm_posterior=math.exp(float(top.log_bfs[0]) - m) / total,
+        log_total_bf=m + math.log(total),
+        excluded_count=sum(s.excluded_count for s in shards),
+        diagnostics={
+            "shard_bits": shard_bits,
+            "low_bits": min(p - shard_bits, LOW_BITS),
+            "quantity_value": float(sums[-1]) / total,
+            "rank_count": sum(s.rank_count for s in shards),
+        },
     )
 
 
@@ -400,8 +387,11 @@ def enumerate_exact(
     force: bool = False,
     quantity: Callable[[np.ndarray], np.ndarray] | None = None,
     rank_threshold: float | None = None,
-) -> ExactResult:
-    """Sharded exact enumeration of all 2^p models under a fixed g.
+) -> PosteriorSummary:
+    """Sharded exact enumeration of all 2^p models under a fixed g, as the
+    exact ``PosteriorSummary`` of ``reduce_shards``: ``model_count`` is 2^p,
+    ``log_total_bf`` is in natural log, and ``diagnostics["workers"]`` is
+    the number of processes that ran the shards, 1 in-process.
 
     ``workers`` is an upper bound. Shards go to a process pool of
     min(workers, 2^s, max(1, 2^p // MODELS_PER_WORKER)) processes when that
@@ -442,8 +432,8 @@ def enumerate_exact(
             max_workers=workers, initializer=_init_worker, initargs=(data,)
         ) as pool:
             shards = list(pool.map(_shard_job, jobs, chunksize=chunksize))
-    res = reduce_shards(shards, data, prior)
-    res.workers = workers
+    res = reduce_shards(shards, data)
+    res.diagnostics["workers"] = workers
     return res
 
 
@@ -463,10 +453,8 @@ def exact_quantity(
     The pass uses ``enumerate_exact``'s layout, a function of p alone, so
     the value is bit-identical for any worker count.
     """
-    res = enumerate_exact(
-        data, g, prior, K=1, workers=workers, force=force, quantity=q
-    )
-    return res.quantity_value
+    res = enumerate_exact(data, g, prior, K=1, workers=workers, force=force, quantity=q)
+    return res.diagnostics["quantity_value"]
 
 
 def count_models_above(
@@ -487,4 +475,4 @@ def count_models_above(
         force=force,
         rank_threshold=log_bf_threshold,
     )
-    return res.rank_count
+    return res.diagnostics["rank_count"]

@@ -349,10 +349,15 @@ def run_chain(data: Dataset, config: SamplerConfig) -> ChainTrace:
         g = prior.g
 
     n = config.iterations
-    # int64 holds every bitmask of up to 63 columns
-    bits = np.empty(n, dtype=np.int64 if data.p <= 63 else object)
-    g_draws = np.empty(n)
-    log_bfs = np.empty(n)
+    try:
+        # int64 holds every bitmask of up to 63 columns
+        bits = np.empty(n, dtype=np.int64 if data.p <= 63 else object)
+        g_draws = np.empty(n)
+        log_bfs = np.empty(n)
+    except (MemoryError, ValueError):  # a trace larger than memory can hold
+        raise UsageError(
+            f"iterations (--iterations) {n} is too many to hold the trace"
+        ) from None
     accepts = 0
     raw = 0
     flips = 0

@@ -6,7 +6,7 @@ import shlex
 import numpy as np
 import pytest
 
-from modelspace import ChainTrace, ModelIndex, cli
+from modelspace import ChainTrace, ModelIndex, cli, sampler
 from modelspace.cli import build_parser, main, read_trace, write_trace
 from conftest import synth_dataset
 
@@ -272,6 +272,26 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(["gibbs", "--iterations", str(2**56)], "--iterations"),
+         (["gibbs", "--iterations", str(2**60)], "--iterations"),
+         (["compare", "--runs", str(2**60), "--iterations", "10", "--workers", "1"],
+          "--runs")],
+        ids=["gibbs-2^56", "gibbs-2^60", "compare-2^60"],
+    )
+    def test_too_many_to_allocate_is_usage_error(
+        self, csv4, command, flag, capsys, monkeypatch
+    ):
+        # numpy refuses the trace (MemoryError at 2^56 draws, ValueError at
+        # 2^60) or the seeds before any sweep runs
+        monkeypatch.setattr(sampler, "gibbs_sweep", None)
+        rc = main(
+            command + [csv4, "--response", "y", "--g", "30", "--out", os.devnull]
+        )
+        assert rc == 2
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_report_is_numerical_error(

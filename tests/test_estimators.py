@@ -27,6 +27,7 @@ from modelspace import (
     summarize_trace,
     topk_mass_log10,
 )
+from modelspace import estimators
 from modelspace.estimators import weighted_sums
 from modelspace.linmodel import bits_array
 
@@ -36,6 +37,18 @@ def trace_of(bitmasks, p=None, g=1.0, lbfs=None):
     if lbfs is None:
         lbfs = np.zeros(n)
     return ChainTrace(bitmasks, np.full(n, float(g)), np.asarray(lbfs, float))
+
+
+def wide_trace(width):
+    """5,006 random bitmasks of ``width`` bits, with the empty and the full
+    model among them; int64 below 63 bits, Python ints above."""
+    rng = np.random.default_rng(width)
+    masks = [int.from_bytes(rng.bytes(9), "little") & ((1 << width) - 1)
+             for _ in range(5000)]
+    masks += [0, (1 << width) - 1] * 3
+    trace = trace_of(masks)
+    assert trace.bits.dtype == (np.int64 if width < 63 else object)
+    return trace
 
 
 def models_of(bits, lbfs):
@@ -108,15 +121,21 @@ class TestHansenHurwitz:
     def test_dimension_equals_membership_sum(self, width):
         # the popcount counts are exact integers, as are the all-ones
         # weighted column sums, so both routes agree bit for bit
-        rng = np.random.default_rng(width)
-        masks = [int.from_bytes(rng.bytes(9), "little") & ((1 << width) - 1)
-                 for _ in range(5000)]
-        masks += [0, (1 << width) - 1] * 3
-        trace = trace_of(masks)
-        assert trace.bits.dtype == (np.int64 if width < 63 else object)
+        trace = wide_trace(width)
         sums = weighted_sums(trace.bits, width, np.ones(trace.n))
         dim = hh_dimension(trace, width)
         assert dim.tolist() == (sums[width:-1] / trace.n).tolist()
+
+    @pytest.mark.parametrize("width", [20, 70], ids=["int64", "object"])
+    def test_inclusion_equals_membership_sum(self, width, monkeypatch):
+        # the bit counts are exact integers, as are the all-ones weighted
+        # column sums, so both routes agree bit for bit; a small block
+        # makes the counts add over several blocks
+        monkeypatch.setattr(estimators, "BLOCK", 1000)
+        trace = wide_trace(width)
+        sums = weighted_sums(trace.bits, width, np.ones(trace.n))
+        incl = hh_inclusion(trace, width)
+        assert incl.tolist() == (sums[:width] / trace.n).tolist()
 
     def test_model_indicator(self):
         trace = trace_of([0b101, 0b001, 0b101, 0b111])

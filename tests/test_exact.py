@@ -81,8 +81,8 @@ class TestScale:
         assert lbfs.max() > 1000.0
         res = enumerate_exact(huge_data, g, GPriorSpec.fixed(g), K=1, workers=1)
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
-        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
-        np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
+        np.testing.assert_allclose(res.inclusion, incl, atol=1e-12)
+        np.testing.assert_allclose(res.dimension, dim, atol=1e-12)
 
     @pytest.mark.parametrize(
         "shard_bits", [8, 0], ids=["shard-per-model", "one-shard"]
@@ -93,8 +93,8 @@ class TestScale:
         set_shard_bits(shard_bits)
         g = float(huge_data.N)
         res = enumerate_exact(huge_data, g, GPriorSpec.fixed(g), K=1, workers=1)
-        assert res.inclusion_exact.max() == 1.0
-        for values in (res.inclusion_exact, res.dimension_exact):
+        assert res.inclusion.max() == 1.0
+        for values in (res.inclusion, res.dimension):
             assert np.all((values >= 0.0) & (values <= 1.0))
         assert 0.0 < res.hpm_posterior <= 1.0
 
@@ -120,8 +120,8 @@ class TestShardWalk:
         g = float(p8_data.N)
         res = enumerate_exact(p8_data, g, GPriorSpec.fixed(g), K=256)
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
-        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
-        np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
+        np.testing.assert_allclose(res.inclusion, incl, atol=1e-12)
+        np.testing.assert_allclose(res.dimension, dim, atol=1e-12)
         assert res.hpm.bits == hpm_bits
         top = res.top_models
         np.testing.assert_allclose(top.log_bfs, lbfs[top.bits], rtol=0, atol=1e-10)
@@ -131,7 +131,7 @@ class TestShardWalk:
         g = float(p10_data.N)
         res = enumerate_exact(p10_data, g, GPriorSpec.fixed(g), K=10)
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
-        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
+        np.testing.assert_allclose(res.inclusion, incl, atol=1e-12)
         assert res.hpm.bits == hpm_bits
 
     def test_shard_split_invariance(self, p8_data, set_shard_bits):
@@ -142,7 +142,7 @@ class TestShardWalk:
         set_shard_bits(4)
         b = enumerate_exact(p8_data, g, prior, K=50)
         assert a.log_total_bf == pytest.approx(b.log_total_bf, abs=1e-12)
-        np.testing.assert_allclose(a.inclusion_exact, b.inclusion_exact, atol=1e-12)
+        np.testing.assert_allclose(a.inclusion, b.inclusion, atol=1e-12)
         np.testing.assert_array_equal(a.top_models.bits, b.top_models.bits)
 
     def test_worker_count_invariance(
@@ -157,7 +157,7 @@ class TestShardWalk:
         b = enumerate_exact(p8_data, g, prior, K=100, workers=2)
         assert pools == [2]
         assert a.log_total_bf == b.log_total_bf
-        np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
+        np.testing.assert_array_equal(a.inclusion, b.inclusion)
         assert_same_models(a.top_models, b.top_models)
 
     def test_collinear_columns_excluded(self):
@@ -186,7 +186,7 @@ class TestShardWalk:
         lbfs, log_total, incl, _, hpm_bits = naive_enumeration(data, g)
         res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=8)
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
-        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
+        np.testing.assert_allclose(res.inclusion, incl, atol=1e-12)
         assert res.hpm.bits == hpm_bits
         assert res.excluded_count == int(np.sum(np.isneginf(lbfs)))
 
@@ -225,8 +225,8 @@ class TestLowBitBlock:
         res = enumerate_exact(p8_data, g, GPriorSpec.fixed(g), K=256, workers=1)
         assert res.model_count == 1 << p8_data.p
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
-        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
-        np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
+        np.testing.assert_allclose(res.inclusion, incl, atol=1e-12)
+        np.testing.assert_allclose(res.dimension, dim, atol=1e-12)
         assert res.hpm.bits == hpm_bits
         top = res.top_models
         assert sorted(top.bits.tolist()) == list(range(256))
@@ -247,8 +247,8 @@ class TestLowBitBlock:
             res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=10, workers=1)
             assert res.excluded_count == int(np.sum(np.isneginf(lbfs)))
             assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
-            np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
-            np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
+            np.testing.assert_allclose(res.inclusion, incl, atol=1e-12)
+            np.testing.assert_allclose(res.dimension, dim, atol=1e-12)
             assert res.hpm.bits == hpm_bits
         assert res.excluded_count == 56
 
@@ -268,10 +268,11 @@ class TestLowBitBlock:
         g = float(N)
         lbfs, log_total, incl, dim, hpm_bits = naive_enumeration(data, g)
         res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=100, workers=1)
-        assert (res.shard_bits, res.low_bits) == (0, 3)
+        diag = res.diagnostics
+        assert (diag["shard_bits"], diag["low_bits"]) == (0, 3)
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
-        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
-        np.testing.assert_allclose(res.dimension_exact, dim, atol=1e-12)
+        np.testing.assert_allclose(res.inclusion, incl, atol=1e-12)
+        np.testing.assert_allclose(res.dimension, dim, atol=1e-12)
         assert res.hpm.bits == hpm_bits
         top = res.top_models
         np.testing.assert_allclose(top.log_bfs, lbfs[top.bits], rtol=0, atol=1e-10)
@@ -302,7 +303,7 @@ class TestLowBitBlock:
         res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=8, workers=1)
         assert res.excluded_count == int(np.sum(np.isneginf(lbfs))) == 1 << (p - 2)
         assert res.log_total_bf == pytest.approx(log_total, abs=1e-10)
-        np.testing.assert_allclose(res.inclusion_exact, incl, atol=1e-12)
+        np.testing.assert_allclose(res.inclusion, incl, atol=1e-12)
         assert res.hpm_log_bf == pytest.approx(float(lbfs[hpm_bits]), abs=1e-10)
         if hpm_tied:
             # the HPM holds one of the pair, and swapping it for the other
@@ -352,8 +353,8 @@ class TestLowBitBlock:
         b = enumerate_exact(data, g, prior, K=100, workers=2)
         assert pools == [2]
         assert a.log_total_bf == b.log_total_bf
-        np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
-        np.testing.assert_array_equal(a.dimension_exact, b.dimension_exact)
+        np.testing.assert_array_equal(a.inclusion, b.inclusion)
+        np.testing.assert_array_equal(a.dimension, b.dimension)
         assert_same_models(a.top_models, b.top_models)
 
     def test_every_completion_matches_direct_refit(self):
@@ -420,10 +421,11 @@ class TestShardLayout:
         prior = GPriorSpec.fixed(g)
         a = enumerate_exact(data, g, prior, K=100, workers=1)
         b = enumerate_exact(data, g, prior, K=100, workers=2)
-        assert (a.shard_bits, a.low_bits) == (3, exact_mod.LOW_BITS)
+        diag = a.diagnostics
+        assert (diag["shard_bits"], diag["low_bits"]) == (3, exact_mod.LOW_BITS)
         assert a.log_total_bf == b.log_total_bf
-        np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
-        np.testing.assert_array_equal(a.dimension_exact, b.dimension_exact)
+        np.testing.assert_array_equal(a.inclusion, b.inclusion)
+        np.testing.assert_array_equal(a.dimension, b.dimension)
         assert_same_models(a.top_models, b.top_models)
         q = indicator_of_variable(8)
         assert exact_quantity(data, g, prior, q, workers=1) == exact_quantity(
@@ -437,9 +439,9 @@ class TestShardLayout:
         data = synth_dataset(N=60, p=p, active=(0, p - 1), betas=(0.6, -0.5), seed=24)
         g = float(data.N)
         res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=1, workers=4)
-        assert res.shard_bits == 1
+        assert res.diagnostics["shard_bits"] == 1
         assert pools == [2]
-        assert res.workers == 2
+        assert res.diagnostics["workers"] == 2
 
     def test_small_pass_runs_in_process(self, pools):
         # 8 shards of 2^LOW_BITS models are too little work for a pool
@@ -453,10 +455,11 @@ class TestShardLayout:
         a = enumerate_exact(data, g, prior, K=100, workers=1)
         b = enumerate_exact(data, g, prior, K=100, workers=2)
         assert pools == []
-        assert (a.shard_bits, a.workers, b.workers) == (3, 1, 1)
+        layout = (a.diagnostics["shard_bits"], a.diagnostics["workers"])
+        assert layout + (b.diagnostics["workers"],) == (3, 1, 1)
         assert a.log_total_bf == b.log_total_bf
-        np.testing.assert_array_equal(a.inclusion_exact, b.inclusion_exact)
-        np.testing.assert_array_equal(a.dimension_exact, b.dimension_exact)
+        np.testing.assert_array_equal(a.inclusion, b.inclusion)
+        np.testing.assert_array_equal(a.dimension, b.dimension)
         assert_same_models(a.top_models, b.top_models)
 
     @pytest.mark.parametrize(
@@ -475,11 +478,11 @@ class TestShardLayout:
         g = float(p8_data.N)
         prior = GPriorSpec.fixed(g)
         res = enumerate_exact(p8_data, g, prior, K=10, workers=workers)
-        assert res.workers == size
+        assert res.diagnostics["workers"] == size
         assert pools == ([size] if size > 1 else [])
         ref = enumerate_exact(p8_data, g, prior, K=10, workers=1)
         assert res.log_total_bf == ref.log_total_bf
-        np.testing.assert_array_equal(res.inclusion_exact, ref.inclusion_exact)
+        np.testing.assert_array_equal(res.inclusion, ref.inclusion)
         assert_same_models(res.top_models, ref.top_models)
 
     @pytest.mark.parametrize("excluded", [False, True], ids=["full", "with-excluded"])
@@ -547,14 +550,14 @@ class TestReduce:
         s0 = enumerate_shard(p8_data, 2, 0, 40.0, prior, K=4)
         s1 = enumerate_shard(p8_data, 2, 1, 40.0, prior, K=4)
         with pytest.raises(UsageError, match="partition"):
-            reduce_shards([s0, s1], p8_data, prior)
+            reduce_shards([s0, s1], p8_data)
 
     def test_single_shard_identity(self, p8_data, set_shard_bits):
         set_shard_bits(0)
         g = float(p8_data.N)
         prior = GPriorSpec.fixed(g)
         shard = enumerate_shard(p8_data, 0, 0, g, prior, K=16)
-        res = reduce_shards([shard], p8_data, prior)
+        res = reduce_shards([shard], p8_data)
         full = enumerate_exact(p8_data, g, prior, K=16)
         assert res.log_total_bf == full.log_total_bf
 

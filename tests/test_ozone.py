@@ -104,13 +104,13 @@ class TestExactTargets:
         )
 
     def test_mpm_identity(self, ozone35, exact35):
-        mpm = find_mpm(exact35.inclusion_exact)
+        mpm = find_mpm(exact35.inclusion)
         assert mpm.bits == names_to_bits(ozone35, MPM_NAMES)
 
     def test_inclusion_probabilities_table(self, ozone35, exact35):
         for name, q in EXACT_INCLUSION.items():
             l = ozone35.names.index(name)
-            assert exact35.inclusion_exact[l] == pytest.approx(q, abs=1e-3), name
+            assert exact35.inclusion[l] == pytest.approx(q, abs=1e-3), name
 
     def test_851_models_above_mpm(self, ozone35, exact35):
         mpm_bits = names_to_bits(ozone35, MPM_NAMES)

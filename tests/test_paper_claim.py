@@ -53,15 +53,15 @@ def test_frequencies_unbiased_where_renormalized_are_not(scale):
 
     # the paper's regime: no run sees most of the posterior mass
     assert max(visited_mass) < 0.7, visited_mass
-    z_renormalized = z_scores(np.array(renormalized), exact.inclusion_exact)
+    z_renormalized = z_scores(np.array(renormalized), exact.inclusion)
     assert np.nanmax(np.abs(z_renormalized)) > 10.0, z_renormalized
 
     frequency = np.array(frequency)
-    z = z_scores(frequency, exact.inclusion_exact)
+    z = z_scores(frequency, exact.inclusion)
     scored = ~np.isnan(z)
     # where all RUNS * SWEEPS draws agree, the bias lies below the pooled
     # frequency's resolution
-    bias = frequency.mean(axis=0) - exact.inclusion_exact
+    bias = frequency.mean(axis=0) - exact.inclusion
     assert np.all(np.abs(bias[~scored]) < 1 / (RUNS * SWEEPS)), bias
     z, n = z[scored], int(scored.sum())
     assert (z**2).sum() < stats.chi2.ppf(0.999, n), z

@@ -44,7 +44,7 @@ from .exact import (
 from .linmodel import (
     Dataset,
     FitState,
-    ModelIndex,
+    bit_indices,
     expand_design,
     fit_model,
     load_csv,

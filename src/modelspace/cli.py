@@ -32,7 +32,7 @@ from .estimators import (
 # find_mpm and renormalized_estimate stay in this namespace: the benchmark's
 # tracer wraps them by name.
 from .estimators import find_mpm, renormalized_estimate  # noqa: F401
-from .linmodel import Dataset, ModelIndex, expand_design, load_csv
+from .linmodel import Dataset, bit_indices, expand_design, load_csv
 from .sampler import ChainTrace, SamplerConfig, run_chain
 
 SCHEMA_VERSION = 1
@@ -105,8 +105,8 @@ def _parse_records(path, lines: list[str]) -> tuple[list, np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _names_of(model: ModelIndex, data: Dataset) -> list[str]:
-    return [data.names[j] for j in model.indices()]
+def _names_of(bits: int, data: Dataset) -> list[str]:
+    return [data.names[j] for j in bit_indices(bits)]
 
 
 def _with_se(values: np.ndarray, se: np.ndarray | None) -> zip:
@@ -143,14 +143,14 @@ def summary_to_json(
             )
         ],
         "hpm": {
-            "bits_hex": summary.hpm.to_hex(),
+            "bits_hex": format(summary.hpm, "x"),
             "variables": _names_of(summary.hpm, data),
             "log_bf": summary.hpm_log_bf,
             "log10_bf": summary.hpm_log_bf / LOG10,
             "posterior": summary.hpm_posterior,
         },
         "mpm": {
-            "bits_hex": summary.mpm.to_hex(),
+            "bits_hex": format(summary.mpm, "x"),
             "variables": _names_of(summary.mpm, data),
         },
         "top_models": [
@@ -395,8 +395,8 @@ def compare_runs(
         ex = exact_report["summary"]
         exact_hpm = int(ex["hpm"]["bits_hex"], 16)
         exact_mpm = int(ex["mpm"]["bits_hex"], 16)
-        hpm_hits = sum(s.hpm.bits == exact_hpm for s in summaries)
-        mpm_hits = sum(s.mpm.bits == exact_mpm for s in summaries)
+        hpm_hits = sum(s.hpm == exact_hpm for s in summaries)
+        mpm_hits = sum(s.mpm == exact_mpm for s in summaries)
         hpm_visited = sum(exact_hpm in bits.tolist() for bits in visited)
 
     return {
@@ -417,7 +417,8 @@ def compare_runs(
 
 def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> dict:
     """Score a third-party searcher's visited-model file with the
-    renormalized estimators; ``prior`` is unused (the model prior cancels)."""
+    renormalized estimators. Under a fixed ``prior`` every record must carry
+    its g; under Zellner-Siow any finite g > 0 is accepted."""
     trace = read_trace(path)
     bits, log_bfs = trace.bits, trace.log_bfs
     beyond = np.flatnonzero(bits >> data.p)
@@ -464,6 +465,14 @@ def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> 
             f"outside the range of a {int(k[i])}-variable model at "
             f"g={float(g[i])!r} with N={N}"
         )
+    if not prior.hierarchical:
+        bad = np.flatnonzero(g != prior.g)
+        if bad.size:
+            i = bad[0]
+            raise DataError(
+                f"{path}: model {int(bits[i]):x} was scored at "
+                f"g={float(g[i])!r}, this run uses g={prior.g!r}"
+            )
     distinct = dedupe_models(trace)
     incl = renormalized_inclusion(distinct, data.p).tolist()
     return {
@@ -473,7 +482,7 @@ def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> 
         "inclusion": [
             {"name": name, "value": v} for name, v in zip(data.names, incl)
         ],
-        "hpm_bits_hex": find_hpm(distinct).to_hex(),
+        "hpm_bits_hex": format(find_hpm(distinct), "x"),
         "topk_mass_log10": topk_mass_log10(distinct, top_k),
     }
 

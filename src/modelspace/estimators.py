@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import UsageError
-from .linmodel import Dataset, ModelIndex
+from .linmodel import Dataset
 from .sampler import ChainTrace
 
 LOG10 = math.log(10.0)
@@ -53,8 +53,9 @@ def indicator_of_dimension(k: int) -> partial:
     return partial(_has_dimension, k)
 
 
-def indicator_of_model(target: ModelIndex) -> partial:
-    return partial(_is_model, target.bits)
+def indicator_of_model(target: int) -> partial:
+    """The indicator of the one model whose bitmask is ``target``."""
+    return partial(_is_model, target)
 
 
 def membership(bits: np.ndarray, p: int) -> np.ndarray:
@@ -74,7 +75,8 @@ class PosteriorSummary:
     """The one result type of a chain ("gibbs") and of an enumeration
     ("exact"): arrays per variable and per dimension, and the top models as
     a ranked ``DistinctModels``, best first, from which the HPM and the
-    top-K mass are read. A one-draw chain's SEs are None, exact ones 0.
+    top-K mass are read. ``hpm`` and ``mpm`` are int bitmasks. A one-draw
+    chain's SEs are None, exact ones 0.
 
     ``model_count`` is the number of distinct models scored: 2^p for an
     enumeration, the distinct visited models for a chain.
@@ -101,15 +103,15 @@ class PosteriorSummary:
     diagnostics: dict = field(default_factory=dict)
 
     @property
-    def hpm(self) -> ModelIndex:
-        return ModelIndex.from_bits(int(self.top_models.bits[0]))
+    def hpm(self) -> int:
+        return int(self.top_models.bits[0])
 
     @property
     def hpm_log_bf(self) -> float:
         return float(self.top_models.log_bfs[0])
 
     @property
-    def mpm(self) -> ModelIndex:
+    def mpm(self) -> int:
         return find_mpm(self.inclusion)
 
     @property
@@ -249,16 +251,17 @@ def rank_models(models: DistinctModels, K: int | None = None) -> DistinctModels:
     return DistinctModels(bits[order], lbf[order])
 
 
-def find_hpm(models: DistinctModels) -> ModelIndex:
-    """Model with the largest unnormalized log posterior; ties broken by
-    ascending bitmask."""
-    return ModelIndex.from_bits(int(rank_models(models, 1).bits[0]))
+def find_hpm(models: DistinctModels) -> int:
+    """Bitmask of the model with the largest unnormalized log posterior;
+    ties broken by ascending bitmask."""
+    return int(rank_models(models, 1).bits[0])
 
 
-def find_mpm(inclusion: np.ndarray) -> ModelIndex:
-    """Median probability model: variables with inclusion strictly > 0.5."""
+def find_mpm(inclusion: np.ndarray) -> int:
+    """Bitmask of the median probability model: the variables with
+    inclusion strictly > 0.5."""
     above = np.flatnonzero(np.asarray(inclusion) > 0.5)
-    return ModelIndex.from_bits(sum(1 << int(l) for l in above))
+    return sum(1 << int(l) for l in above)
 
 
 def topk_mass_log10(models: DistinctModels, K: int) -> float:

@@ -1,7 +1,9 @@
 """Data ingestion, design expansion, and the Gibbs sweep's SSE engine.
 
 A Dataset holds the response and candidate columns; the intercept is never
-a candidate, it is implicit in every model. All linear algebra runs on the
+a candidate, it is implicit in every model. A model is a Python int, the
+bitmask of its columns (bit j set when column j is in it); ``bit_indices``
+lists those columns in ascending order. All linear algebra runs on the
 centered design, which matches the centered Gram matrix used by the g-prior
 covariance. FitState, the state of the Gibbs sweep and of ``fit_model``,
 keeps the cross-product matrix of the centered design and the response
@@ -33,37 +35,22 @@ SINGULAR_EPS = 1e-10
 GRAM_PRECOMPUTE_LIMIT = 2048
 
 
-@dataclass(frozen=True)
+# ModelIndex stays only for the benchmark's layer probe, which builds its
+# models with it; ROADMAP item 4 removes it.
 class ModelIndex:
-    """A model: a bitmask over the p candidate columns, with cached popcount."""
-
-    bits: int
-    k: int
-
-    @classmethod
-    def from_bits(cls, bits: int) -> "ModelIndex":
-        return cls(bits, bits.bit_count())
-
-    @classmethod
-    def from_indices(cls, indices) -> "ModelIndex":
+    @staticmethod
+    def from_indices(indices) -> int:
         bits = 0
         for j in indices:
             bits |= 1 << int(j)
-        return cls.from_bits(bits)
+        return bits
 
-    def indices(self) -> list[int]:
-        out = []
-        bits = self.bits
-        j = 0
-        while bits:
-            if bits & 1:
-                out.append(j)
-            bits >>= 1
-            j += 1
-        return out
 
-    def to_hex(self) -> str:
-        return format(self.bits, "x")
+def bit_indices(bits) -> list[int]:
+    """The ascending column indices of a model's bitmask: a Python int, or a
+    numpy integer read from a trace array."""
+    bits = int(bits)
+    return [j for j in range(bits.bit_length()) if (bits >> j) & 1]
 
 
 def bits_array(bits) -> np.ndarray:
@@ -80,7 +67,7 @@ def bits_array(bits) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Response, candidate columns, and centering metadata.
+    """Response and candidate columns, raw and centered.
 
     ``X`` keeps the original (uncentered) column values; ``Xc`` is the
     centered design used by all fits. ``gram``/``xty`` are the centered
@@ -91,7 +78,6 @@ class Dataset:
     y: np.ndarray
     X: np.ndarray
     names: list[str]
-    column_means: np.ndarray
     ybar: float
     sse0: float
     Xc: np.ndarray = field(repr=False)
@@ -167,15 +153,13 @@ def make_dataset(y, X, names, dropped=None) -> Dataset:
             "N=%d <= p+2=%d: models near saturation will be excluded", N, p + 2
         )
 
-    column_means = X.mean(axis=0)
-    Xc = X - column_means
+    Xc = X - X.mean(axis=0)
     xty = Xc.T @ (y - ybar)
     gram = Xc.T @ Xc if p <= GRAM_PRECOMPUTE_LIMIT else None
     return Dataset(
         y=y,
         X=X,
         names=names,
-        column_means=column_means,
         ybar=ybar,
         sse0=sse0,
         Xc=Xc,
@@ -318,10 +302,6 @@ class FitState:
         self.bits = bits
         self.reset()
 
-    @property
-    def model(self) -> ModelIndex:
-        return ModelIndex(self.bits, self.k)
-
     def reset(self) -> None:
         """Sweep the pristine matrix on the current model's columns, which
         discards the drift of the updates since the last reset."""
@@ -331,7 +311,7 @@ class FitState:
         self.k = 0
         # no singular check here: a model reached in one order of adds is
         # rebuilt in index order, where a pivot can differ
-        for j in ModelIndex.from_bits(bits).indices():
+        for j in bit_indices(bits):
             self._sweep(j)
         self._refresh(min(max(float(self.M[-1, -1]), 0.0), self.data.sse0))
 
@@ -392,32 +372,33 @@ class FitState:
         self.C = M[-1].tolist()
 
 
-def fit_model(data: Dataset, model: ModelIndex) -> FitState:
-    """Build a FitState for an arbitrary model by chained adds."""
+def fit_model(data: Dataset, bits: int) -> FitState:
+    """Build a FitState for the model of bitmask ``bits`` by chained adds."""
     state = FitState(data)
-    for j in model.indices():
+    for j in bit_indices(bits):
         if not state.add(j):
             raise SingularModelError(
-                f"model {model.to_hex()} is rank-deficient or saturated at "
+                f"model {format(bits, 'x')} is rank-deficient or saturated at "
                 f"column {data.names[j]!r}"
             )
     return state
 
 
-def sse_direct(data: Dataset, model: ModelIndex) -> float:
-    """SSE from a from-scratch least-squares solve; the oracle for the
-    incremental updates."""
-    if model.k == 0:
+def sse_direct(data: Dataset, bits: int) -> float:
+    """SSE of the model of bitmask ``bits`` from a from-scratch least-squares
+    solve; the oracle for the incremental updates."""
+    k = int(bits).bit_count()
+    if k == 0:
         return data.sse0
-    if model.k > data.N - 2:
+    if k > data.N - 2:
         raise DataError(
-            f"model has k={model.k} > N-2={data.N - 2}; excluded from evaluation"
+            f"model has k={k} > N-2={data.N - 2}; excluded from evaluation"
         )
-    cols = model.indices()
+    cols = bit_indices(bits)
     Xs = data.Xc[:, cols]
     yc = data.y - data.ybar
     beta, _, rank, _ = np.linalg.lstsq(Xs, yc, rcond=None)
-    if rank < model.k:
+    if rank < k:
         names = [data.names[j] for j in cols]
         raise DataError(f"rank-deficient design submatrix over columns {names}")
     resid = yc - Xs @ beta

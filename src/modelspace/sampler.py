@@ -18,16 +18,15 @@ O(min(p, N) * p) memory: a drop SSE costs O(1), an add SSE one k-vector
 product and a flip an O(k^2) update (fast updating as in George &
 McCulloch 1997, *Approaches for Bayesian variable selection*). Both states
 offer what the sweep reads and changes: ``data``, the bitmask ``bits``,
-its size ``k``, its ``sse`` and ``model``, with ``flip_sse(i)``,
-``add(i)`` (False, with the state untouched, on a singular or saturated
-add), ``delete(i)`` and ``reset()``. ``run_chain`` resets the state after
-each SSE spot check, which bounds the drift of the updates.
+its size ``k`` and its ``sse``, with ``flip_sse(i)``, ``add(i)`` (False,
+with the state untouched, on a singular or saturated add), ``delete(i)``
+and ``reset()``. ``run_chain`` resets the state after each SSE spot
+check, which bounds the drift of the updates.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,7 @@ from .linmodel import (
     SINGULAR_EPS,
     Dataset,
     FitState,
-    ModelIndex,
+    bit_indices,
     bits_array,
     sse_direct,
 )
@@ -146,7 +145,7 @@ class InverseGramState:
         which discards the drift of the updates since the last reset."""
         data = self.data
         self._add = None  # (i, sse, w, d, c) of the last add conditional
-        self.cols = cols = ModelIndex.from_bits(self.bits).indices()
+        self.cols = cols = bit_indices(self.bits)
         k = len(cols)
         self.sse = data.sse0
         if k:
@@ -159,10 +158,6 @@ class InverseGramState:
             self._bbuf[:k] = sol[:, k]
             self.sse = min(max(data.sse0 - float(xty @ sol[:, k]), 0.0), data.sse0)
         self._resize(k)
-
-    @property
-    def model(self) -> ModelIndex:
-        return ModelIndex(self.bits, self.k)
 
     def _resize(self, k: int) -> None:
         self.k = k
@@ -363,7 +358,6 @@ def run_chain(data: Dataset, config: SamplerConfig) -> ChainTrace:
     flips = 0
     spot_max_rel = 0.0
     i = 0
-    t0 = time.perf_counter()
     while i < n:
         before = state.bits
         gibbs_sweep(state, g, prior, rng)
@@ -373,7 +367,7 @@ def run_chain(data: Dataset, config: SamplerConfig) -> ChainTrace:
             accepts += ok
         raw += 1
         if raw % SSE_SPOT_CHECK_EVERY == 0:
-            ref = sse_direct(data, state.model)
+            ref = sse_direct(data, state.bits)
             spot_max_rel = max(
                 spot_max_rel, abs(state.sse - ref) / max(ref, data.sse0 * 1e-12)
             )
@@ -384,20 +378,10 @@ def run_chain(data: Dataset, config: SamplerConfig) -> ChainTrace:
             g_draws[i] = g
             log_bfs[i] = log_bf_value(state.sse, state.k, data.sse0, data.N, g)
             i += 1
-    wall = time.perf_counter() - t0
     meta = {
-        "iterations": n,
-        "burn": config.burn,
-        "thin": config.thin,
-        "seed": config.seed,
-        "start": config.start,
-        "prior_kind": prior.kind,
-        "g": prior.g,
         "raw_sweeps": raw,
-        "wall_seconds": wall,
         "g_accept_rate": accepts / raw if prior.hierarchical else None,
         "bit_flips_per_sweep": flips / raw,
         "sse_spot_check_max_rel": spot_max_rel,
-        "rng": "numpy PCG64 (default_rng)",
     }
     return ChainTrace(bits=bits, g_draws=g_draws, log_bfs=log_bfs, meta=meta)

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 import modelspace.exact as exact_mod
-from modelspace import Dataset, ModelIndex, log_bf_value, make_dataset, sse_direct
+from modelspace import Dataset, log_bf_value, make_dataset, sse_direct
 from modelspace.errors import DataError
 
 
@@ -31,12 +31,11 @@ def naive_enumeration(data: Dataset, g: float):
     n_models = 1 << p
     lbfs = np.full(n_models, -np.inf)
     for bits in range(n_models):
-        m = ModelIndex.from_bits(bits)
         try:
-            sse = sse_direct(data, m)
+            sse = sse_direct(data, bits)
         except DataError:
             continue
-        lbfs[bits] = log_bf_value(sse, m.k, data.sse0, data.N, g)
+        lbfs[bits] = log_bf_value(sse, bits.bit_count(), data.sse0, data.N, g)
     log_total = logsumexp(lbfs)
     incl = np.empty(p)
     for l in range(p):

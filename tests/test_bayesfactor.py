@@ -14,7 +14,6 @@ from modelspace import (
     log_prior_g_density,
     sample_prior_g,
 )
-from modelspace.linmodel import ModelIndex
 from conftest import synth_dataset
 
 
@@ -45,7 +44,7 @@ class TestLogBf:
         )
 
     def test_g_to_zero(self, p10_data):
-        state = fit_model(p10_data, ModelIndex.from_bits(0b10010))
+        state = fit_model(p10_data, 0b10010)
         assert abs(state_log_bf(state, 1e-12)) < 1e-9
 
     def test_dimension_penalty(self):
@@ -76,12 +75,11 @@ class TestLogBf:
         rng = np.random.default_rng(5)
         for _ in range(200):
             bits = int(rng.integers(1, 1 << p8_data.p))
-            m = ModelIndex.from_bits(bits)
-            sse = sse_direct(p8_data, m)
+            sse = sse_direct(p8_data, bits)
             direct = -0.5 * (N - 1) * math.log(1.0 + g * sse / p8_data.sse0) + 0.5 * (
-                N - m.k - 1
+                N - bits.bit_count() - 1
             ) * math.log(1.0 + g)
-            state = fit_model(p8_data, m)
+            state = fit_model(p8_data, bits)
             assert state_log_bf(state, g) == pytest.approx(direct, abs=1e-10)
 
 

@@ -6,7 +6,7 @@ import shlex
 import numpy as np
 import pytest
 
-from modelspace import ChainTrace, ModelIndex, cli, sampler
+from modelspace import ChainTrace, cli, sampler
 from modelspace.cli import build_parser, main, read_trace, write_trace
 from conftest import synth_dataset
 
@@ -208,17 +208,20 @@ class TestExitCodes:
          # k = 2: log BF >= -ln 31 = -3.434
          ("1\t30.0\t2.0\n3\t30.0\t-3.44\n", "3"),
          ("1\t30.0\t2.0\n2\t0.0\t1.0\n", "2"),
-         ("1\t30.0\t2.0\n2\tnan\t-inf\n", "2")],
+         ("1\t30.0\t2.0\n2\tnan\t-inf\n", "2"),
+         # a record scored at g = 2 does not belong to a run at g = 30
+         ("1\t30.0\t2.0\n2\t2.0\t1.0\n", "2")],
         ids=["bits-beyond-p", "nan-log-bf", "inf-log-bf", "all-excluded",
              "log-bf-overflows", "log-bf-above-range", "log-bf-below-range",
-             "g-zero", "g-nan"],
+             "g-zero", "g-nan", "g-differs"],
     )
     def test_trace_bits_beyond_p_is_data_error(
         self, csv4, tmp_path, text, model, capsys
     ):
         # a record no searcher could have scored is a data error naming it;
         # -inf on some records only marks excluded models. A finite log BF
-        # must lie in the range that 0 <= SSE <= SSE0 gives at its g
+        # must lie in the range that 0 <= SSE <= SSE0 gives at its g, and
+        # under a fixed g that g must be the run's
         trace_path = tmp_path / "foreign.tsv"
         trace_path.write_text(text)
         rc = main(
@@ -534,9 +537,8 @@ class TestExactReport:
         )
         lbfs = {}
         for bits in range(4):
-            m = ModelIndex.from_bits(bits)
             lbfs[bits] = log_bf_value(
-                sse_direct(data, m), m.k, data.sse0, data.N, g
+                sse_direct(data, bits), bits.bit_count(), data.sse0, data.N, g
             )
         total = math.log(sum(math.exp(v) for v in lbfs.values()))
         assert report["summary"]["log10_total_bf"] == pytest.approx(
@@ -897,13 +899,25 @@ class TestExternalTraceScoring:
 
         data = load_csv(csv4, "y")
         path = self.write(tmp_path / "ext.tsv", self.RECORDS)
-        out = cli.score_external_trace(path, data, GPriorSpec.fixed(40.0), top_k)
+        # the revisit at g = 52 makes this a Zellner-Siow trace
+        prior = GPriorSpec.zellner_siow(data.N)
+        out = cli.score_external_trace(path, data, prior, top_k)
         ref = scoring_reference(self.RECORDS, data.p, top_k)
         assert out["distinct_models"] == ref["distinct_models"] == 7
         assert out["hpm_bits_hex"] == ref["hpm_bits_hex"] == "1"
         values = [e["value"] for e in out["inclusion"]]
         assert values == pytest.approx(ref["inclusion"], rel=1e-14, abs=1e-15)
         assert out["topk_mass_log10"] == pytest.approx(ref["topk_mass_log10"], rel=1e-14)
+
+    def test_fixed_g_refuses_a_record_at_another_g(self, csv4, tmp_path):
+        from modelspace import DataError, GPriorSpec, load_csv
+
+        data = load_csv(csv4, "y")
+        path = self.write(tmp_path / "ext.tsv", self.RECORDS)
+        with pytest.raises(
+            DataError, match="ext.tsv: model 5 was scored at g=52.0, this run uses g=40.0"
+        ):
+            cli.score_external_trace(path, data, GPriorSpec.fixed(40.0), 10)
 
     def test_ranking_breaks_ties_by_bitmask(self, tmp_path):
         from modelspace import dedupe_models, rank_models
@@ -940,8 +954,10 @@ class TestExternalTraceScoring:
         assert main(["gibbs", path, "--response", "y", *prior, "--iterations", "2000",
                      "--seed", "5", "--trace", str(trace_path), "--out", os.devnull]) == 0
         data = load_csv(path, "y")
-        fixed = GPriorSpec.fixed(12.0)
-        cli.score_external_trace(trace_path, data, fixed, 10)
+        # scored under the prior the chain ran with
+        run_prior = (GPriorSpec.zellner_siow(data.N) if "--zellner-siow" in prior
+                     else GPriorSpec.fixed(12.0))
+        cli.score_external_trace(trace_path, data, run_prior, 10)
         trace = read_trace(trace_path)
         k = np.bitwise_count(trace.bits).astype(float)
         scale = np.log1p(trace.g_draws)
@@ -952,7 +968,7 @@ class TestExternalTraceScoring:
             lbfs[row] = lbf
             write_trace(trace_path, ChainTrace(trace.bits, trace.g_draws, lbfs))
             with pytest.raises(DataError, match=f"model {int(trace.bits[row]):x} "):
-                cli.score_external_trace(trace_path, data, fixed, 10)
+                cli.score_external_trace(trace_path, data, run_prior, 10)
 
     def test_saturated_model_has_no_finite_log_bf(self, tmp_path):
         from modelspace import DataError, GPriorSpec
@@ -1011,3 +1027,18 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the README's library example runs as shown on a small data.csv, and
+    # the models it returns are int bitmasks
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    write_csv(tmp_path / "data.csv",
+              synth_dataset(N=30, p=6, active=(0, 2), betas=(1.0, -0.8), seed=8))
+    namespace = {}
+    exec(block, namespace)
+    assert isinstance(namespace["summary"].hpm, int)
+    assert isinstance(namespace["exact"].hpm, int)

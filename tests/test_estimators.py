@@ -8,7 +8,6 @@ from modelspace import (
     ChainTrace,
     DistinctModels,
     GPriorSpec,
-    ModelIndex,
     UsageError,
     dedupe_models,
     find_hpm,
@@ -139,7 +138,7 @@ class TestHansenHurwitz:
 
     def test_model_indicator(self):
         trace = trace_of([0b101, 0b001, 0b101, 0b111])
-        value, _ = hh_estimate(trace, indicator_of_model(ModelIndex.from_bits(0b101)))
+        value, _ = hh_estimate(trace, indicator_of_model(0b101))
         assert value == 0.5
 
     def test_quantity_is_a_function_of_bitmasks(self):
@@ -217,16 +216,16 @@ class TestDedupe:
 class TestModelSelection:
     def test_hpm_picks_max(self):
         models = models_of([1, 2, 3], [0.5, 3.0, 1.0])
-        assert find_hpm(models).bits == 2
+        assert find_hpm(models) == 2
 
     def test_hpm_tie_lowest_bitmask(self):
         models = models_of([6, 3, 5], [7.0] * 3)
-        assert find_hpm(models).bits == 3
+        assert find_hpm(models) == 3
 
     def test_mpm_strict_threshold(self):
         incl = [0.51, 0.5, 0.49]
-        assert find_mpm(incl).bits == 0b001  # exactly 0.5 is excluded
-        assert find_mpm(np.array(incl)).bits == 0b001
+        assert find_mpm(incl) == 0b001  # exactly 0.5 is excluded
+        assert find_mpm(np.array(incl)) == 0b001
 
     def test_rank_models_order_and_ties(self):
         models = models_of([5, 2, 3], [1.0, 4.0, 1.0])
@@ -274,7 +273,7 @@ class TestSummarizeTrace:
             lbfs[bitmasks],
         )
         summary = summarize_trace(trace, p8_data, top_k=10)
-        assert summary.hpm.bits == hpm_bits
+        assert summary.hpm == hpm_bits
         assert summary.hpm_log_bf == pytest.approx(float(lbfs[hpm_bits]))
         assert len(summary.top_models) == 10
         assert len(summary.inclusion) == p8_data.p
@@ -291,7 +290,7 @@ class TestSummarizeTrace:
         prior = GPriorSpec.fixed(float(p10_data.N))
         trace = run_chain(p10_data, SamplerConfig(iterations=500, prior=prior, seed=2))
         summary = summarize_trace(trace, p10_data, top_k=50)
-        assert summary.mpm.k <= p10_data.p
+        assert summary.mpm.bit_count() <= p10_data.p
         for value in summary.inclusion:
             assert 0.0 <= value <= 1.0
         vals = summary.inclusion_renormalized
@@ -347,9 +346,7 @@ class TestWideModels:
             ref = self.renormalized_reference(distinct, lambda b: b >> l & 1)
             assert est == pytest.approx(ref, rel=1e-12)
         target = int(wide_trace.bits[301])
-        est = renormalized_estimate(
-            distinct, indicator_of_model(ModelIndex.from_bits(target))
-        )
+        est = renormalized_estimate(distinct, indicator_of_model(target))
         ref = self.renormalized_reference(distinct, lambda b: b == target)
         assert 0.0 < est == pytest.approx(ref, rel=1e-12)
 

@@ -4,14 +4,15 @@ import pytest
 from modelspace import (
     DataError,
     FitState,
-    ModelIndex,
     SingularModelError,
+    bit_indices,
     expand_design,
     fit_model,
     load_csv,
     make_dataset,
     sse_direct,
 )
+from modelspace.linmodel import bits_array
 from conftest import synth_dataset
 
 
@@ -131,7 +132,7 @@ class TestFitState:
         data = make_dataset([1.0, 2.0, 3.0], [[0.0], [1.0], [2.5]], ["x"])
         state = FitState(data)
         assert state.sse == data.sse0 == 2.0
-        assert state.model == ModelIndex(0, 0)
+        assert state.bits == 0
         assert state.k == 0
 
     def test_add_then_delete_roundtrip(self, p10_data):
@@ -142,7 +143,7 @@ class TestFitState:
         state.add(3)
         state.delete(3)
         assert state.sse == pytest.approx(before, rel=1e-8)
-        assert state.model.bits == 0b10010010
+        assert state.bits == 0b10010010
 
     def test_orthogonal_column_leaves_sse(self):
         rng = np.random.default_rng(11)
@@ -172,7 +173,7 @@ class TestFitState:
             state = FitState(data)
             for j in cols:
                 state.add(int(j))
-            ref = sse_direct(data, state.model)
+            ref = sse_direct(data, state.bits)
             assert state.sse == pytest.approx(ref, rel=1e-8, abs=1e-8 * data.sse0)
 
     def test_delete_matches_full_refit(self):
@@ -185,7 +186,7 @@ class TestFitState:
                 state.add(int(j))
             victim = int(cols[rng.integers(len(cols))])
             state.delete(victim)
-            ref = sse_direct(data, state.model)
+            ref = sse_direct(data, state.bits)
             assert state.sse == pytest.approx(ref, rel=1e-8, abs=1e-8 * data.sse0)
 
     def test_delete_only_variable_restores_empty(self, p10_data):
@@ -199,11 +200,11 @@ class TestFitState:
     def test_pure_wrappers(self, p10_data):
         # each fit_model call builds its own state: adds and deletes on one
         # leave the others untouched
-        s0 = fit_model(p10_data, ModelIndex(0, 0))
-        s1 = fit_model(p10_data, ModelIndex.from_bits(0b100))
+        s0 = fit_model(p10_data, 0)
+        s1 = fit_model(p10_data, 0b100)
         assert s1.add(5)
         assert s0.k == 0 and s1.k == 2
-        s2 = fit_model(p10_data, ModelIndex.from_bits(0b100))
+        s2 = fit_model(p10_data, 0b100)
         s2.delete(2)
         assert s1.k == 2 and s2.k == 0
         assert s0.sse == p10_data.sse0
@@ -218,8 +219,8 @@ class TestFitState:
         assert state.add(0)
         assert not state.add(3)
         assert state.k == 1  # failed add leaves the state untouched
-        with pytest.raises(SingularModelError):
-            fit_model(data, ModelIndex.from_bits(0b1001))
+        with pytest.raises(SingularModelError, match="model 9 is rank-deficient"):
+            fit_model(data, 0b1001)
 
     def test_path_independence(self):
         data = synth_dataset(N=30, p=8, seed=21)
@@ -254,23 +255,38 @@ class TestFitState:
                     continue
                 state.add(j)
             if step % 5 == 0:
-                ref = sse_direct(data, state.model)
+                ref = sse_direct(data, state.bits)
                 worst = max(worst, abs(state.sse - ref) / data.sse0)
         assert worst <= 1e-8
 
     def test_monotonicity_nested_models(self):
         data = synth_dataset(N=40, p=6, seed=41)
         for bits in range(1 << 6):
-            sse = fit_model(data, ModelIndex.from_bits(bits)).sse
+            sse = fit_model(data, bits).sse
             for j in range(6):
                 if not (bits >> j) & 1:
-                    bigger = fit_model(data, ModelIndex.from_bits(bits | 1 << j))
+                    bigger = fit_model(data, bits | 1 << j)
                     assert bigger.sse <= sse + 1e-12 * data.sse0
+
+
+class TestBitIndices:
+    def test_ascending_columns(self):
+        assert bit_indices(0) == []
+        assert bit_indices(0b100101) == [0, 2, 5]
+
+    def test_trace_elements(self):
+        # a trace holds int64 up to p = 63 and Python ints above
+        narrow = bits_array([0b100101, (1 << 63) - 1])
+        wide = bits_array([1 << 70 | 0b101])
+        assert narrow.dtype == np.int64 and wide.dtype == object
+        assert bit_indices(narrow[0]) == [0, 2, 5]
+        assert bit_indices(narrow[1]) == list(range(63))
+        assert bit_indices(wide[0]) == [0, 2, 70]
 
 
 class TestSseDirect:
     def test_null_model(self, p10_data):
-        assert sse_direct(p10_data, ModelIndex(0, 0)) == p10_data.sse0
+        assert sse_direct(p10_data, 0) == p10_data.sse0
 
     def test_exact_interpolation(self):
         # y constructed inside span(intercept, columns) -> SSE 0
@@ -279,16 +295,15 @@ class TestSseDirect:
         X = rng.standard_normal((N, N - 2))
         y = 3.0 + X @ rng.standard_normal(N - 2)
         data = make_dataset(y, X, [f"x{j}" for j in range(N - 2)])
-        full = ModelIndex.from_bits((1 << (N - 2)) - 1)
+        full = (1 << (N - 2)) - 1
         assert sse_direct(data, full) <= 1e-8 * data.sse0
 
     def test_matches_chained_adds_exhaustively(self):
         data = synth_dataset(N=30, p=7, seed=51)
         for bits in range(1 << 7):
-            m = ModelIndex.from_bits(bits)
-            state = fit_model(data, m)
+            state = fit_model(data, bits)
             assert state.sse == pytest.approx(
-                sse_direct(data, m), rel=1e-8, abs=1e-8 * data.sse0
+                sse_direct(data, bits), rel=1e-8, abs=1e-8 * data.sse0
             )
 
     def test_rank_deficient_reports_columns(self):
@@ -298,15 +313,15 @@ class TestSseDirect:
         y = X[:, 0] + rng.standard_normal(20)
         data = make_dataset(y, X, ["a", "b", "c"])
         with pytest.raises(DataError, match="rank-deficient"):
-            sse_direct(data, ModelIndex.from_bits(0b111))
+            sse_direct(data, 0b111)
 
     def test_oversaturated_rejected(self):
         data = synth_dataset(N=6, p=5, seed=61)
         with pytest.raises(DataError, match="excluded"):
-            sse_direct(data, ModelIndex.from_bits(0b11111))
+            sse_direct(data, 0b11111)
         # the incremental fit refuses the same model
         with pytest.raises(SingularModelError):
-            fit_model(data, ModelIndex.from_bits(0b11111))
+            fit_model(data, 0b11111)
 
 
 def test_dataset_digest_tracks_content():

@@ -32,7 +32,6 @@ from modelspace import (
     run_chain,
     topk_mass_log10,
 )
-from modelspace.linmodel import ModelIndex
 from conftest import ozone_csv_path
 
 MAINS = ["x4", "x5", "x6", "x7", "x8", "x9", "x10"]
@@ -91,7 +90,7 @@ class TestExactTargets:
         )
 
     def test_hpm_identity_and_posterior(self, ozone35, exact35):
-        assert exact35.hpm.bits == names_to_bits(ozone35, HPM_NAMES)
+        assert exact35.hpm == names_to_bits(ozone35, HPM_NAMES)
         assert exact35.hpm_posterior == pytest.approx(0.0009, abs=0.0001)
         # Bayes factor of the HPM against the null: 1.02e47
         assert exact35.hpm_log_bf / math.log(10.0) == pytest.approx(
@@ -104,8 +103,7 @@ class TestExactTargets:
         )
 
     def test_mpm_identity(self, ozone35, exact35):
-        mpm = find_mpm(exact35.inclusion)
-        assert mpm.bits == names_to_bits(ozone35, MPM_NAMES)
+        assert find_mpm(exact35.inclusion) == names_to_bits(ozone35, MPM_NAMES)
 
     def test_inclusion_probabilities_table(self, ozone35, exact35):
         for name, q in EXACT_INCLUSION.items():
@@ -114,7 +112,7 @@ class TestExactTargets:
 
     def test_851_models_above_mpm(self, ozone35, exact35):
         mpm_bits = names_to_bits(ozone35, MPM_NAMES)
-        state = fit_model(ozone35, ModelIndex.from_bits(mpm_bits))
+        state = fit_model(ozone35, mpm_bits)
         mpm_lbf = log_bf_value(state.sse, state.k, ozone35.sse0, ozone35.N, G)
         assert (
             count_models_above(ozone35, G, GPriorSpec.fixed(G), mpm_lbf, force=True)

@@ -8,9 +8,9 @@ from modelspace import (
     FitState,
     GPriorSpec,
     InverseGramState,
-    ModelIndex,
     SamplerConfig,
     UsageError,
+    bit_indices,
     fit_model,
     gibbs_sweep,
     log_bf_value,
@@ -57,7 +57,7 @@ class TestComponentProb:
             bits = int(rng.integers(0, 32))
             state = self.State(data, bits)
             i = int(rng.integers(5))
-            flipped = ModelIndex.from_bits(bits ^ (1 << i))
+            flipped = bits ^ (1 << i)
             got = state.flip_sse(i)
             assert got == pytest.approx(
                 sse_direct(data, flipped), rel=1e-9, abs=1e-12 * data.sse0
@@ -107,7 +107,7 @@ class TestComponentProb:
         assert state.bits == 0b101
         np.testing.assert_array_equal(getattr(state, self.held), before)
         assert state.sse == pytest.approx(
-            sse_direct(p10_data, state.model), rel=1e-10
+            sse_direct(p10_data, state.bits), rel=1e-10
         )
 
     def test_flip_drift(self):
@@ -124,7 +124,7 @@ class TestComponentProb:
                 continue
             flips += 1
             if flips % 50 == 0 or state.k == 0:
-                ref = sse_direct(data, state.model)
+                ref = sse_direct(data, state.bits)
                 assert abs(state.sse - ref) <= 1e-9 * ref
                 if not state.k:
                     assert state.sse == data.sse0
@@ -133,7 +133,7 @@ class TestComponentProb:
                     inv = np.linalg.inv(G[np.ix_(state.cols, state.cols)])
                     assert np.abs(state.Ginv - inv).max() <= 1e-8 * np.abs(inv).max()
                     continue
-                A = state.model.indices()
+                A = bit_indices(state.bits)
                 U = [j for j in range(p) if j not in A]
                 inv = np.linalg.inv(G[np.ix_(A, A)])
                 M = state.M
@@ -159,7 +159,7 @@ class TestComponentProb:
             if not flip(state, i):
                 continue
             for j in range(p):
-                flipped = ModelIndex.from_bits(state.bits ^ (1 << j))
+                flipped = state.bits ^ (1 << j)
                 got = state.flip_sse(j)
                 assert got is not None
                 assert got == pytest.approx(
@@ -241,7 +241,7 @@ class TestMhStepG:
         # density proportional to B(g) * InvGamma(g; 1/2, N/2)
         data = synth_dataset(N=15, p=3, active=(0,), betas=(1.0,), seed=5)
         prior = GPriorSpec.zellner_siow(data.N)
-        state = fit_model(data, ModelIndex.from_bits(0b001))
+        state = fit_model(data, 0b001)
         rng = np.random.default_rng(7)
         draws = np.empty(20_000)
         g = float(data.N)
@@ -300,9 +300,11 @@ class TestRunChain:
         cfg = SamplerConfig(iterations=300, prior=GPriorSpec.fixed(50.0), seed=5)
         trace = run_chain(p10_data, cfg)
         for i in range(0, trace.n, 37):
-            m = ModelIndex.from_bits(int(trace.bits[i]))
-            sse = sse_direct(p10_data, m)
-            ref = log_bf_value(sse, m.k, p10_data.sse0, p10_data.N, trace.g_draws[i])
+            bits = int(trace.bits[i])
+            sse = sse_direct(p10_data, bits)
+            ref = log_bf_value(
+                sse, bits.bit_count(), p10_data.sse0, p10_data.N, trace.g_draws[i]
+            )
             assert trace.log_bfs[i] == pytest.approx(ref, abs=1e-10)
 
     def test_fixed_g_draws_constant(self, p10_data):

@@ -56,11 +56,26 @@ def log_bf_value(sse: float, k: int, sse0: float, N: int, g: float) -> float:
     return -0.5 * (N - 1) * math.log1p(g * ratio) + 0.5 * (N - k - 1) * math.log1p(g)
 
 
-def log_bf_values(sse: np.ndarray, k: np.ndarray, sse0: float, N: int, g: float) -> np.ndarray:
-    """``log_bf_value`` over arrays of SSE and model size in one expression."""
-    ratio = np.maximum(sse / sse0, 0.0)
-    lbf = -0.5 * (N - 1) * np.log1p(g * ratio) + 0.5 * (N - k - 1) * math.log1p(g)
-    return np.where(k > N - 2, NEG_INF, lbf)
+def log_bf_values(
+    sse: np.ndarray,
+    k: np.ndarray,
+    sse0: float,
+    N: int,
+    g: float,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``log_bf_value`` over arrays of SSE and model size, written to
+    ``out`` when given (it may be ``sse``). Each step rounds as that
+    function's does: 0.5 * (N - k - 1) is exact, so the size term is the
+    one rounded product however it is grouped."""
+    lbf = np.divide(sse, sse0, out=out)
+    np.maximum(lbf, 0.0, out=lbf)
+    np.multiply(g, lbf, out=lbf)
+    np.log1p(lbf, out=lbf)
+    lbf *= -0.5 * (N - 1)
+    lbf += (N - 1 - k) * (0.5 * math.log1p(g))
+    lbf[k > N - 2] = NEG_INF
+    return lbf
 
 
 def log_prior_g_density(g: float, spec: GPriorSpec) -> float:

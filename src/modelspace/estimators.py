@@ -148,8 +148,8 @@ def frequency_se(freq: np.ndarray, n: int) -> np.ndarray | None:
 def weighted_sums(bits: np.ndarray, p: int, w: np.ndarray) -> np.ndarray:
     """Column sums of ``membership(bits, p)`` weighted by w, built ``BLOCK``
     models at a time so that the matrix stays bounded. Every column adds its
-    rows in the same order, as ``Shard.absorb``'s does, so a column never
-    exceeds the last, all-ones one: the total."""
+    rows in the same order, so a column never exceeds the last, all-ones
+    one: the total."""
     sums = np.zeros(2 * p + 2)
     for lo in range(0, bits.size, BLOCK):
         sums += np.einsum(

@@ -16,11 +16,20 @@ take-in whose pivot is collinear, or that saturates the model, excludes
 every model below it. Each shard keeps one log-space scale, m,
 the largest log Bayes factor it has seen, and one vector of plain float
 sums of exp(log BF - m), so 1e50-scale totals never overflow. It
-absorbs each outer model's completions in one weighted column sum over
-the low block's cached membership matrix, and keeps its top K as a
+absorbs each outer model's completions by factorised block sums
+(``LowBlock.block_sums``): the weights form a 2^hi x 2^lo matrix over
+the two halves of the low block, whose margins give the sums by position
+and whose product with the low half's popcount indicator gives the sums
+by size, in O(2^b) work. An inclusion is the sum over the models that
+hold a variable divided by that sum plus the one over the models that
+miss it, and a dimension its sum divided by the total of the dimension
+sums, so neither can round above 1. A shard keeps its top K as a
 ``DistinctModels`` ranked by ``rank_models``; the reduction ranks the
 shards' top models again. Shards are reduced in index order, so results
-are bit-identical regardless of worker count.
+are bit-identical regardless of worker count. Each process of a pass
+makes one ``LowBlock``, which every shard it runs shares: it holds the
+doubling's levels, the block's sizes and weights and the block sums'
+tables, so the loop over outer models builds none of them afresh.
 
 The shard width is s = min(max(0, p - LOW_BITS), DEFAULT_SHARD_BITS): it
 is a function of p alone, with no option to change it and no dependence on
@@ -41,15 +50,17 @@ and wins at p = 21 (203 ms against 133-139 ms). The pool's size changes
 only which process runs a shard, never the layout, so results do not
 depend on it.
 
-No BLAS call whose length grows with 2^b runs in a shard: a threaded BLAS
-starts helper threads for long vectors, and on a host with as many pool
-workers as cores those threads spin against the other workers. The block
-sums are an einsum and a numpy reduction, which stay on the calling thread.
+No BLAS call in a shard is large enough to start BLAS helper threads,
+which on a host with as many pool workers as cores would spin against the
+other workers. The block sums make two: W @ by_size, at most 2^7 x 2^7 by
+2^7 x 8 (M * N * K = 2 * 65536, half of OpenBLAS's single-thread cutoff
+of 4 * 65536 for a gemm), and a 2^8-vector by 2^8 x 28 product, 7168
+multiply-adds, far below where OpenBLAS threads a gemv. Every other
+reduction is a numpy one, which stays on the calling thread.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -97,13 +108,93 @@ def default_shard_bits(p: int) -> int:
     return min(max(0, p - LOW_BITS), DEFAULT_SHARD_BITS)
 
 
-@functools.lru_cache(maxsize=None)
-def low_membership(b: int) -> np.ndarray:
-    """``membership`` of the 2^b subsets of a low block of b positions:
-    columns for the b positions, the dimensions 0..b and every subset."""
-    member = membership(np.arange(1 << b, dtype=np.int64), b)
-    member.flags.writeable = False
-    return member
+class LowBlock:
+    """The low block of b positions that every outer model completes, with
+    the scratch arrays and tables that score and absorb its 2^b
+    completions. ``low_block`` makes one for a pass, and every shard and
+    outer model a process runs reuses it.
+
+    ``threshold`` holds the pivots SINGULAR_EPS * G_jj at or below which a
+    take-in is singular and ``sizes`` the popcount of each subset t; ``k``
+    and ``w`` take an outer model's completion sizes and weights.
+    ``subset_sse`` copies the bordered matrix to ``first`` and fills
+    ``levels``, one tuple of views per doubling level: the pivot, border
+    and trailing block of the level before, the level's left-out and
+    taken-in halves, the flags of the subsets so far and of the new ones,
+    and the level's threshold. The levels alternate between two buffers;
+    the last one's ``sse`` and ``singular`` are the results. The rest are
+    the tables of ``block_sums``.
+    """
+
+    def __init__(self, gjj: np.ndarray):
+        b = self.b = gjj.size
+        self.threshold = SINGULAR_EPS * gjj
+        # int64: with uint8 counts, N - k - 1 in log_bf_values wraps once N > 255
+        self.sizes = np.bitwise_count(np.arange(1 << b)).astype(np.int64)
+        self.k = np.empty(1 << b, dtype=np.int64)
+        self.w = np.empty(1 << b)
+
+        # level j holds (b - j)^2 matrix entries for each of 2^(j + 1) subsets
+        size = max(((b - j) ** 2 << (j + 1) for j in range(b)), default=0)
+        buffers = (np.empty(size), np.empty(size))
+        self.first = T = np.empty((b + 1, b + 1, 1))
+        self.singular = np.zeros(1 << b, dtype=bool)
+        self.levels = []
+        for j in range(b):
+            n, half = b - j, 1 << j
+            level = buffers[j % 2][: n * n * 2 * half].reshape(n, n, 2 * half)
+            self.levels.append((
+                T[0, 0], T[1:, 0], T[1:, 1:], level[:, :, :half], level[:, :, half:],
+                self.singular[:half], self.singular[half : 2 * half], self.threshold[j],
+            ))
+            T = level
+        self.sse = T[0, 0]
+
+        # subset t is entry (t >> lo, t & (2^lo - 1)) of a (2^hi, 2^lo) matrix W
+        hi = b // 2
+        lo = b - hi
+        self.shape = (1 << hi, 1 << lo)
+        low_half = membership(np.arange(1 << lo), lo)
+        # column j marks the low halves of popcount j
+        self.by_size = np.ascontiguousarray(low_half[:, lo:-1])
+        self.row_sizes = np.empty((1 << hi, lo + 1))
+        # the size of each entry of row_sizes: its row's popcount plus j
+        row_popcount = np.bitwise_count(np.arange(1 << hi)).astype(np.intp)
+        self.size_of = (row_popcount[:, None] + np.arange(lo + 1)).ravel()
+        # W's column sums, then its row sums; which of them hold each
+        # position, then which miss it
+        self.margins = np.empty((1 << lo) + (1 << hi))
+        holds = np.zeros((self.margins.size, b))
+        holds[: 1 << lo, :lo] = low_half[:, :lo]
+        holds[1 << lo :, lo:] = membership(np.arange(1 << hi), hi)[:, :hi]
+        misses = 1.0 - holds
+        misses[: 1 << lo, lo:] = misses[1 << lo :, :lo] = 0.0
+        self.positions = np.hstack((holds, misses))
+
+    def block_sums(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sums of the weights w of the 2^b subsets: of those that hold
+        each position, then of those that miss it (2b), and of those of
+        each size 0..b.
+
+        W's column sums and row sums are the margins of the low and the
+        high half, and one product with ``positions`` sums them by
+        position. One product W @ ``by_size`` sums each row by the
+        popcount of the low half; a subset's size adds its row's popcount,
+        so one bincount gives the sums by size. See the module docstring
+        on the products' size."""
+        W = w.reshape(self.shape)
+        row_sizes = np.matmul(W, self.by_size, out=self.row_sizes)
+        n = self.shape[1]
+        np.sum(W, axis=0, out=self.margins[:n])
+        np.sum(row_sizes, axis=1, out=self.margins[n:])
+        by_size = np.bincount(self.size_of, row_sizes.ravel(), minlength=self.b + 1)
+        return self.margins @ self.positions, by_size
+
+
+def low_block(data: Dataset, shard_bits: int) -> LowBlock:
+    """The ``LowBlock`` of every shard of width ``shard_bits``: positions
+    0..b-1, with b = min(p - shard_bits, LOW_BITS)."""
+    return LowBlock(np.diagonal(data.gram)[: min(data.p - shard_bits, LOW_BITS)])
 
 
 @dataclass
@@ -111,15 +202,15 @@ class Shard:
     """Accumulators for one fixed-prefix slice of the model space.
 
     ``sums`` holds sums of exp(log BF - m) over the non-excluded models, all
-    on the one scale ``m``: first ``membership``'s p + (p + 1) + 1 columns
-    (weighted by each inclusion, each dimension and 1, the total), then the
-    sum weighted by the quantity. ``top`` holds the K best models, ranked
-    by ``rank_models``.
+    on the one scale ``m``: p of the models that hold each variable, p of
+    those that miss it, p + 1 of those of each dimension and the total,
+    which adds the dimension sums; then the sum weighted by the quantity.
+    ``top`` holds the K best models, ranked by ``rank_models``.
     """
 
     index: int
     K: int
-    sums: np.ndarray  # length 2p + 3
+    sums: np.ndarray  # length 3p + 3
     m: float = NEG_INF
     count: int = 0
     excluded_count: int = 0
@@ -137,64 +228,64 @@ class Shard:
         self,
         outer: int,
         lbf: np.ndarray,
+        low: LowBlock,
         quantity: Callable[[np.ndarray], np.ndarray] | None,
         rank_threshold: float | None,
     ) -> None:
         """Add the 2^b completions of one outer model: entry t of ``lbf`` is
         for the model ``outer | t``, and -inf excludes it. A NaN is a
         numerical fault, not an exclusion, and raises NumericalError."""
-        if np.isnan(lbf).any():
+        top = float(lbf.max())
+        if math.isnan(top):
             raise NumericalError(
                 f"NaN log Bayes factor among the completions of model {outer:#x}"
             )
-        b = lbf.size.bit_length() - 1
         finite = lbf > NEG_INF
         n_finite = int(np.count_nonzero(finite))
         self.count += lbf.size
         self.excluded_count += lbf.size - n_finite
         if not n_finite:
             return
-        bits = outer | np.flatnonzero(finite)
-        low = low_membership(b)
-        if n_finite < lbf.size:
-            lbf = lbf[finite]
-            low = low[finite]
-        top = float(lbf.max())
         if top > self.m:
             self.rescale(top)
-        w = np.exp(lbf - self.m)
+        # an excluded model weighs exp(-inf) = 0
+        w = np.exp(np.subtract(lbf, self.m, out=low.w), out=low.w)
 
-        # One column sum over the low block's membership, total included,
-        # makes every numerator and the denominator go through the same
-        # monotone float additions, so no inclusion or dimension can round
-        # above 1; each variable of the outer model gets the total itself.
-        # The einsum adds the rows in order, as (low * w[:, None]).sum(axis=0)
-        # would, without building that (2^b, 2b + 2) product.
-        sums = np.einsum("ij,i->j", low, w)
-        total = sums[-1]
-        p = (self.sums.size - 3) // 2
-        self.sums[:b] += sums[:b]
-        self.sums[b:p] += total * ((outer >> np.arange(b, p)) & 1)
-        k = p + outer.bit_count()
-        self.sums[k : k + b + 1] += sums[b:-1]
+        # each variable of the outer model is held, or missed, by all of them
+        in_out, by_size = low.block_sums(w)
+        total = by_size.sum()
+        b = low.b
+        p = self.sums.size // 3 - 1
+        holds_misses = self.sums[: 2 * p].reshape(2, p)
+        holds_misses[:, :b] += in_out.reshape(2, b)
+        outer_bits = (outer >> np.arange(b, p)) & 1
+        holds_misses[0, b:] += total * outer_bits
+        holds_misses[1, b:] += total * (1 - outer_bits)
+        k = 2 * p + outer.bit_count()
+        self.sums[k : k + b + 1] += by_size
         self.sums[-2] += total
 
         if quantity is not None:
+            scored = np.flatnonzero(finite)
             # a reduction, not np.dot: see the module docstring on BLAS
-            self.sums[-1] += (quantity(bits) * w).sum()
+            self.sums[-1] += (quantity(outer | scored) * w[scored]).sum()
         if rank_threshold is not None:
             self.rank_count += int(np.count_nonzero(lbf > rank_threshold))
+        # only a model at least as good as the K-th, of the top or of
+        # this block, can enter
         if len(self.top) == self.K:
-            # only a model at least as good as the K-th can enter
-            keep = lbf >= self.top.log_bfs[-1]
-            if not keep.any():
-                return
-            lbf = lbf[keep]
-            bits = bits[keep]
+            can_enter = lbf >= self.top.log_bfs[-1]
+        elif n_finite > self.K:
+            can_enter = lbf >= np.partition(lbf, lbf.size - self.K)[lbf.size - self.K]
+        else:
+            can_enter = finite
+        enter = np.flatnonzero(can_enter)
+        if not enter.size:
+            return
         self.top = rank_models(
             DistinctModels(
-                np.concatenate((self.top.bits, bits)),
-                np.concatenate((self.top.log_bfs, lbf)),
+                np.concatenate((self.top.bits, outer | enter)),
+                np.concatenate((self.top.log_bfs, lbf[enter])),
             ),
             self.K,
         )
@@ -208,14 +299,15 @@ def _take_in(T: np.ndarray) -> np.ndarray:
     return T[1:, 1:] - col[:, None] * col[None]
 
 
-def subset_sse(B: np.ndarray, gjj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def subset_sse(B: np.ndarray, low: LowBlock | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SSE of one model extended by each subset T of b further columns L,
     and whether that extension is singular.
 
     ``B`` is the (b+1)x(b+1) bordered matrix [[S, r], [r', sse]], with S the
     Schur complement of the model's active set A in the Gram matrix of L,
-    r = X'y_L - G_LA beta_A and sse the model's SSE; ``gjj`` holds the G_jj
-    of L. Then SSE(A + T) = sse - r_T' S_TT^-1 r_T, the last pivot left
+    r = X'y_L - G_LA beta_A and sse the model's SSE; ``low`` is the
+    ``LowBlock`` of L, or the G_jj of L for a call with scratch arrays of its
+    own. Then SSE(A + T) = sse - r_T' S_TT^-1 r_T, the last pivot left
     after eliminating T from [[S_TT, r_T], [r_T', sse]]. Entry t of both
     returned arrays is for the subset T holding column i of L when bit i of
     t is set. The subsets are eliminated breadth first, by doubling: level
@@ -225,20 +317,23 @@ def subset_sse(B: np.ndarray, gjj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``_take_in``'s, and the children are stacked [left out, taken in], so
     subset t stays at index t. A subset is singular when a column it takes
     in has a pivot d <= SINGULAR_EPS * G_jj; its children inherit the flag,
-    and its SSE is meaningless, possibly NaN.
+    and its SSE is meaningless, possibly NaN. The levels are built in
+    ``low``'s buffers; the returned arrays are the caller's own.
     """
-    T = B[:, :, None]
-    singular = np.zeros(1, dtype=bool)
+    if isinstance(low, np.ndarray):
+        low = LowBlock(low)
+    np.copyto(low.first[:, :, 0], B)
     # a singular subset's children may take the square root of a
     # negative pivot or divide by a zero one
     with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(gjj.size):
-            d = T[0, 0]
-            T = np.concatenate((T[1:, 1:], _take_in(T)), axis=2)
-            singular = np.concatenate(
-                (singular, singular | (d <= SINGULAR_EPS * gjj[j]))
-            )
-    return np.maximum(T[0, 0], 0.0), singular
+        for d, border, rest, left_out, taken_in, flags, child_flags, eps in low.levels:
+            np.copyto(left_out, rest)
+            # _take_in, written into the level
+            col = border / np.sqrt(d)
+            np.subtract(rest, np.multiply(col[:, None], col[None], out=taken_in), out=taken_in)
+            np.less_equal(d, eps, out=child_flags)
+            child_flags |= flags
+    return np.maximum(low.sse, 0.0), low.singular.copy()
 
 
 def enumerate_shard(
@@ -250,6 +345,7 @@ def enumerate_shard(
     K: int,
     quantity: Callable[[np.ndarray], np.ndarray] | None = None,
     rank_threshold: float | None = None,
+    low: LowBlock | None = None,
 ) -> Shard:
     """Score all completions of one fixed high-bit prefix.
 
@@ -264,13 +360,12 @@ def enumerate_shard(
     columns, by the rule of ``FitState.add``; every model of the refused
     subtree is excluded, so exclusion depends on the model and the layout
     alone. The uniform model prior is a constant factor, so ``prior`` does
-    not enter the sums.
+    not enter the sums. ``low`` is the ``low_block`` that the shards of a
+    pass share; without it the shard makes its own.
     """
     p = data.p
     free = p - shard_bits
     b = min(free, LOW_BITS)
-    # int64: with the uint8 counts, N - k - 1 in log_bf_values wraps once N > 255
-    low_k = np.bitwise_count(np.arange(1 << b)).astype(np.int64)
     taken = [j for j in range(free, p) if (prefix >> (j - free)) & 1]
     order = taken + list(range(free - 1, b - 1, -1)) + list(range(b))
     B = np.empty((len(order) + 1, len(order) + 1))
@@ -279,8 +374,10 @@ def enumerate_shard(
     B[-1, -1] = data.sse0
     gjj = np.diagonal(data.gram)[order]
     depth = len(order) - b
+    if low is None:
+        low = low_block(data, shard_bits)
 
-    shard = Shard(index=prefix, K=K, sums=np.zeros(2 * p + 3))
+    shard = Shard(index=prefix, K=K, sums=np.zeros(3 * p + 3))
 
     # (matrix, level, model bits, model size); the left child is pushed
     # last, so outer models are absorbed in ascending order
@@ -288,10 +385,11 @@ def enumerate_shard(
     while stack:
         B, level, bits, k = stack.pop()
         if level == depth:
-            sse, singular = subset_sse(B, gjj[level:])
-            lbf = log_bf_values(sse, k + low_k, data.sse0, data.N, g)
+            sse, singular = subset_sse(B, low)
+            k_block = np.add(low.sizes, k, out=low.k)
+            lbf = log_bf_values(sse, k_block, data.sse0, data.N, g, out=sse)
             lbf[singular] = NEG_INF
-            shard.absorb(bits, lbf, quantity, rank_threshold)
+            shard.absorb(bits, lbf, low, quantity, rank_threshold)
             continue
         j = order[level]
         if k >= data.N - 2 or B[0, 0] <= SINGULAR_EPS * gjj[level]:
@@ -335,13 +433,16 @@ def reduce_shards(shards: list[Shard], data: Dataset) -> PosteriorSummary:
     top = rank_models(top, shards[0].K)
 
     m = max(s.m for s in shards)
-    sums = np.zeros(2 * p + 3)
+    sums = np.zeros(3 * p + 3)
     for s in shards:
         s.rescale(m)
         sums += s.sums
+    # each ratio's denominator adds its numerator to other non-negative
+    # sums, and rounding is monotone, so none can exceed 1
+    holds, misses = sums[: 2 * p].reshape(2, p)
+    inclusion = holds / (holds + misses)
     total = float(sums[-2])
-    inclusion = sums[:p] / total
-    dimension = sums[p:-2] / total
+    dimension = sums[2 * p : -2] / total
 
     shard_bits = len(shards).bit_length() - 1
     return PosteriorSummary(
@@ -374,8 +475,11 @@ def _init_worker(data: Dataset) -> None:
     _worker_data = data
 
 
-def _shard_job(args):
-    return enumerate_shard(_worker_data, *args)
+def _shard_run(args):
+    """The shards of one contiguous run of prefixes, with one LowBlock."""
+    shard_bits, prefixes, *rest = args
+    low = low_block(_worker_data, shard_bits)
+    return [enumerate_shard(_worker_data, shard_bits, pre, *rest, low) for pre in prefixes]
 
 
 def enumerate_exact(
@@ -419,19 +523,21 @@ def enumerate_exact(
     workers = default_workers() if workers is None else max(1, workers)
     workers = min(workers, len(prefixes), max(1, (1 << p) // MODELS_PER_WORKER))
     if workers == 1:
+        low = low_block(data, s)
         shards = [
-            enumerate_shard(data, s, pre, g, prior, K, quantity, rank_threshold)
+            enumerate_shard(data, s, pre, g, prior, K, quantity, rank_threshold, low)
             for pre in prefixes
         ]
     else:
-        # built before the fork, so that no worker rebuilds it on every pass
-        low_membership(min(p - s, LOW_BITS))
-        jobs = [(s, pre, g, prior, K, quantity, rank_threshold) for pre in prefixes]
-        chunksize = max(1, len(jobs) // (4 * workers))
+        run = max(1, len(prefixes) // (4 * workers))
+        jobs = [
+            (s, prefixes[i : i + run], g, prior, K, quantity, rank_threshold)
+            for i in range(0, len(prefixes), run)
+        ]
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(data,)
         ) as pool:
-            shards = list(pool.map(_shard_job, jobs, chunksize=chunksize))
+            shards = [shard for shards in pool.map(_shard_run, jobs) for shard in shards]
     res = reduce_shards(shards, data)
     res.diagnostics["workers"] = workers
     return res

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -524,6 +526,34 @@ class TestGibbsReport:
 
 
 class TestExactReport:
+    def test_report_does_not_depend_on_blas_threads(self, tmp_path):
+        # every product in a shard stays below OpenBLAS's threading cutoffs,
+        # so a report is the same whether BLAS may run one thread or two
+        data = synth_dataset(
+            N=40, p=15, active=(0, 7, 14), betas=(0.7, -0.5, 0.4), seed=31
+        )
+        path = write_csv(tmp_path / "d15.csv", data)
+        pythonpath = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"ex{threads}.json"
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, pythonpath)),
+            )
+            code = "import sys; from modelspace.cli import main; sys.exit(main(sys.argv[1:]))"
+            subprocess.run(
+                [sys.executable, "-c", code, "exact", path, "--response", "y",
+                 "--g", "40", "--out", str(out)],
+                env=env, check=True,
+            )
+            report = json.loads(out.read_text(encoding="utf-8"))
+            del report["timing"]
+            reports.append(report)
+        assert reports[0]["summary"]["inclusion"]
+        assert reports[0] == reports[1]
+
     def test_p2_hand_computed(self, tmp_path):
         # 4-term sum done by hand from the closed form
         from modelspace import load_csv, log_bf_value, sse_direct

@@ -22,6 +22,7 @@ from modelspace import (
 import modelspace.exact as exact_mod
 from modelspace.exact import enumerate_shard, reduce_shards, subset_sse
 from modelspace.cli import main
+from modelspace.estimators import membership
 from modelspace.linmodel import SINGULAR_EPS, fit_model, sse_direct
 from conftest import naive_enumeration, synth_dataset
 
@@ -394,6 +395,31 @@ class TestLowBitBlock:
         assert singular.sum() == (1 << (b - 2) if dup else 0)
         np.testing.assert_array_equal(sse[~singular], ref_sse[~singular])
 
+    def test_reused_block_leaves_earlier_results(self):
+        # one LowBlock scores two outer models, as in a shard: the first
+        # call's SSEs and flags are the caller's own, not views of the
+        # block's buffers that the second call overwrites
+        b = 6
+        rng = np.random.default_rng(8)
+        bordered = []
+        for dup in (False, True):
+            X = rng.standard_normal((30, b))
+            if dup:
+                X[:, 4] = X[:, 2]
+            y = X[:, 0] + rng.standard_normal(30)
+            Z = np.column_stack([X, y])
+            bordered.append(Z.T @ Z)
+        gjj = np.diagonal(bordered[0])[:b].copy()
+        low = exact_mod.LowBlock(gjj)
+        first = subset_sse(bordered[0], low)
+        kept = [a.copy() for a in first]
+        second = subset_sse(bordered[1], low)
+        assert not first[1].any() and second[1].any()
+        for a, k in zip(first, kept):
+            np.testing.assert_array_equal(a, k)
+        for a, ref in zip(second, subset_sse(bordered[1], gjj)):
+            np.testing.assert_array_equal(a, ref)
+
 
 class TestShardLayout:
     """The default shard width leaves every shard a full low block, and the
@@ -484,26 +510,40 @@ class TestShardLayout:
         np.testing.assert_array_equal(res.inclusion, ref.inclusion)
         assert_same_models(res.top_models, ref.top_models)
 
+    @pytest.mark.parametrize("b", [0, 1, 2, 3, 7, exact_mod.LOW_BITS])
     @pytest.mark.parametrize("excluded", [False, True], ids=["full", "with-excluded"])
-    def test_absorb_matches_explicit_column_sum(self, excluded):
-        b = exact_mod.LOW_BITS
+    def test_absorb_matches_explicit_column_sum(self, excluded, b):
+        # the factorised block sums add in another order than one column
+        # sum over the block's membership matrix, so they agree within a
+        # tolerance fixed in advance; odd b splits the block unevenly
         p = b + 5
         rng = np.random.default_rng(13)
         lbf = rng.normal(0.0, 30.0, 1 << b)
         if excluded:
-            lbf[rng.random(lbf.size) < 0.3] = -np.inf
+            out = rng.random(lbf.size) < 0.3
+            out[np.argmax(lbf)] = False
+            lbf[out] = -np.inf
         outer = 0b10110 << b
-        shard = exact_mod.Shard(index=0, K=1, sums=np.zeros(2 * p + 3))
-        shard.absorb(outer, lbf, None, None)
+        shard = exact_mod.Shard(index=0, K=1, sums=np.zeros(3 * p + 3))
+        shard.absorb(outer, lbf, exact_mod.LowBlock(np.ones(b)), None, None)
         finite = lbf > -np.inf
-        low = exact_mod.low_membership(b)[finite]
         w = np.exp(lbf[finite] - lbf.max())
-        sums = (low * w[:, None]).sum(axis=0)
-        incl, dim, total = shard.sums[:p], shard.sums[p:-2], shard.sums[-2]
-        assert total == sums[-1]
-        np.testing.assert_array_equal(incl[:b], sums[:b])
-        np.testing.assert_array_equal(incl[b:], sums[-1] * np.array([0, 1, 1, 0, 1]))
-        np.testing.assert_array_equal(dim[3 : 3 + b + 1], sums[b:-1])
+        sums = (membership(np.flatnonzero(finite), b) * w[:, None]).sum(axis=0)
+        holds, misses = shard.sums[: 2 * p].reshape(2, p)
+        dim, total = shard.sums[2 * p : -2], shard.sums[-2]
+        tol = 1e-13 * sums[-1]
+        assert abs(total - sums[-1]) <= tol
+        np.testing.assert_allclose(holds[:b], sums[:b], rtol=0, atol=tol)
+        np.testing.assert_allclose(misses[:b], sums[-1] - sums[:b], rtol=0, atol=tol)
+        np.testing.assert_allclose(dim[3 : 3 + b + 1], sums[b:-1], rtol=0, atol=tol)
+        # exact: the outer model's variables get the total itself, the
+        # total adds the dimension sums, so none of them exceeds it, and
+        # an inclusion's denominator adds its numerator to a sum >= 0
+        outer_bits = np.array([0, 1, 1, 0, 1])
+        np.testing.assert_array_equal(holds[b:], total * outer_bits)
+        np.testing.assert_array_equal(misses[b:], total * (1 - outer_bits))
+        assert np.all(dim <= total)
+        assert np.all(misses >= 0.0) and np.all(holds <= holds + misses)
         assert shard.excluded_count == lbf.size - int(finite.sum())
 
 

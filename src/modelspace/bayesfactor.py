@@ -63,18 +63,25 @@ def log_bf_values(
     N: int,
     g: float,
     out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``log_bf_value`` over arrays of SSE and model size, written to
-    ``out`` when given (it may be ``sse``). Each step rounds as that
-    function's does: 0.5 * (N - k - 1) is exact, so the size term is the
-    one rounded product however it is grouped."""
+    """``log_bf_value`` over 1-d arrays of SSE and model size, written to
+    ``out`` when given (it may be ``sse``). ``scratch``, a contiguous float
+    array of the same length, takes the size term and then the saturation
+    mask, so that a call given both allocates nothing. Each step rounds
+    as that function's does: 0.5 * (N - k - 1) is exact, so the size term
+    is the one rounded product however it is grouped, and N - 1 - k is
+    exact in float for any integer dtype of k."""
     lbf = np.divide(sse, sse0, out=out)
     np.maximum(lbf, 0.0, out=lbf)
     np.multiply(g, lbf, out=lbf)
     np.log1p(lbf, out=lbf)
     lbf *= -0.5 * (N - 1)
-    lbf += (N - 1 - k) * (0.5 * math.log1p(g))
-    lbf[k > N - 2] = NEG_INF
+    term = np.subtract(N - 1, k, out=scratch, dtype=np.float64)
+    term *= 0.5 * math.log1p(g)
+    lbf += term
+    saturated = np.greater(k, N - 2, out=term.view(bool)[: term.size])
+    np.copyto(lbf, NEG_INF, where=saturated)
     return lbf
 
 

@@ -26,10 +26,13 @@ miss it, and a dimension its sum divided by the total of the dimension
 sums, so neither can round above 1. A shard keeps its top K as a
 ``DistinctModels`` ranked by ``rank_models``; the reduction ranks the
 shards' top models again. Shards are reduced in index order, so results
-are bit-identical regardless of worker count. Each process of a pass
-makes one ``LowBlock``, which every shard it runs shares: it holds the
-doubling's levels, the block's sizes and weights and the block sums'
-tables, so the loop over outer models builds none of them afresh.
+are bit-identical regardless of worker count. Each thread keeps one
+``LowBlock`` per block width, which every pass, shard and outer model it
+runs reuses, refilled only with each pass's thresholds: it holds the
+doubling's levels, the block's sizes, weights and masks and the block
+sums' tables, so scoring and absorbing an outer model allocate no array
+of 2^b entries. A new block at b = 16 costs about 1,100 minor page
+faults, once per thread; a repeated pass costs none.
 
 The shard width is s = min(max(0, p - LOW_BITS), DEFAULT_SHARD_BITS): it
 is a function of p alone, with no option to change it and no dependence on
@@ -41,21 +44,24 @@ as ``shard_bits`` and ``low_bits``.
 
 A pass opens a process pool only where the work pays for it: at most
 min(workers, 2^s, max(1, 2^p // MODELS_PER_WORKER)) processes, so that
-each gets at least 2^18 models, and a pass given one runs its shards
-in-process. On a 2-vCPU host a 2-process pool costs 10-14 ms to start and
-join, against 8M models/s per core in a shard. At K = 1000 on the
-benchmark's stand-in it loses at p = 18 (25-30 ms in-process against
-37-40 ms pooled), breaks about even at p = 19 (48-59 ms against 50-55 ms)
-and wins at p = 21 (203 ms against 133-139 ms). The pool's size changes
-only which process runs a shard, never the layout, so results do not
-depend on it.
+each gets at least 2^19 models, and a pass given one runs its shards
+in-process. On a 2-vCPU x86-64 host a 2-process pool costs 8-12 ms to
+start and join, against about 45M models/s per core in a repeated pass.
+At K = 1000 on the benchmark's stand-in it loses at p = 19 (11.7 ms
+in-process against 14-17 ms pooled), breaks about even at p = 20
+(23-26 ms against 20-24 ms) and wins at p = 21 (45 ms against 32-36 ms)
+and p = 22 (92-95 ms against 59-60 ms). The pool's size changes only
+which process runs a shard, never the layout, so results do not depend
+on it.
 
 No BLAS call in a shard is large enough to start BLAS helper threads,
 which on a host with as many pool workers as cores would spin against the
-other workers. The block sums make two: W @ by_size, at most 2^7 x 2^7 by
-2^7 x 8 (M * N * K = 2 * 65536, half of OpenBLAS's single-thread cutoff
-of 4 * 65536 for a gemm), and a 2^8-vector by 2^8 x 28 product, 7168
-multiply-adds, far below where OpenBLAS threads a gemv. Every other
+other workers. OpenBLAS runs a gemm on one thread while M * N * K <=
+4 * 65536 (``GEMM_ONE_THREAD``) and a gemv while m * n < 4 * 2304
+(``GEMV_ONE_THREAD``). The block sums make two kinds of product. W @
+by_size is 2^8 x 2^8 by 2^8 x 9 at b = 16, M * N * K = 589,824, so it is
+taken in runs of 113 rows, 260,352 each. Each half's margins @ positions
+is a 2^8-vector by a 2^8 x 16 matrix, m * n = 4,096. Every other
 reduction is a numpy one, which stays on the calling thread.
 """
 
@@ -63,6 +69,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -82,12 +89,24 @@ P_GUARD = 30
 # worker count, so that results are bit-identical for any parallelism level.
 DEFAULT_SHARD_BITS = 8
 
-# Free bit positions of a shard scored in one batch per outer model.
-LOW_BITS = 14
+# Free bit positions of a shard scored in one batch per outer model. On the
+# p=35 stand-in, in-process on a 2-vCPU x86-64 host, a 2^27-model shard runs
+# at 39-40M models/s per core with 14, 46-47M with 15, 52-55M with 16,
+# 54-55M with 17, which doubles the workspace, and 51M with 18.
+LOW_BITS = 16
 
-# Fewest models that pay for one more pool process: about 30 ms of one
-# core's work, against the 10-14 ms a 2-process pool costs to start and join.
-MODELS_PER_WORKER = 1 << 18
+# Fewest models that pay for one more pool process: about 12 ms of one
+# core's work, against the 8-12 ms a 2-process pool costs to start and join.
+MODELS_PER_WORKER = 1 << 19
+
+# Models per call of an exact pass's quantity: 64 KB int64 and float
+# arrays, half of glibc's first mmap threshold of 128 KB, which only grows.
+QUANTITY_RUN = 1 << 13
+
+# OpenBLAS runs a gemm on one thread while M * N * K <= 4 * 65536, and a
+# gemv while m * n < 4 * 2304; see the module docstring
+GEMM_ONE_THREAD = 4 * 65536
+GEMV_ONE_THREAD = 4 * 2304
 
 
 def default_workers() -> int:
@@ -111,32 +130,41 @@ def default_shard_bits(p: int) -> int:
 class LowBlock:
     """The low block of b positions that every outer model completes, with
     the scratch arrays and tables that score and absorb its 2^b
-    completions. ``low_block`` makes one for a pass, and every shard and
-    outer model a process runs reuses it.
+    completions. ``low_block`` keeps one per thread and block width, and
+    every pass, shard and outer model that thread runs reuses it.
 
     ``threshold`` holds the pivots SINGULAR_EPS * G_jj at or below which a
     take-in is singular and ``sizes`` the popcount of each subset t; ``k``
-    and ``w`` take an outer model's completion sizes and weights.
-    ``subset_sse`` copies the bordered matrix to ``first`` and fills
-    ``levels``, one tuple of views per doubling level: the pivot, border
-    and trailing block of the level before, the level's left-out and
-    taken-in halves, the flags of the subsets so far and of the new ones,
-    and the level's threshold. The levels alternate between two buffers;
-    the last one's ``sse`` and ``singular`` are the results. The rest are
-    the tables of ``block_sums``.
+    takes an outer model's completion sizes. ``subset_sse`` copies the
+    bordered matrix to ``first`` and fills ``levels``, one tuple of views
+    per doubling level: the pivot, border and trailing block of the level
+    before, the level's left-out and taken-in halves, the flags of the
+    subsets so far and of the new ones, and the level's threshold. The
+    levels alternate between two buffers; the last one's ``sse`` and
+    ``singular`` are the results. Until the next doubling, the other
+    buffer holds ``w``, the completions' weights, and ``scratch``, the
+    size term of ``log_bf_values`` and then, as bytes, the two ``masks``
+    of ``Shard.absorb``. The rest are the tables of ``block_sums``.
     """
 
     def __init__(self, gjj: np.ndarray):
         b = self.b = gjj.size
         self.threshold = SINGULAR_EPS * gjj
-        # int64: with uint8 counts, N - k - 1 in log_bf_values wraps once N > 255
-        self.sizes = np.bitwise_count(np.arange(1 << b)).astype(np.int64)
-        self.k = np.empty(1 << b, dtype=np.int64)
-        self.w = np.empty(1 << b)
+        # uint8: a size is at most p, and log_bf_values takes N - 1 - k in
+        # float, so it cannot wrap
+        self.sizes = np.bitwise_count(np.arange(1 << b)).astype(np.uint8)
+        self.k = np.empty(1 << b, dtype=np.uint8)
 
-        # level j holds (b - j)^2 matrix entries for each of 2^(j + 1) subsets
-        size = max(((b - j) ** 2 << (j + 1) for j in range(b)), default=0)
-        buffers = (np.empty(size), np.empty(size))
+        # level j holds (b - j)^2 matrix entries for each of 2^(j + 1)
+        # subsets, and either buffer at least 2^(b + 1) floats
+        buffers = [
+            np.empty(max([2 << b] + [(b - j) ** 2 << (j + 1) for j in range(parity, b, 2)]))
+            for parity in (0, 1)
+        ]
+        # the last level is in buffers[(b - 1) % 2], so once the doubling
+        # is done the other one is free for the weights and the scratch
+        self.w, self.scratch = buffers[b % 2][: 2 << b].reshape(2, 1 << b)
+        self.masks = self.scratch.view(bool)[: 2 << b].reshape(2, 1 << b)
         self.first = T = np.empty((b + 1, b + 1, 1))
         self.singular = np.zeros(1 << b, dtype=bool)
         self.levels = []
@@ -145,56 +173,79 @@ class LowBlock:
             level = buffers[j % 2][: n * n * 2 * half].reshape(n, n, 2 * half)
             self.levels.append((
                 T[0, 0], T[1:, 0], T[1:, 1:], level[:, :, :half], level[:, :, half:],
-                self.singular[:half], self.singular[half : 2 * half], self.threshold[j],
+                self.singular[:half], self.singular[half : 2 * half],
+                self.threshold[j : j + 1],
             ))
             T = level
         self.sse = T[0, 0]
 
         # subset t is entry (t >> lo, t & (2^lo - 1)) of a (2^hi, 2^lo) matrix W
         hi = b // 2
-        lo = b - hi
+        lo = self.lo = b - hi
         self.shape = (1 << hi, 1 << lo)
         low_half = membership(np.arange(1 << lo), lo)
         # column j marks the low halves of popcount j
         self.by_size = np.ascontiguousarray(low_half[:, lo:-1])
         self.row_sizes = np.empty((1 << hi, lo + 1))
+        # W @ by_size is taken in runs of rows small enough for one thread
+        self.rows = max(1, GEMM_ONE_THREAD // self.by_size.size)
         # the size of each entry of row_sizes: its row's popcount plus j
         row_popcount = np.bitwise_count(np.arange(1 << hi)).astype(np.intp)
         self.size_of = (row_popcount[:, None] + np.arange(lo + 1)).ravel()
-        # W's column sums, then its row sums; which of them hold each
-        # position, then which miss it
-        self.margins = np.empty((1 << lo) + (1 << hi))
-        holds = np.zeros((self.margins.size, b))
-        holds[: 1 << lo, :lo] = low_half[:, :lo]
-        holds[1 << lo :, lo:] = membership(np.arange(1 << hi), hi)[:, :hi]
-        misses = 1.0 - holds
-        misses[: 1 << lo, lo:] = misses[1 << lo :, :lo] = 0.0
-        self.positions = np.hstack((holds, misses))
+        # W's column sums and row sums; for each, which halves hold each
+        # position of that half, then which miss it
+        self.col_sums = np.empty(1 << lo)
+        self.row_sums = np.empty(1 << hi)
+        holds_lo = low_half[:, :lo]
+        holds_hi = membership(np.arange(1 << hi), hi)[:, :hi]
+        self.positions_lo = np.hstack((holds_lo, 1.0 - holds_lo))
+        self.positions_hi = np.hstack((holds_hi, 1.0 - holds_hi))
+        self.in_out = np.empty((2, b))
 
     def block_sums(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sums of the weights w of the 2^b subsets: of those that hold
-        each position, then of those that miss it (2b), and of those of
+        each position, then of those that miss it (2 x b), and of those of
         each size 0..b.
 
         W's column sums and row sums are the margins of the low and the
-        high half, and one product with ``positions`` sums them by
-        position. One product W @ ``by_size`` sums each row by the
+        high half, and one product of each with its half's ``positions``
+        sums them by position. W @ ``by_size`` sums each row by the
         popcount of the low half; a subset's size adds its row's popcount,
         so one bincount gives the sums by size. See the module docstring
         on the products' size."""
         W = w.reshape(self.shape)
-        row_sizes = np.matmul(W, self.by_size, out=self.row_sizes)
-        n = self.shape[1]
-        np.sum(W, axis=0, out=self.margins[:n])
-        np.sum(row_sizes, axis=1, out=self.margins[n:])
-        by_size = np.bincount(self.size_of, row_sizes.ravel(), minlength=self.b + 1)
-        return self.margins @ self.positions, by_size
+        for r in range(0, W.shape[0], self.rows):
+            np.matmul(W[r : r + self.rows], self.by_size, out=self.row_sizes[r : r + self.rows])
+        np.sum(W, axis=0, out=self.col_sums)
+        np.sum(self.row_sizes, axis=1, out=self.row_sums)
+        lo = self.lo
+        self.in_out[:, :lo] = (self.col_sums @ self.positions_lo).reshape(2, lo)
+        self.in_out[:, lo:] = (self.row_sums @ self.positions_hi).reshape(2, self.b - lo)
+        by_size = np.bincount(self.size_of, self.row_sizes.ravel(), minlength=self.b + 1)
+        return self.in_out, by_size
+
+
+class _Workspaces(threading.local):
+    """Each thread's ``LowBlock`` of each block width."""
+
+    def __init__(self):
+        self.blocks: dict[int, LowBlock] = {}
+
+
+_workspaces = _Workspaces()
 
 
 def low_block(data: Dataset, shard_bits: int) -> LowBlock:
-    """The ``LowBlock`` of every shard of width ``shard_bits``: positions
-    0..b-1, with b = min(p - shard_bits, LOW_BITS)."""
-    return LowBlock(np.diagonal(data.gram)[: min(data.p - shard_bits, LOW_BITS)])
+    """The calling thread's ``LowBlock`` for every shard of width
+    ``shard_bits``: positions 0..b-1, with b = min(p - shard_bits,
+    LOW_BITS), and thresholds from this data's G_jj."""
+    gjj = np.diagonal(data.gram)[: min(data.p - shard_bits, LOW_BITS)]
+    low = _workspaces.blocks.get(gjj.size)
+    if low is None:
+        low = _workspaces.blocks[gjj.size] = LowBlock(gjj)
+    else:
+        np.multiply(SINGULAR_EPS, gjj, out=low.threshold)
+    return low
 
 
 @dataclass
@@ -240,8 +291,8 @@ class Shard:
             raise NumericalError(
                 f"NaN log Bayes factor among the completions of model {outer:#x}"
             )
-        finite = lbf > NEG_INF
-        n_finite = int(np.count_nonzero(finite))
+        finite, entry = low.masks
+        n_finite = int(np.count_nonzero(np.greater(lbf, NEG_INF, out=finite)))
         self.count += lbf.size
         self.excluded_count += lbf.size - n_finite
         if not n_finite:
@@ -266,17 +317,22 @@ class Shard:
         self.sums[-2] += total
 
         if quantity is not None:
-            scored = np.flatnonzero(finite)
-            # a reduction, not np.dot: see the module docstring on BLAS
-            self.sums[-1] += (quantity(outer | scored) * w[scored]).sum()
+            # in runs of QUANTITY_RUN models, so that glibc serves every
+            # temporary from its heap rather than mapping fresh pages; a
+            # reduction, not np.dot: see the module docstring on BLAS
+            for lo in range(0, lbf.size, QUANTITY_RUN):
+                scored = np.flatnonzero(finite[lo : lo + QUANTITY_RUN]) + lo
+                self.sums[-1] += (quantity(outer | scored) * w[scored]).sum()
         if rank_threshold is not None:
-            self.rank_count += int(np.count_nonzero(lbf > rank_threshold))
+            above = np.greater(lbf, rank_threshold, out=entry)
+            self.rank_count += int(np.count_nonzero(above))
         # only a model at least as good as the K-th, of the top or of
         # this block, can enter
         if len(self.top) == self.K:
-            can_enter = lbf >= self.top.log_bfs[-1]
+            can_enter = np.greater_equal(lbf, self.top.log_bfs[-1], out=entry)
         elif n_finite > self.K:
-            can_enter = lbf >= np.partition(lbf, lbf.size - self.K)[lbf.size - self.K]
+            kth = top if self.K == 1 else np.partition(lbf, lbf.size - self.K)[lbf.size - self.K]
+            can_enter = np.greater_equal(lbf, kth, out=entry)
         else:
             can_enter = finite
         enter = np.flatnonzero(can_enter)
@@ -318,7 +374,9 @@ def subset_sse(B: np.ndarray, low: LowBlock | np.ndarray) -> tuple[np.ndarray, n
     subset t stays at index t. A subset is singular when a column it takes
     in has a pivot d <= SINGULAR_EPS * G_jj; its children inherit the flag,
     and its SSE is meaningless, possibly NaN. The levels are built in
-    ``low``'s buffers; the returned arrays are the caller's own.
+    ``low``'s buffers, and the returned arrays are its ``sse``, clipped at
+    0 in place, and ``singular``: they hold until the next call with the
+    same block. A call given G_jj returns arrays of its own.
     """
     if isinstance(low, np.ndarray):
         low = LowBlock(low)
@@ -327,13 +385,15 @@ def subset_sse(B: np.ndarray, low: LowBlock | np.ndarray) -> tuple[np.ndarray, n
     # negative pivot or divide by a zero one
     with np.errstate(invalid="ignore", divide="ignore"):
         for d, border, rest, left_out, taken_in, flags, child_flags, eps in low.levels:
-            np.copyto(left_out, rest)
-            # _take_in, written into the level
-            col = border / np.sqrt(d)
-            np.subtract(rest, np.multiply(col[:, None], col[None], out=taken_in), out=taken_in)
             np.less_equal(d, eps, out=child_flags)
             child_flags |= flags
-    return np.maximum(low.sse, 0.0), low.singular.copy()
+            np.copyto(left_out, rest)
+            # _take_in, written into the level; the pivots and the border
+            # of the level before are not read again, so they take sqrt(d)
+            # and the column
+            col = np.divide(border, np.sqrt(d, out=d), out=border)
+            np.subtract(rest, np.multiply(col[:, None], col[None], out=taken_in), out=taken_in)
+    return np.maximum(low.sse, 0.0, out=low.sse), low.singular
 
 
 def enumerate_shard(
@@ -345,7 +405,6 @@ def enumerate_shard(
     K: int,
     quantity: Callable[[np.ndarray], np.ndarray] | None = None,
     rank_threshold: float | None = None,
-    low: LowBlock | None = None,
 ) -> Shard:
     """Score all completions of one fixed high-bit prefix.
 
@@ -360,8 +419,9 @@ def enumerate_shard(
     columns, by the rule of ``FitState.add``; every model of the refused
     subtree is excluded, so exclusion depends on the model and the layout
     alone. The uniform model prior is a constant factor, so ``prior`` does
-    not enter the sums. ``low`` is the ``low_block`` that the shards of a
-    pass share; without it the shard makes its own.
+    not enter the sums. The low block is the calling thread's
+    ``low_block``, so an outer model allocates no array of 2^b entries,
+    unless a quantity is given or the top K is filled by a partition.
     """
     p = data.p
     free = p - shard_bits
@@ -374,8 +434,7 @@ def enumerate_shard(
     B[-1, -1] = data.sse0
     gjj = np.diagonal(data.gram)[order]
     depth = len(order) - b
-    if low is None:
-        low = low_block(data, shard_bits)
+    low = low_block(data, shard_bits)
 
     shard = Shard(index=prefix, K=K, sums=np.zeros(3 * p + 3))
 
@@ -387,8 +446,8 @@ def enumerate_shard(
         if level == depth:
             sse, singular = subset_sse(B, low)
             k_block = np.add(low.sizes, k, out=low.k)
-            lbf = log_bf_values(sse, k_block, data.sse0, data.N, g, out=sse)
-            lbf[singular] = NEG_INF
+            lbf = log_bf_values(sse, k_block, data.sse0, data.N, g, out=sse, scratch=low.scratch)
+            np.copyto(lbf, NEG_INF, where=singular)
             shard.absorb(bits, lbf, low, quantity, rank_threshold)
             continue
         j = order[level]
@@ -476,10 +535,9 @@ def _init_worker(data: Dataset) -> None:
 
 
 def _shard_run(args):
-    """The shards of one contiguous run of prefixes, with one LowBlock."""
+    """The shards of one contiguous run of prefixes."""
     shard_bits, prefixes, *rest = args
-    low = low_block(_worker_data, shard_bits)
-    return [enumerate_shard(_worker_data, shard_bits, pre, *rest, low) for pre in prefixes]
+    return [enumerate_shard(_worker_data, shard_bits, pre, *rest) for pre in prefixes]
 
 
 def enumerate_exact(
@@ -499,7 +557,7 @@ def enumerate_exact(
 
     ``workers`` is an upper bound. Shards go to a process pool of
     min(workers, 2^s, max(1, 2^p // MODELS_PER_WORKER)) processes when that
-    is above 1, so a pass below 2^19 models runs in-process: there a pool
+    is above 1, so a pass below 2^20 models runs in-process: there a pool
     costs more to start than it saves (the module docstring has the
     break-even). Each pool worker receives the Dataset once, then
     contiguous runs of shards, and a quantity must pickle (a
@@ -523,9 +581,8 @@ def enumerate_exact(
     workers = default_workers() if workers is None else max(1, workers)
     workers = min(workers, len(prefixes), max(1, (1 << p) // MODELS_PER_WORKER))
     if workers == 1:
-        low = low_block(data, s)
         shards = [
-            enumerate_shard(data, s, pre, g, prior, K, quantity, rank_threshold, low)
+            enumerate_shard(data, s, pre, g, prior, K, quantity, rank_threshold)
             for pre in prefixes
         ]
     else:

@@ -528,11 +528,13 @@ class TestGibbsReport:
 class TestExactReport:
     def test_report_does_not_depend_on_blas_threads(self, tmp_path):
         # every product in a shard stays below OpenBLAS's threading cutoffs,
-        # so a report is the same whether BLAS may run one thread or two
+        # so a report is the same whether BLAS may run one thread or two;
+        # p = LOW_BITS runs the widest block
+        p = cli.exact_mod.LOW_BITS
         data = synth_dataset(
-            N=40, p=15, active=(0, 7, 14), betas=(0.7, -0.5, 0.4), seed=31
+            N=40, p=p, active=(0, 7, p - 1), betas=(0.7, -0.5, 0.4), seed=31
         )
-        path = write_csv(tmp_path / "d15.csv", data)
+        path = write_csv(tmp_path / f"d{p}.csv", data)
         pythonpath = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
         reports = []
         for threads in ("1", "2"):

@@ -1,5 +1,7 @@
 import math
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -396,9 +398,10 @@ class TestLowBitBlock:
         np.testing.assert_array_equal(sse[~singular], ref_sse[~singular])
 
     def test_reused_block_leaves_earlier_results(self):
-        # one LowBlock scores two outer models, as in a shard: the first
-        # call's SSEs and flags are the caller's own, not views of the
-        # block's buffers that the second call overwrites
+        # one LowBlock scores two outer models, as in a shard: its results
+        # are the block's own arrays, which the second call overwrites
+        # with what a fresh block gives; a call given G_jj returns arrays
+        # of its own, which a later call leaves alone
         b = 6
         rng = np.random.default_rng(8)
         bordered = []
@@ -412,13 +415,91 @@ class TestLowBitBlock:
         gjj = np.diagonal(bordered[0])[:b].copy()
         low = exact_mod.LowBlock(gjj)
         first = subset_sse(bordered[0], low)
-        kept = [a.copy() for a in first]
+        assert not first[1].any()
         second = subset_sse(bordered[1], low)
-        assert not first[1].any() and second[1].any()
-        for a, k in zip(first, kept):
-            np.testing.assert_array_equal(a, k)
-        for a, ref in zip(second, subset_sse(bordered[1], gjj)):
+        assert second[0] is first[0] and second[1] is first[1]
+        assert second[1].any()
+        for a, ref in zip(second, subset_sse(bordered[1], exact_mod.LowBlock(gjj))):
             np.testing.assert_array_equal(a, ref)
+        own = subset_sse(bordered[0], gjj)
+        kept = [a.copy() for a in own]
+        subset_sse(bordered[1], gjj)
+        for a, k in zip(own, kept):
+            np.testing.assert_array_equal(a, k)
+
+
+def assert_same_summary(a, b):
+    """Two exact summaries agree bit for bit."""
+    assert a.log_total_bf == b.log_total_bf
+    assert a.excluded_count == b.excluded_count
+    np.testing.assert_array_equal(a.inclusion, b.inclusion)
+    np.testing.assert_array_equal(a.dimension, b.dimension)
+    assert_same_models(a.top_models, b.top_models)
+
+
+class TestWorkspace:
+    """Each thread keeps one LowBlock per block width and reuses it across
+    passes, refilled with each pass's thresholds."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """Drop every thread's workspaces for the test."""
+        monkeypatch.setattr(exact_mod, "_workspaces", exact_mod._Workspaces())
+
+    def test_passes_in_one_thread_share_one_block(self, p8_data, fresh):
+        g = float(p8_data.N)
+        low = exact_mod.low_block(p8_data, 0)
+        enumerate_exact(p8_data, g, GPriorSpec.fixed(g), K=4, workers=1)
+        assert exact_mod.low_block(p8_data, 0) is low
+        assert exact_mod.low_block(p8_data, 1) is not low
+
+    def test_second_dataset_matches_a_fresh_block(self, fresh, monkeypatch):
+        # the first dataset's columns are 1e6 times larger, so its
+        # thresholds, left in the block, would flag every take-in of the
+        # second; the second's collinear pair of low columns must be
+        # flagged by its own
+        rng = np.random.default_rng(14)
+        N, p = 40, 8
+        names = [f"x{j}" for j in range(p)]
+        X = 1e6 * rng.standard_normal((N, p))
+        big = make_dataset(X[:, 0] + 1e6 * rng.standard_normal(N), X, names)
+        X = rng.standard_normal((N, p))
+        X[:, 3] = X[:, 1]
+        pair = make_dataset(X[:, 0] - X[:, 5] + rng.standard_normal(N), X, names)
+        g = float(N)
+        prior = GPriorSpec.fixed(g)
+        enumerate_exact(big, g, prior, K=10, workers=1)
+        reused = enumerate_exact(pair, g, prior, K=10, workers=1)
+        monkeypatch.setattr(exact_mod, "_workspaces", exact_mod._Workspaces())
+        assert_same_summary(reused, enumerate_exact(pair, g, prior, K=10, workers=1))
+        assert reused.excluded_count == 1 << (p - 2)
+
+    def test_concurrent_threads_match_sequential_passes(self, fresh):
+        # two blocks of 2^LOW_BITS completions per pass, so that each
+        # thread's numpy calls run while the other's are half done
+        p = exact_mod.LOW_BITS + 1
+        datasets = [
+            synth_dataset(N=60, p=p, active=(1, p - 1), betas=(0.6, -0.5), seed=seed)
+            for seed in (40, 41)
+        ]
+
+        def passes(data, n=6):
+            g = float(data.N)
+            return [enumerate_exact(data, g, GPriorSpec.fixed(g), K=20, workers=1)
+                    for _ in range(n)]
+
+        sequential = [passes(data, 1)[0] for data in datasets]
+        start = threading.Barrier(2)
+
+        def run(data):
+            start.wait()
+            return passes(data)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            concurrent = list(pool.map(run, datasets))
+        for ref, results in zip(sequential, concurrent):
+            for res in results:
+                assert_same_summary(res, ref)
 
 
 class TestShardLayout:
@@ -467,6 +548,21 @@ class TestShardLayout:
         assert res.diagnostics["shard_bits"] == 1
         assert pools == [2]
         assert res.diagnostics["workers"] == 2
+
+    def test_block_sums_stay_on_one_blas_thread(self):
+        # W @ by_size is taken in runs of rows, each a gemm under OpenBLAS's
+        # one-thread cutoff, and each half's margins @ positions a gemv
+        # under its own
+        low = exact_mod.LowBlock(np.ones(exact_mod.LOW_BITS))
+        rows, n = low.shape
+        assert min(low.rows, rows) * n * low.by_size.shape[1] <= exact_mod.GEMM_ONE_THREAD
+        assert low.by_size.shape[0] == n
+        for margins, positions in ((low.col_sums, low.positions_lo),
+                                   (low.row_sums, low.positions_hi)):
+            assert positions.shape[0] == margins.size
+            assert positions.size < exact_mod.GEMV_ONE_THREAD
+        assert exact_mod.GEMM_ONE_THREAD == 4 * 65536
+        assert exact_mod.GEMV_ONE_THREAD == 4 * 2304
 
     def test_small_pass_runs_in_process(self, pools):
         # 8 shards of 2^LOW_BITS models are too little work for a pool
@@ -561,7 +657,10 @@ def column_cholesky_sse(B, gjj):
         singular |= bad
         ljj = np.sqrt(np.where(members[j] & ~bad, d, np.inf))
         col = M[j + 1 :, j] / ljj
-        M[j + 1 :, j + 1 :] -= col[:, None, :] * col[None, :, :]
+        # row by row: one b x b x 2^b outer product would nearly double
+        # the stack's memory
+        for i, c in enumerate(col, start=j + 1):
+            M[i, j + 1 :] -= c * col
     return np.maximum(M[b, b], 0.0), singular
 
 
@@ -631,6 +730,33 @@ class TestExactQuantity:
         val = exact_quantity(p8_data, g, GPriorSpec.fixed(g), np.bitwise_count)
         ref = sum(k * dk for k, dk in enumerate(dim))
         assert val == pytest.approx(ref, abs=1e-12)
+
+    def test_runs_of_a_wide_block_skip_excluded_models(self):
+        # a block of 2^LOW_BITS completions meets the quantity in several
+        # runs; a quarter of the models hold a collinear pair and are
+        # excluded, so a quantity that is NaN on exactly those still sums
+        # to 1, and an indicator matches the block sums' inclusion
+        p = exact_mod.LOW_BITS
+        assert 1 << p > exact_mod.QUANTITY_RUN
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((40, p))
+        X[:, 9] = X[:, 2]
+        data = make_dataset(X[:, 2] - X[:, 5] + rng.standard_normal(40), X,
+                            [f"x{j}" for j in range(p)])
+        g = float(data.N)
+        prior = GPriorSpec.fixed(g)
+        res = enumerate_exact(data, g, prior, K=1, workers=1)
+        assert res.excluded_count == 1 << (p - 2)
+        pair = 1 << 2 | 1 << 9
+
+        def one_unless_excluded(bits):
+            return np.where(bits & pair == pair, np.nan, 1.0)
+
+        val = exact_quantity(data, g, prior, one_unless_excluded, workers=1)
+        assert val == pytest.approx(1.0, abs=1e-12)
+        for l in (2, 5, 9, p - 1):
+            val = exact_quantity(data, g, prior, indicator_of_variable(l), workers=1)
+            assert val == pytest.approx(res.inclusion[l], abs=1e-12)
 
     def test_worker_count_bit_identical(
         self, p8_data, pools, set_shard_bits, set_models_per_worker

@@ -9,9 +9,18 @@ branches on each free position above the lowest b = min(p - s, LOW_BITS);
 at each outer model it reaches, what is left of the matrix is the Schur
 complement of the model's columns in the Gram matrix of the b low columns,
 bordered by the residual cross-products and the SSE. Subset doubling
-(``subset_sse``) eliminates that block breadth first, scoring the 2^b
-completions in O(2^b) array work rather than one factorisation per
-completion; their log Bayes factors come from one numpy expression. A
+(``subset_sse``) eliminates that block one low column per level, for all
+subsets so far at once, scoring the 2^b completions in O(2^b) array work
+rather than one factorisation per completion; their log Bayes factors
+come from one numpy expression. The first b - IN_PLACE_LEVELS levels are
+square: each copies every subset's trailing block to the child that
+leaves the column out and writes both triangles of the child that takes
+it in. Their batches are small, so they cost numpy calls, not traffic.
+Then the lower triangle is handed over to one array per column, and the
+last levels run in place there: the left-out child is its parent, so
+only the taken-in child is written, one lower-triangle column at a time.
+A take-in reads only the pivot, the border below it and the same entry
+of the trailing block, so both forms make the same float operations. A
 take-in whose pivot is collinear, or that saturates the model, excludes
 every model below it. Each shard keeps one log-space scale, m,
 the largest log Bayes factor it has seen, and one vector of plain float
@@ -31,8 +40,9 @@ are bit-identical regardless of worker count. Each thread keeps one
 runs reuses, refilled only with each pass's thresholds: it holds the
 doubling's levels, the block's sizes, weights and masks and the block
 sums' tables, so scoring and absorbing an outer model allocate no array
-of 2^b entries. A new block at b = 16 costs about 1,100 minor page
-faults, once per thread; a repeated pass costs none.
+of 2^b entries. A new block at b = 16 takes about 2.4 MB and 560 minor
+page faults by the end of its first p=17 pass, once per thread; a
+repeated pass takes none.
 
 The shard width is s = min(max(0, p - LOW_BITS), DEFAULT_SHARD_BITS): it
 is a function of p alone, with no option to change it and no dependence on
@@ -45,14 +55,14 @@ as ``shard_bits`` and ``low_bits``.
 A pass opens a process pool only where the work pays for it: at most
 min(workers, 2^s, max(1, 2^p // MODELS_PER_WORKER)) processes, so that
 each gets at least 2^19 models, and a pass given one runs its shards
-in-process. On a 2-vCPU x86-64 host a 2-process pool costs 8-12 ms to
-start and join, against about 45M models/s per core in a repeated pass.
-At K = 1000 on the benchmark's stand-in it loses at p = 19 (11.7 ms
-in-process against 14-17 ms pooled), breaks about even at p = 20
-(23-26 ms against 20-24 ms) and wins at p = 21 (45 ms against 32-36 ms)
-and p = 22 (92-95 ms against 59-60 ms). The pool's size changes only
-which process runs a shard, never the layout, so results do not depend
-on it.
+in-process. On a 2-vCPU x86-64 host a 2-process pool costs 8-14 ms to
+start and join, against about 35M models/s per core in a repeated pass.
+At K = 1000 on the benchmark's stand-in, [min, median] of 7 calls in
+two runs, it loses at p = 19 (15-20 ms in-process against 25-36 ms
+pooled), loses by up to a fifth at p = 20 (29-39 ms against 35-46 ms)
+and wins at p = 21 (64-70 ms against 55-68 ms) and p = 22 (120-138 ms
+against 87-112 ms). The pool's size changes only which process runs a
+shard, never the layout, so results do not depend on it.
 
 No BLAS call in a shard is large enough to start BLAS helper threads,
 which on a host with as many pool workers as cores would spin against the
@@ -95,8 +105,17 @@ DEFAULT_SHARD_BITS = 8
 # 54-55M with 17, which doubles the workspace, and 51M with 18.
 LOW_BITS = 16
 
-# Fewest models that pay for one more pool process: about 12 ms of one
-# core's work, against the 8-12 ms a 2-process pool costs to start and join.
+# Doubling levels of a low block that run in place on the lower triangle,
+# the last ones; the levels before run square, where a numpy call per
+# column would cost more than the copy it saves. subset_sse at b = 16 on
+# a p=35 stand-in block, medians of 12 rounds in two sweeps on a 2-vCPU
+# x86-64 host: 1,163-1,303 us with every level square, 1,098-1,099 with
+# 5 levels in place, 1,000-1,045 with 6, 932-976 with 7, 929-942 with 8,
+# 898-956 with 9, 909-949 with 10 and 1,100-1,136 with all 16.
+IN_PLACE_LEVELS = 8
+
+# Fewest models that pay for one more pool process: about 15 ms of one
+# core's work, against the 8-14 ms a 2-process pool costs to start and join.
 MODELS_PER_WORKER = 1 << 19
 
 # Models per call of an exact pass's quantity: 64 KB int64 and float
@@ -136,15 +155,26 @@ class LowBlock:
     ``threshold`` holds the pivots SINGULAR_EPS * G_jj at or below which a
     take-in is singular and ``sizes`` the popcount of each subset t; ``k``
     takes an outer model's completion sizes. ``subset_sse`` copies the
-    bordered matrix to ``first`` and fills ``levels``, one tuple of views
-    per doubling level: the pivot, border and trailing block of the level
-    before, the level's left-out and taken-in halves, the flags of the
-    subsets so far and of the new ones, and the level's threshold. The
-    levels alternate between two buffers; the last one's ``sse`` and
-    ``singular`` are the results. Until the next doubling, the other
-    buffer holds ``w``, the completions' weights, and ``scratch``, the
-    size term of ``log_bf_values`` and then, as bytes, the two ``masks``
-    of ``Shard.absorb``. The rest are the tables of ``block_sums``.
+    bordered matrix to ``first`` and runs the doubling's first
+    b - IN_PLACE_LEVELS levels square, each a tuple of views in
+    ``levels``: the pivot, border and trailing block of the level before,
+    the level's left-out and taken-in halves, the flags of the subsets so
+    far and of the new ones, and the level's threshold. ``handover``
+    copies the lower triangle of the last square level into ``columns``:
+    column c of the lower triangle, c = 0..b with y at c = b, is one
+    (b + 1 - c) x 2^c array holding the entries (r, c), r >= c, of every
+    subset of the first c positions. The last levels, one tuple each in
+    ``in_place``, eliminate a column there: its pivots and border, one
+    (rows from c, row c, left-out, taken-in) tuple of views per later
+    column c, and the flags and threshold as above. The columns lie in
+    one buffer from y down, and the square levels alternate between two
+    stretches of y's column past the entries that the handover writes.
+    Once the doubling is done only y's column, ``sse``, is live, and the
+    buffer after it holds ``w``, the completions' weights, and
+    ``scratch``, the size term of ``log_bf_values`` and then, as bytes,
+    the two ``masks`` of ``Shard.absorb``; ``singular`` holds the flags.
+    ``run`` is 0..QUANTITY_RUN - 1, for the quantity runs of a block
+    without exclusions. The rest are the tables of ``block_sums``.
     """
 
     def __init__(self, gjj: np.ndarray):
@@ -154,21 +184,37 @@ class LowBlock:
         # float, so it cannot wrap
         self.sizes = np.bitwise_count(np.arange(1 << b)).astype(np.uint8)
         self.k = np.empty(1 << b, dtype=np.uint8)
+        self.run = np.arange(QUANTITY_RUN)
 
-        # level j holds (b - j)^2 matrix entries for each of 2^(j + 1)
-        # subsets, and either buffer at least 2^(b + 1) floats
-        buffers = [
-            np.empty(max([2 << b] + [(b - j) ** 2 << (j + 1) for j in range(parity, b, 2)]))
-            for parity in (0, 1)
-        ]
-        # the last level is in buffers[(b - 1) % 2], so once the doubling
-        # is done the other one is free for the weights and the scratch
-        self.w, self.scratch = buffers[b % 2][: 2 << b].reshape(2, 1 << b)
+        square = max(0, b - IN_PLACE_LEVELS)
+        # the columns from y down to the first one eliminated in place, in
+        # a buffer with room for w and the scratch after y's
+        column_sizes = [(b + 1 - c) << c for c in range(square, b + 1)]
+        buffer = np.empty(max(sum(column_sizes), 3 << b))
+        self.columns, start = {}, 0
+        for c in range(b, square - 1, -1):
+            end = start + column_sizes[c - square]
+            self.columns[c] = buffer[start:end].reshape(b + 1 - c, 1 << c)
+            start = end
+        self.sse = self.columns[b][0]
+        self.w, self.scratch = buffer[1 << b : 3 << b].reshape(2, 1 << b)
         self.masks = self.scratch.view(bool)[: 2 << b].reshape(2, 1 << b)
-        self.first = T = np.empty((b + 1, b + 1, 1))
         self.singular = np.zeros(1 << b, dtype=bool)
+
+        # square level j holds (b - j)^2 matrix entries for each of
+        # 2^(j + 1) subsets; the handover writes the first 2^square
+        # entries of each column, so the levels alternate between two
+        # stretches of y's column after those, where they fit for
+        # IN_PLACE_LEVELS >= 7
+        self.first = T = np.empty((b + 1, b + 1, 1))
+        even, odd = [max([0] + [(b - j) ** 2 << (j + 1) for j in range(parity, square, 2)])
+                     for parity in (0, 1)]
+        spare = self.sse[1 << square :]
+        if even + odd > spare.size:
+            spare = np.empty(even + odd)
+        buffers = [spare[:even], spare[even : even + odd]]
         self.levels = []
-        for j in range(b):
+        for j in range(square):
             n, half = b - j, 1 << j
             level = buffers[j % 2][: n * n * 2 * half].reshape(n, n, 2 * half)
             self.levels.append((
@@ -177,7 +223,22 @@ class LowBlock:
                 self.threshold[j : j + 1],
             ))
             T = level
-        self.sse = T[0, 0]
+        self.handover = [
+            (self.columns[c][:, : 1 << square], T[c - square :, c - square])
+            for c in range(square, b + 1)
+        ]
+        self.in_place = []
+        for j in range(square, b):
+            half = 1 << j
+            d, border = self.columns[j][0, :half], self.columns[j][1:, :half]
+            updates = [
+                (border[i:], border[i], self.columns[c][:, :half], self.columns[c][:, half : 2 * half])
+                for i, c in enumerate(range(j + 1, b + 1))
+            ]
+            self.in_place.append((
+                d, border, updates, self.singular[:half], self.singular[half : 2 * half],
+                self.threshold[j : j + 1],
+            ))
 
         # subset t is entry (t >> lo, t & (2^lo - 1)) of a (2^hi, 2^lo) matrix W
         hi = b // 2
@@ -319,10 +380,16 @@ class Shard:
         if quantity is not None:
             # in runs of QUANTITY_RUN models, so that glibc serves every
             # temporary from its heap rather than mapping fresh pages; a
-            # reduction, not np.dot: see the module docstring on BLAS
+            # reduction, not np.dot: see the module docstring on BLAS. A
+            # block without exclusions scores each run whole, ungathered.
             for lo in range(0, lbf.size, QUANTITY_RUN):
-                scored = np.flatnonzero(finite[lo : lo + QUANTITY_RUN]) + lo
-                self.sums[-1] += (quantity(outer | scored) * w[scored]).sum()
+                if n_finite == lbf.size:
+                    bits = outer | lo | low.run[: lbf.size - lo]
+                    weights = w[lo : lo + QUANTITY_RUN]
+                else:
+                    scored = np.flatnonzero(finite[lo : lo + QUANTITY_RUN]) + lo
+                    bits, weights = outer | scored, w[scored]
+                self.sums[-1] += (quantity(bits) * weights).sum()
         if rank_threshold is not None:
             above = np.greater(lbf, rank_threshold, out=entry)
             self.rank_count += int(np.count_nonzero(above))
@@ -366,17 +433,21 @@ def subset_sse(B: np.ndarray, low: LowBlock | np.ndarray) -> tuple[np.ndarray, n
     own. Then SSE(A + T) = sse - r_T' S_TT^-1 r_T, the last pivot left
     after eliminating T from [[S_TT, r_T], [r_T', sse]]. Entry t of both
     returned arrays is for the subset T holding column i of L when bit i of
-    t is set. The subsets are eliminated breadth first, by doubling: level
-    j holds, batch last, the Schur complements of all 2^j subsets of the
-    first j columns, each on the remaining columns and y. The child that
-    leaves column j out is the trailing block, the one that takes it in is
-    ``_take_in``'s, and the children are stacked [left out, taken in], so
-    subset t stays at index t. A subset is singular when a column it takes
-    in has a pivot d <= SINGULAR_EPS * G_jj; its children inherit the flag,
-    and its SSE is meaningless, possibly NaN. The levels are built in
-    ``low``'s buffers, and the returned arrays are its ``sse``, clipped at
-    0 in place, and ``singular``: they hold until the next call with the
-    same block. A call given G_jj returns arrays of its own.
+    t is set. The subsets are eliminated by doubling: level j holds, batch
+    last, the Schur complements of all 2^j subsets of the first j columns,
+    each on the remaining columns and y. The child that leaves column j out
+    is the trailing block, the one that takes it in is ``_take_in``'s, and
+    the children are stacked [left out, taken in], so subset t stays at
+    index t. The last IN_PLACE_LEVELS levels keep only lower triangles,
+    one array per column, in which the left-out child is its parent and
+    the taken-in child is written column by column (see ``LowBlock``). A
+    subset is singular when a column it takes in has a pivot
+    d <= SINGULAR_EPS * G_jj; its children inherit the flag, and its SSE
+    is meaningless, possibly NaN. Only B's lower triangle is read. The
+    levels are built in ``low``'s buffers, and the returned arrays are its
+    ``sse``, clipped at 0 in place, and ``singular``: they hold until the
+    next call with the same block. A call given G_jj returns arrays of its
+    own.
     """
     if isinstance(low, np.ndarray):
         low = LowBlock(low)
@@ -393,6 +464,17 @@ def subset_sse(B: np.ndarray, low: LowBlock | np.ndarray) -> tuple[np.ndarray, n
             # and the column
             col = np.divide(border, np.sqrt(d, out=d), out=border)
             np.subtract(rest, np.multiply(col[:, None], col[None], out=taken_in), out=taken_in)
+        for column, lower in low.handover:
+            np.copyto(column, lower)
+        # the left-out child of subset t is t itself, so only the taken-in
+        # one is written, at t + 2^j, one lower-triangle column at a time;
+        # the border becomes the column, so the updates' views read it
+        for d, border, updates, flags, child_flags, eps in low.in_place:
+            np.less_equal(d, eps, out=child_flags)
+            child_flags |= flags
+            np.divide(border, np.sqrt(d, out=d), out=border)
+            for below, pivot_row, left_out, taken_in in updates:
+                np.subtract(left_out, np.multiply(below, pivot_row, out=taken_in), out=taken_in)
     return np.maximum(low.sse, 0.0, out=low.sse), low.singular
 
 

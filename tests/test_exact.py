@@ -17,6 +17,7 @@ from modelspace import (
     indicator_of_dimension,
     indicator_of_model,
     indicator_of_variable,
+    log_bf_value,
     make_dataset,
     rank_models,
     topk_mass_log10,
@@ -39,6 +40,29 @@ def subset_members(b):
     """(b, 2^b) booleans: entry (i, t) is set when subset t holds item i,
     that is when bit i of t is set."""
     return (np.arange(1 << b) >> np.arange(b)[:, None]) & 1 == 1
+
+
+def doubling_cases():
+    """(b, collinear pair) blocks for ``subset_sse`` around the handover
+    from the square levels to the in-place ones: columns 0..square - 1 are
+    eliminated square and the last IN_PLACE_LEVELS in place."""
+    cases = []
+    for b in (1, 2, exact_mod.IN_PLACE_LEVELS, exact_mod.IN_PLACE_LEVELS + 1):
+        square = max(0, b - exact_mod.IN_PLACE_LEVELS)
+        cases.append(pytest.param(b, None, id=f"b{b}-full-rank"))
+        if square:
+            pair = (square - 1, square)
+            cases.append(pytest.param(b, pair, id=f"b{b}-handover-pair"))
+        if b - square >= 2:
+            pair = (square, b - 1)
+            cases.append(pytest.param(b, pair, id=f"b{b}-in-place-pair"))
+    # at b = LOW_BITS, where the reference takes about 3 s, the pair is
+    # eliminated square
+    b = exact_mod.LOW_BITS
+    return cases + [
+        pytest.param(b, None, id="full-rank"),
+        pytest.param(b, (0, 1), id="low-low-pair"),
+    ]
 
 
 @pytest.fixture
@@ -376,15 +400,16 @@ class TestLowBitBlock:
             assert sse[t] == pytest.approx(sse_direct(data, m), rel=1e-9)
 
 
-    @pytest.mark.parametrize("dup", [False, True], ids=["full-rank", "low-low-pair"])
-    def test_doubling_matches_column_cholesky(self, dup):
+    @pytest.mark.parametrize("b, pair", doubling_cases())
+    def test_doubling_matches_column_cholesky(self, b, pair):
         # each subset goes through the column Cholesky's float operations,
-        # so flags and non-singular SSEs equal the reference bit for bit
-        b = exact_mod.LOW_BITS
+        # so flags and non-singular SSEs equal the reference bit for bit,
+        # whether the collinear pair is eliminated square, in place or
+        # across the handover between the two
         rng = np.random.default_rng(12)
         X = rng.standard_normal((60, b + 6))
-        if dup:
-            X[:, 1] = X[:, 0]
+        if pair is not None:
+            X[:, pair[1]] = X[:, pair[0]]
         y = X[:, 2] - X[:, b + 1] + rng.standard_normal(60)
         data = make_dataset(y, X, [f"x{j}" for j in range(b + 6)])
         state = fit_model(data, 0b10011 << b)  # columns b, b + 1 and b + 4
@@ -394,8 +419,26 @@ class TestLowBitBlock:
         sse, singular = subset_sse(B, gjj)
         ref_sse, ref_singular = column_cholesky_sse(B, gjj)
         np.testing.assert_array_equal(singular, ref_singular)
-        assert singular.sum() == (1 << (b - 2) if dup else 0)
+        assert singular.sum() == (0 if pair is None else 1 << (b - 2))
         np.testing.assert_array_equal(sse[~singular], ref_sse[~singular])
+
+    @pytest.mark.parametrize("in_place", [0, 1, 4, exact_mod.IN_PLACE_LEVELS, 10])
+    def test_doubling_reads_only_the_lower_triangle(self, in_place, monkeypatch):
+        # a take-in reads the pivot, the border below it and the same
+        # entry of the trailing block, so neither B's upper triangle nor
+        # the number of levels run in place, none to all of them, changes
+        # a float operation
+        b = 10
+        rng = np.random.default_rng(17)
+        Z = rng.standard_normal((30, b + 1))
+        Z[:, 6] = Z[:, 3]
+        B = Z.T @ Z
+        gjj = np.diagonal(B)[:b].copy()
+        ref = [a.copy() for a in subset_sse(B, gjj)]
+        B[np.triu_indices(b + 1, 1)] = np.nan
+        monkeypatch.setattr(exact_mod, "IN_PLACE_LEVELS", in_place)
+        for a, r in zip(subset_sse(B, gjj), ref):
+            np.testing.assert_array_equal(a, r)
 
     def test_reused_block_leaves_earlier_results(self):
         # one LowBlock scores two outer models, as in a shard: its results
@@ -757,6 +800,26 @@ class TestExactQuantity:
         for l in (2, 5, 9, p - 1):
             val = exact_quantity(data, g, prior, indicator_of_variable(l), workers=1)
             assert val == pytest.approx(res.inclusion[l], abs=1e-12)
+
+    def test_runs_of_a_full_rank_wide_block_keep_their_offsets(self):
+        # with no excluded model a run scores its models ungathered, at
+        # their offset in the block
+        p = exact_mod.LOW_BITS
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((40, p))
+        data = make_dataset(X[:, 2] - X[:, 13] + rng.standard_normal(40), X,
+                            [f"x{j}" for j in range(p)])
+        g = float(data.N)
+        prior = GPriorSpec.fixed(g)
+        res = enumerate_exact(data, g, prior, K=1, workers=1)
+        assert res.excluded_count == 0
+        for l in (0, 12, 13, p - 1):
+            val = exact_quantity(data, g, prior, indicator_of_variable(l), workers=1)
+            assert val == pytest.approx(res.inclusion[l], abs=1e-12)
+        t = 5 * exact_mod.QUANTITY_RUN + 3
+        val = exact_quantity(data, g, prior, indicator_of_model(t), workers=1)
+        lbf = log_bf_value(sse_direct(data, t), t.bit_count(), data.sse0, data.N, g)
+        assert val == pytest.approx(math.exp(lbf - res.log_total_bf), rel=1e-9)
 
     def test_worker_count_bit_identical(
         self, p8_data, pools, set_shard_bits, set_models_per_worker

@@ -11,7 +11,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import UsageError
 from .linmodel import Dataset
@@ -24,6 +23,29 @@ BLOCK = 4096
 
 # The values of a chain's ``trace.meta`` that its summary keeps.
 CHAIN_DIAGNOSTICS = ("g_accept_rate", "sse_spot_check_max_rel", "bit_flips_per_sweep")
+
+
+def logsumexp(x: np.ndarray) -> float:
+    """ln sum exp(x) over a float array, formed as ``scipy.special.logsumexp``
+    (1.15 and later) forms it: the m largest terms, all equal to the max,
+    are set apart, s = sum exp(x - max) is taken over the others and
+    divided by m unless it is 0, and ln(1 + s) + ln m + max is returned.
+    An empty array, or one whose max is -inf, gives -inf."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        return -math.inf
+    top = x.max()
+    if not np.isfinite(top):  # -inf, +inf or nan, as scipy gives
+        return float(top)
+    ties = x == top
+    m = np.float64(np.count_nonzero(ties))
+    # the ties stay in place as zeros, so the sum adds in scipy's order
+    terms = np.exp(x - top)
+    terms[ties] = 0.0
+    s = terms.sum()
+    if s != 0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + top)
 
 
 # A quantity a(M) is any callable that maps an array of bitmasks
@@ -117,7 +139,7 @@ class PosteriorSummary:
     @property
     def mass_log10(self) -> float:
         """Decimal log of the summed Bayes factors of the top models."""
-        return float(logsumexp(self.top_models.log_bfs)) / LOG10
+        return logsumexp(self.top_models.log_bfs) / LOG10
 
 
 def hh_estimate(
@@ -266,7 +288,7 @@ def find_mpm(inclusion: np.ndarray) -> int:
 
 def topk_mass_log10(models: DistinctModels, K: int) -> float:
     """Decimal log of the summed Bayes factors of the K best distinct models."""
-    return float(logsumexp(rank_models(models, K).log_bfs)) / LOG10
+    return logsumexp(rank_models(models, K).log_bfs) / LOG10
 
 
 def summarize_trace(

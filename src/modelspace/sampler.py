@@ -22,6 +22,14 @@ its size ``k`` and its ``sse``, with ``flip_sse(i)``, ``add(i)`` (False,
 with the state untouched, on a singular or saturated add), ``delete(i)``
 and ``reset()``. ``run_chain`` resets the state after each SSE spot
 check, which bounds the drift of the updates.
+
+The generator is a numpy Generator whose bit generator has ``advance``,
+such as the PCG64 that ``default_rng`` builds. A sweep draws p uniforms in
+one block (``Generator.random(p)`` returns the doubles of p scalar draws,
+one 64-bit output each) and steps the generator back by those that
+singular or saturated adds left unused. A seeded chain therefore draws
+exactly the stream of one scalar ``random()`` per drawing component, and
+the g-step between sweeps continues it.
 """
 
 from __future__ import annotations
@@ -268,25 +276,46 @@ def gibbs_sweep(
     Component i is included with its full-conditional probability
     r/(1+r), ln r = ln B(bit i set) - ln B(bit i clear). A singular or
     saturated add has probability 0 and draws no uniform.
+
+    ``rng`` is a numpy Generator whose bit generator has ``advance``, such
+    as the PCG64 of ``default_rng``. The sweep draws its p uniforms in one
+    block, hands them out in order to the components that draw, and then
+    steps the generator back by the unused ones, so that it leaves the
+    stream where p scalar ``rng.random()`` calls, one per drawing
+    component, would have left it.
     """
     data = state.data
     sse0 = data.sse0
     N = data.N
+    p = data.p
+    # each flip's log BF groups its terms as log_bf_value does, so it
+    # rounds the same; a flip is never saturated, since flip_sse refuses a
+    # saturated add and a drop only shrinks the model
+    a = -0.5 * (N - 1)
+    lg = math.log1p(g)
     lbf = log_bf_value(state.sse, state.k, sse0, N, g)
-    for i in range(data.p):
+    uniforms = rng.random(p).tolist()
+    used = 0
+    for i in range(p):
         sse = state.flip_sse(i)
         if sse is None:
             continue
+        fit = a * math.log1p(g * max(sse / sse0, 0.0))
+        u = uniforms[used]
+        used += 1
         if (state.bits >> i) & 1:
-            lbf_flip = log_bf_value(sse, state.k - 1, sse0, N, g)
-            if rng.random() >= _sigmoid(lbf - lbf_flip):
+            lbf_flip = fit + 0.5 * (N - state.k) * lg
+            if u >= _sigmoid(lbf - lbf_flip):
                 state.delete(i)
                 lbf = lbf_flip
         else:
-            lbf_flip = log_bf_value(sse, state.k + 1, sse0, N, g)
-            if rng.random() < _sigmoid(lbf_flip - lbf):
+            lbf_flip = fit + 0.5 * (N - state.k - 2) * lg
+            if u < _sigmoid(lbf_flip - lbf):
                 state.add(i)
                 lbf = lbf_flip
+    if used < p:
+        # one step per double; PCG64's period is 2^128
+        rng.bit_generator.advance((used - p) % (1 << 128))
     return state
 
 

@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import logsumexp as scipy_logsumexp
 
 from modelspace import (
     ChainTrace,
@@ -261,6 +264,47 @@ class TestTopKMass:
             topk_mass_log10(models_of([1], [0.0]), 0)
 
 
+class TestLogSumExp:
+    # scipy is the oracle; its formula changed in 1.15, so an older scipy
+    # may differ in the last bits, and the bound is a few ulp
+    ULP = 4
+
+    def close(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        ours, ref = estimators.logsumexp(x), float(scipy_logsumexp(x))
+        assert abs(ours - ref) <= self.ULP * np.spacing(abs(ref)), (ours, ref)
+
+    def test_agrees_with_scipy(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 7, 100, 1000, 4096):
+            x = np.sort(rng.normal(0.0, 30.0, n))[::-1]
+            self.close(x)
+            x = np.round(x)  # ties at and below the max
+            x[: min(3, n)] = x[0]
+            self.close(x)
+            x[-(n // 2):] = -np.inf
+            self.close(x)
+
+    def test_single_element(self):
+        for v in (0.0, -3.5, 1e4):
+            assert estimators.logsumexp(np.array([v])) == v
+
+    def test_no_mass(self):
+        assert estimators.logsumexp(np.array([])) == -math.inf
+        assert estimators.logsumexp(np.array([-np.inf, -np.inf])) == -math.inf
+
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test dependency only
+        src = os.path.dirname(os.path.dirname(estimators.__file__))
+        code = ("import sys, modelspace.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+
 class TestSummarizeTrace:
     def test_structure_and_consistency(self, p8_data, p8_naive):
         lbfs, _, _, _, hpm_bits = p8_naive
@@ -280,7 +324,7 @@ class TestSummarizeTrace:
         assert len(summary.inclusion_renormalized) == p8_data.p
         assert len(summary.dimension) == p8_data.p + 1
         expected_mass = float(
-            logsumexp(sorted(lbfs[bitmasks])[-10:])
+            scipy_logsumexp(sorted(lbfs[bitmasks])[-10:])
         ) / math.log(10.0)
         assert summary.mass_log10 == pytest.approx(expected_mass, abs=1e-10)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from modelspace import sampler
 from modelspace import (
     FitState,
     GPriorSpec,
@@ -21,19 +22,25 @@ from modelspace import (
     sse_direct,
     sweep_state,
 )
-from conftest import naive_enumeration, synth_dataset
+from modelspace.sampler import _sigmoid
+from conftest import naive_enumeration, standin_dataset, synth_dataset
 
 
 class _CountingZeros:
-    """Stands in for the generator: every uniform is 0.0, so every allowed
-    component is included, and the draws are counted."""
+    """Stands in for the generator and its bit generator: every uniform is
+    0.0, so every allowed component is included, and the net draws are
+    counted: the uniforms drawn less the steps back, mod 2^128."""
 
     def __init__(self):
         self.draws = 0
+        self.bit_generator = self
 
-    def random(self):
-        self.draws += 1
-        return 0.0
+    def random(self, size):
+        self.draws += size
+        return np.zeros(size)
+
+    def advance(self, delta):
+        self.draws = (self.draws + delta) % (1 << 128)
 
 
 def flip(state, i):
@@ -65,8 +72,6 @@ class TestComponentProb:
 
     def test_equal_branch_factors_give_half(self, p10_data):
         # directly at ln r = 0 the formula is symmetric
-        from modelspace.sampler import _sigmoid
-
         assert _sigmoid(0.0) == 0.5
 
     def test_singular_target_gives_zero(self):
@@ -219,6 +224,101 @@ class TestSweep:
             counts[state.bits] += 1
         tv = 0.5 * np.abs(counts / sweeps - exact).sum()
         assert tv < tol
+
+
+def _scalar_sweep(state, g, prior, rng):
+    """The reference sweep: a scalar ``rng.random()``, a ``log_bf_value``
+    call and a ``_sigmoid`` per component that draws. ``gibbs_sweep``
+    must match it bit for bit, generator stream included."""
+    data = state.data
+    sse0, N = data.sse0, data.N
+    lbf = log_bf_value(state.sse, state.k, sse0, N, g)
+    for i in range(data.p):
+        sse = state.flip_sse(i)
+        if sse is None:
+            continue
+        if (state.bits >> i) & 1:
+            lbf_flip = log_bf_value(sse, state.k - 1, sse0, N, g)
+            if rng.random() >= _sigmoid(lbf - lbf_flip):
+                state.delete(i)
+                lbf = lbf_flip
+        else:
+            lbf_flip = log_bf_value(sse, state.k + 1, sse0, N, g)
+            if rng.random() < _sigmoid(lbf_flip - lbf):
+                state.add(i)
+                lbf = lbf_flip
+    return state
+
+
+def _duplicated_column():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((30, 8))
+    X[:, 5] = X[:, 2]
+    y = X[:, 2] - 0.6 * X[:, 6] + rng.standard_normal(30)
+    return make_dataset(y, X, [f"x{j}" for j in range(8)])
+
+
+# (design, the state the sweep runs on); the last two saturate at N - 2
+BLOCK_CASES = {
+    "standin": (lambda: standin_dataset(20), FitState),
+    "duplicated-column": (_duplicated_column, FitState),
+    "saturating": (
+        lambda: synth_dataset(N=8, p=10, active=(0, 3), betas=(1.0, -0.8), seed=6),
+        FitState,
+    ),
+    "inverse-gram": (
+        lambda: synth_dataset(
+            N=30, p=120, active=(0, 5, 17), betas=(0.8, -0.6, 0.5), seed=3
+        ),
+        InverseGramState,
+    ),
+}
+
+
+def _prior(data, hierarchical):
+    return GPriorSpec.zellner_siow(data.N) if hierarchical else GPriorSpec.fixed(float(data.N))
+
+
+class TestUniformBlock:
+    """The sweep draws its uniforms in one block and steps the generator
+    back by the unused ones; chains must stay those of the scalar sweep."""
+
+    @pytest.mark.parametrize("hierarchical", [False, True], ids=["fixed", "zs"])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_matches_scalar_sweep(self, case, hierarchical):
+        build, State = BLOCK_CASES[case]
+        data = build()
+        prior = _prior(data, hierarchical)
+        ref, new = sweep_state(data), sweep_state(data)
+        assert type(new) is State
+        rng_ref, rng_new = np.random.default_rng(17), np.random.default_rng(17)
+        g_ref = g_new = float(data.N)
+        skipped = 0
+        for _ in range(300):
+            _scalar_sweep(ref, g_ref, prior, rng_ref)
+            gibbs_sweep(new, g_new, prior, rng_new)
+            assert (new.bits, new.k, new.sse) == (ref.bits, ref.k, ref.sse)
+            assert rng_new.random() == rng_ref.random()
+            if hierarchical:
+                g_ref, _ = mh_step_g(ref, g_ref, prior, rng_ref)
+                g_new, _ = mh_step_g(new, g_new, prior, rng_new)
+                assert g_new == g_ref
+            skipped += sum(new.flip_sse(i) is None for i in range(data.p))
+        # in every case but the stand-in some components draw no uniform
+        assert (skipped == 0) == (case == "standin")
+
+    @pytest.mark.parametrize("hierarchical", [False, True], ids=["fixed", "zs"])
+    def test_random_start_chain_matches(self, monkeypatch, hierarchical):
+        # the random start's permutation leaves a buffered half-word, which
+        # the step back clears and no later draw reads
+        data = BLOCK_CASES["saturating"][0]()
+        prior = _prior(data, hierarchical)
+        cfg = SamplerConfig(iterations=400, prior=prior, seed=8, start="random")
+        new = run_chain(data, cfg)
+        monkeypatch.setattr(sampler, "gibbs_sweep", _scalar_sweep)
+        ref = run_chain(data, cfg)
+        for name in ("bits", "g_draws", "log_bfs"):
+            np.testing.assert_array_equal(getattr(new, name), getattr(ref, name))
 
 
 class TestMhStepG:

@@ -54,15 +54,15 @@ as ``shard_bits`` and ``low_bits``.
 
 A pass opens a process pool only where the work pays for it: at most
 min(workers, 2^s, max(1, 2^p // MODELS_PER_WORKER)) processes, so that
-each gets at least 2^19 models, and a pass given one runs its shards
+each gets at least 2^20 models, and a pass given one runs its shards
 in-process. On a 2-vCPU x86-64 host a 2-process pool costs 8-14 ms to
 start and join, against about 35M models/s per core in a repeated pass.
-At K = 1000 on the benchmark's stand-in, [min, median] of 7 calls in
-two runs, it loses at p = 19 (15-20 ms in-process against 25-36 ms
-pooled), loses by up to a fifth at p = 20 (29-39 ms against 35-46 ms)
-and wins at p = 21 (64-70 ms against 55-68 ms) and p = 22 (120-138 ms
-against 87-112 ms). The pool's size changes only which process runs a
-shard, never the layout, so results do not depend on it.
+At K = 1000 on the benchmark's stand-in, [min, median] of 7 alternating
+calls in two runs, it loses at p = 19 (15-20 ms in-process against 25-36
+ms pooled) and at p = 20 (29-30 / 32 ms against 32-33 / 35-36 ms), and
+wins at p = 21 (57-61 / 60-62 ms against 49-51 / 52-54 ms) and p = 22
+(120-138 ms against 87-112 ms). The pool's size changes only which
+process runs a shard, never the layout, so results do not depend on it.
 
 No BLAS call in a shard is large enough to start BLAS helper threads,
 which on a host with as many pool workers as cores would spin against the
@@ -114,9 +114,10 @@ LOW_BITS = 16
 # 898-956 with 9, 909-949 with 10 and 1,100-1,136 with all 16.
 IN_PLACE_LEVELS = 8
 
-# Fewest models that pay for one more pool process: about 15 ms of one
+# Fewest models that pay for one more pool process: about 30 ms of one
 # core's work, against the 8-14 ms a 2-process pool costs to start and join.
-MODELS_PER_WORKER = 1 << 19
+# At 2^19 a p = 20 pass opened a 2-process pool that lost to one process.
+MODELS_PER_WORKER = 1 << 20
 
 # Models per call of an exact pass's quantity: 64 KB int64 and float
 # arrays, half of glibc's first mmap threshold of 128 KB, which only grows.
@@ -422,35 +423,31 @@ def _take_in(T: np.ndarray) -> np.ndarray:
     return T[1:, 1:] - col[:, None] * col[None]
 
 
-def subset_sse(B: np.ndarray, low: LowBlock | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def subset_sse(B: np.ndarray, low: LowBlock) -> tuple[np.ndarray, np.ndarray]:
     """SSE of one model extended by each subset T of b further columns L,
     and whether that extension is singular.
 
     ``B`` is the (b+1)x(b+1) bordered matrix [[S, r], [r', sse]], with S the
     Schur complement of the model's active set A in the Gram matrix of L,
     r = X'y_L - G_LA beta_A and sse the model's SSE; ``low`` is the
-    ``LowBlock`` of L, or the G_jj of L for a call with scratch arrays of its
-    own. Then SSE(A + T) = sse - r_T' S_TT^-1 r_T, the last pivot left
-    after eliminating T from [[S_TT, r_T], [r_T', sse]]. Entry t of both
-    returned arrays is for the subset T holding column i of L when bit i of
-    t is set. The subsets are eliminated by doubling: level j holds, batch
-    last, the Schur complements of all 2^j subsets of the first j columns,
-    each on the remaining columns and y. The child that leaves column j out
-    is the trailing block, the one that takes it in is ``_take_in``'s, and
-    the children are stacked [left out, taken in], so subset t stays at
-    index t. The last IN_PLACE_LEVELS levels keep only lower triangles,
-    one array per column, in which the left-out child is its parent and
-    the taken-in child is written column by column (see ``LowBlock``). A
-    subset is singular when a column it takes in has a pivot
-    d <= SINGULAR_EPS * G_jj; its children inherit the flag, and its SSE
-    is meaningless, possibly NaN. Only B's lower triangle is read. The
+    ``LowBlock`` of L. Then SSE(A + T) = sse - r_T' S_TT^-1 r_T, the last
+    pivot left after eliminating T from [[S_TT, r_T], [r_T', sse]]. Entry t
+    of both returned arrays is for the subset T holding column i of L when
+    bit i of t is set. The subsets are eliminated by doubling: level j
+    holds, batch last, the Schur complements of all 2^j subsets of the
+    first j columns, each on the remaining columns and y. The child that
+    leaves column j out is the trailing block, the one that takes it in is
+    ``_take_in``'s, and the children are stacked [left out, taken in], so
+    subset t stays at index t. The last IN_PLACE_LEVELS levels keep only
+    lower triangles, one array per column, in which the left-out child is
+    its parent and the taken-in child is written column by column (see
+    ``LowBlock``). A subset is singular when a column it takes in has a
+    pivot d <= SINGULAR_EPS * G_jj; its children inherit the flag, and its
+    SSE is meaningless, possibly NaN. Only B's lower triangle is read. The
     levels are built in ``low``'s buffers, and the returned arrays are its
     ``sse``, clipped at 0 in place, and ``singular``: they hold until the
-    next call with the same block. A call given G_jj returns arrays of its
-    own.
+    next call with the same block.
     """
-    if isinstance(low, np.ndarray):
-        low = LowBlock(low)
     np.copyto(low.first[:, :, 0], B)
     # a singular subset's children may take the square root of a
     # negative pivot or divide by a zero one
@@ -639,7 +636,7 @@ def enumerate_exact(
 
     ``workers`` is an upper bound. Shards go to a process pool of
     min(workers, 2^s, max(1, 2^p // MODELS_PER_WORKER)) processes when that
-    is above 1, so a pass below 2^20 models runs in-process: there a pool
+    is above 1, so a pass below 2^21 models runs in-process: there a pool
     costs more to start than it saves (the module docstring has the
     break-even). Each pool worker receives the Dataset once, then
     contiguous runs of shards, and a quantity must pickle (a
@@ -658,6 +655,8 @@ def enumerate_exact(
         )
     if prior.hierarchical:
         raise UsageError("exact enumeration supports fixed g only")
+    if prior.g != g:
+        raise UsageError(f"g={g!r} but the prior's g is {prior.g!r}")
     s = default_shard_bits(p)
     prefixes = range(1 << s)
     workers = default_workers() if workers is None else max(1, workers)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -488,7 +489,10 @@ class TestGibbsReport:
             tmp_path / "one.json",
         )
         assert report["summary"]["n_used"] == 1
-        assert all(e["se"] is None for e in report["summary"]["inclusion"])
+        # a one-draw chain has no SE: every record says so with a null
+        for field in ("inclusion", "dimension"):
+            records = report["summary"][field]
+            assert records and all(e["se"] is None for e in records)
 
     def test_seed_determinism(self, csv5, tmp_path):
         path, _ = csv5
@@ -732,6 +736,26 @@ def test_gibbs_and_exact_share_one_summary_shape(csv5, tmp_path):
     assert (gibbs["method"], exact["method"]) == ("gibbs", "exact")
 
 
+def option_dests(command):
+    """The dests of a subcommand's options, read off the parser."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions
+            if not isinstance(a, argparse._HelpAction)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gibbs", "--g", "30", "--iterations", "20"],
+    ["exact", "--g", "30"],
+    ["compare", "--g", "30", "--runs", "2", "--iterations", "20", "--workers", "1"],
+], ids=lambda argv: argv[0])
+def test_config_echoes_every_option_but_the_outputs(csv5, tmp_path, argv):
+    # a new flag is echoed without another edit, and output paths never are
+    path, _ = csv5
+    report = run_json(argv[:1] + [path, "--response", "y"] + argv[1:], tmp_path / "r.json")
+    assert set(report["config"]) == option_dests(argv[0]) - {"out", "trace"}
+
+
 class TestCompareReport:
     def test_schema_and_hits(self, csv5, tmp_path):
         path, _ = csv5
@@ -940,6 +964,26 @@ class TestExternalTraceScoring:
         values = [e["value"] for e in out["inclusion"]]
         assert values == pytest.approx(ref["inclusion"], rel=1e-14, abs=1e-15)
         assert out["topk_mass_log10"] == pytest.approx(ref["topk_mass_log10"], rel=1e-14)
+
+    @pytest.mark.parametrize("top_k", [3, 1000])
+    def test_chain_trace_scores_as_its_summary(self, csv5, tmp_path, top_k):
+        # a chain's own trace file, scored as a foreign one, gives the
+        # chain summary's renormalized figures bit for bit
+        from modelspace import GPriorSpec, SamplerConfig, run_chain, summarize_trace
+
+        _, data = csv5
+        prior = GPriorSpec.fixed(30.0)
+        trace = run_chain(data, SamplerConfig(iterations=300, prior=prior, seed=6))
+        path = tmp_path / "own.tsv"
+        write_trace(path, trace)
+        summary = summarize_trace(trace, data, top_k)
+        out = cli.score_external_trace(path, data, prior, top_k)
+        assert summary.model_count > 3
+        assert out["hpm_bits_hex"] == format(summary.hpm, "x")
+        assert out["topk_mass_log10"] == summary.mass_log10
+        assert out["distinct_models"] == summary.model_count
+        values = [e["value"] for e in out["inclusion"]]
+        assert values == summary.inclusion_renormalized.tolist()
 
     def test_fixed_g_refuses_a_record_at_another_g(self, csv4, tmp_path):
         from modelspace import DataError, GPriorSpec, load_csv

@@ -345,8 +345,8 @@ class TestLowBitBlock:
     def test_nan_log_bf_is_a_numerical_error(self, p8_data, tmp_path, monkeypatch):
         # a NaN SSE must not pass for an excluded model: the pass raises,
         # and the exact command exits 4
-        def one_nan(B, gjj):
-            sse, singular = subset_sse(B, gjj)
+        def one_nan(B, low):
+            sse, singular = subset_sse(B, low)
             sse[-1] = np.nan
             return sse, singular
 
@@ -391,7 +391,8 @@ class TestLowBitBlock:
         low = np.arange(b)
         ix = np.append(low, data.p)
         state = fit_model(data, outer)
-        sse, singular = subset_sse(state.M[np.ix_(ix, ix)], np.diagonal(data.gram)[low])
+        block = exact_mod.LowBlock(np.diagonal(data.gram)[low])
+        sse, singular = subset_sse(state.M[np.ix_(ix, ix)], block)
         assert not singular.any()
         members = subset_members(b)
         for t in range(1 << b):
@@ -416,7 +417,7 @@ class TestLowBitBlock:
         low = np.arange(b)
         ix = np.append(low, data.p)
         B, gjj = state.M[np.ix_(ix, ix)], np.diagonal(data.gram)[low]
-        sse, singular = subset_sse(B, gjj)
+        sse, singular = subset_sse(B, exact_mod.LowBlock(gjj))
         ref_sse, ref_singular = column_cholesky_sse(B, gjj)
         np.testing.assert_array_equal(singular, ref_singular)
         assert singular.sum() == (0 if pair is None else 1 << (b - 2))
@@ -434,17 +435,18 @@ class TestLowBitBlock:
         Z[:, 6] = Z[:, 3]
         B = Z.T @ Z
         gjj = np.diagonal(B)[:b].copy()
-        ref = [a.copy() for a in subset_sse(B, gjj)]
+        ref = [a.copy() for a in subset_sse(B, exact_mod.LowBlock(gjj))]
         B[np.triu_indices(b + 1, 1)] = np.nan
+        # a block takes its in-place levels when it is built
         monkeypatch.setattr(exact_mod, "IN_PLACE_LEVELS", in_place)
-        for a, r in zip(subset_sse(B, gjj), ref):
+        for a, r in zip(subset_sse(B, exact_mod.LowBlock(gjj)), ref):
             np.testing.assert_array_equal(a, r)
 
     def test_reused_block_leaves_earlier_results(self):
         # one LowBlock scores two outer models, as in a shard: its results
         # are the block's own arrays, which the second call overwrites
-        # with what a fresh block gives; a call given G_jj returns arrays
-        # of its own, which a later call leaves alone
+        # with what a fresh block gives; the results of one block survive
+        # a call on another
         b = 6
         rng = np.random.default_rng(8)
         bordered = []
@@ -464,9 +466,9 @@ class TestLowBitBlock:
         assert second[1].any()
         for a, ref in zip(second, subset_sse(bordered[1], exact_mod.LowBlock(gjj))):
             np.testing.assert_array_equal(a, ref)
-        own = subset_sse(bordered[0], gjj)
+        own = subset_sse(bordered[0], exact_mod.LowBlock(gjj))
         kept = [a.copy() for a in own]
-        subset_sse(bordered[1], gjj)
+        subset_sse(bordered[1], exact_mod.LowBlock(gjj))
         for a, k in zip(own, kept):
             np.testing.assert_array_equal(a, k)
 
@@ -625,6 +627,17 @@ class TestShardLayout:
         np.testing.assert_array_equal(a.inclusion, b.inclusion)
         np.testing.assert_array_equal(a.dimension, b.dimension)
         assert_same_models(a.top_models, b.top_models)
+
+    def test_p20_pass_runs_in_process(self, pools):
+        # a 2-process pool loses to one process at p = 20 and wins from
+        # p = 21 (the module docstring's break-even)
+        data = synth_dataset(
+            N=60, p=20, active=(1, 8, 19), betas=(0.6, -0.5, 0.4), seed=23
+        )
+        g = float(data.N)
+        res = enumerate_exact(data, g, GPriorSpec.fixed(g), K=1, workers=2)
+        assert pools == []
+        assert res.diagnostics["workers"] == 1
 
     @pytest.mark.parametrize(
         "shard_bits, models_per_worker, workers, size",
@@ -892,6 +905,19 @@ class TestGuards:
             enumerate_exact(
                 p8_data, 40.0, GPriorSpec.zellner_siow(p8_data.N), K=1
             )
+
+    @pytest.mark.parametrize("call", [
+        lambda data, g, prior: enumerate_exact(data, g, prior, K=1, workers=1),
+        lambda data, g, prior: exact_quantity(
+            data, g, prior, indicator_of_variable(0), workers=1),
+        lambda data, g, prior: count_models_above(data, g, prior, 0.0, workers=1),
+    ], ids=["enumerate_exact", "exact_quantity", "count_models_above"])
+    def test_prior_at_another_g_rejected(self, p8_data, call, monkeypatch):
+        # the pass scores at g, so a prior that names another g is refused
+        # before any shard runs
+        monkeypatch.setattr(exact_mod, "enumerate_shard", None)
+        with pytest.raises(UsageError, match="prior's g"):
+            call(p8_data, 40.0, GPriorSpec.fixed(41.0))
 
     def test_top_k_mass_monotone(self, p8_data):
         g = float(p8_data.N)

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -38,10 +38,6 @@ from .sampler import ChainTrace, SamplerConfig, run_chain
 
 SCHEMA_VERSION = 1
 LOG10 = math.log(10.0)
-
-# The diagnostics of an exact summary that its run report carries, beside
-# its excluded_count.
-EXACT_DIAGNOSTICS = ("shard_bits", "low_bits", "workers")
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +285,7 @@ def cmd_exact(args) -> int:
         "enumerate_seconds": t2 - t1,
         "models_per_s": summary.model_count / (t2 - t1),
     }
-    diagnostics = {key: summary.diagnostics[key] for key in EXACT_DIAGNOSTICS}
+    diagnostics = {key: v for key, v in summary.diagnostics.items() if v is not None}
     report = build_report(
         "run", data, args, timing, command="exact",
         summary=summary_to_json(summary, data, args.top_k),
@@ -299,11 +295,10 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def _compare_worker(job) -> tuple[PosteriorSummary, np.ndarray]:
-    """One chain's summary and its visited bitmasks."""
-    data, config, top_k = job
+def _compare_chain(data: Dataset, config: SamplerConfig, top_k: int, hpm: int):
+    """One chain's summary, and whether it visited the model ``hpm``."""
     trace = run_chain(data, config)
-    return summarize_trace(trace, data, top_k), trace.bits
+    return summarize_trace(trace, data, top_k), bool((trace.bits == hpm).any())
 
 
 def compare_runs(
@@ -348,13 +343,13 @@ def compare_runs(
         SamplerConfig(iterations=iterations, prior=prior, seed=int(s), start=start)
         for s in seeds
     ]
-    jobs = [(data, c, top_k) for c in configs]
+    # -1: no bitmask equals it
+    exact_hpm = -1 if exact_report is None else int(
+        exact_report["summary"]["hpm"]["bits_hex"], 16
+    )
     workers = exact_mod.default_workers() if workers is None else max(1, workers)
-    if workers == 1:
-        results = [_compare_worker(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, runs)) as pool:
-            results = list(pool.map(_compare_worker, jobs))
+    chain = partial(_compare_chain, top_k=top_k, hpm=exact_hpm)
+    results = exact_mod.map_with_data(chain, data, configs, min(workers, runs))
 
     summaries, visited = zip(*results)
     flips = [s.diagnostics["bit_flips_per_sweep"] for s in summaries]
@@ -366,12 +361,10 @@ def compare_runs(
 
     hpm_hits = mpm_hits = hpm_visited = None
     if exact_report is not None:
-        ex = exact_report["summary"]
-        exact_hpm = int(ex["hpm"]["bits_hex"], 16)
-        exact_mpm = int(ex["mpm"]["bits_hex"], 16)
+        exact_mpm = int(exact_report["summary"]["mpm"]["bits_hex"], 16)
         hpm_hits = sum(s.hpm == exact_hpm for s in summaries)
         mpm_hits = sum(s.mpm == exact_mpm for s in summaries)
-        hpm_visited = sum(exact_hpm in bits.tolist() for bits in visited)
+        hpm_visited = sum(visited)
 
     return {
         "runs": runs,
@@ -397,32 +390,29 @@ def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> 
     renormalized estimators. Under a fixed ``prior`` every record must carry
     its g; under Zellner-Siow any finite g > 0 is accepted."""
     trace = read_trace(path)
-    bits, log_bfs = trace.bits, trace.log_bfs
-    beyond = np.flatnonzero(bits >> data.p)
-    if beyond.size:
-        raise DataError(
-            f"{path}: model {int(bits[beyond[0]]):x} sets a bit beyond "
-            f"the {data.p} columns"
-        )
+    bits, g, log_bfs = trace.bits, trace.g_draws, trace.log_bfs
+
+    def refuse(flagged: np.ndarray, reason: str) -> None:
+        """A DataError naming the first flagged record's model, with
+        ``reason`` formatted from that record's ``log_bf``, ``g`` and ``k``."""
+        flagged = np.flatnonzero(flagged)
+        if flagged.size:
+            i = flagged[0]
+            why = reason.format(
+                log_bf=float(log_bfs[i]), g=float(g[i]), k=int(bits[i]).bit_count()
+            )
+            raise DataError(f"{path}: model {int(bits[i]):x} {why}")
+
+    refuse(bits >> data.p, f"sets a bit beyond the {data.p} columns")
     # -inf marks an excluded model; NaN and +inf are no log Bayes factor
-    bad = np.flatnonzero(np.isnan(log_bfs) | (log_bfs == np.inf))
-    if bad.size:
-        raise DataError(
-            f"{path}: model {int(bits[bad[0]]):x} has log BF "
-            f"{float(log_bfs[bad[0]])!r}; only -inf (excluded) may be non-finite"
-        )
+    refuse(np.isnan(log_bfs) | (log_bfs == np.inf),
+           "has log BF {log_bf!r}; only -inf (excluded) may be non-finite")
     if not (log_bfs > -np.inf).any():
         raise DataError(
             f"{path}: model {int(bits[0]):x} and every other record have "
             "log BF -inf: all models are excluded"
         )
-    g = trace.g_draws
-    bad = np.flatnonzero(~(np.isfinite(g) & (g > 0)))
-    if bad.size:
-        raise DataError(
-            f"{path}: model {int(bits[bad[0]]):x} has g {float(g[bad[0]])!r}; "
-            "g must be finite and > 0"
-        )
+    refuse(~(np.isfinite(g) & (g > 0)), "has g {g!r}; g must be finite and > 0")
     # 0 <= SSE <= SSE0 puts a finite log BF of a k-variable model at g in
     # [-k/2, (N-k-1)/2] * ln(1+g), with a slack for rounding, and leaves a
     # model of k > N - 2 variables none. Made-up values inside are trusted.
@@ -432,24 +422,11 @@ def score_external_trace(path, data: Dataset, prior: GPriorSpec, top_k: int) -> 
     slack = 1e-9 * N * scale
     lo = -0.5 * k * scale - slack
     hi = 0.5 * (N - k - 1) * scale + slack
-    bad = np.flatnonzero(
-        (log_bfs > -np.inf) & ((k > N - 2) | (log_bfs < lo) | (log_bfs > hi))
-    )
-    if bad.size:
-        i = bad[0]
-        raise DataError(
-            f"{path}: model {int(bits[i]):x} has log BF {float(log_bfs[i])!r}, "
-            f"outside the range of a {int(k[i])}-variable model at "
-            f"g={float(g[i])!r} with N={N}"
-        )
+    refuse((log_bfs > -np.inf) & ((k > N - 2) | (log_bfs < lo) | (log_bfs > hi)),
+           "has log BF {log_bf!r}, outside the range of a {k}-variable model at "
+           f"g={{g!r}} with N={N}")
     if not prior.hierarchical:
-        bad = np.flatnonzero(g != prior.g)
-        if bad.size:
-            i = bad[0]
-            raise DataError(
-                f"{path}: model {int(bits[i]):x} was scored at "
-                f"g={float(g[i])!r}, this run uses g={prior.g!r}"
-            )
+        refuse(g != prior.g, f"was scored at g={{g!r}}, this run uses g={prior.g!r}")
     distinct = dedupe_models(trace)
     # one ranking gives the HPM and the top-K mass, as PosteriorSummary's do
     top = rank_models(distinct, top_k)

@@ -107,8 +107,8 @@ class PosteriorSummary:
     method's own values: a chain's ``g_accept_rate``,
     ``sse_spot_check_max_rel`` and ``bit_flips_per_sweep``, an
     enumeration's layout (``shard_bits``, ``low_bits``), its ``workers``
-    and, for the optional pass arguments, ``quantity_value`` and
-    ``rank_count``."""
+    and the ``quantity_value`` and ``rank_count`` of its optional pass
+    arguments, each None when its argument was not given."""
 
     method: str
     n_used: int

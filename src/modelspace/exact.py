@@ -56,13 +56,18 @@ A pass opens a process pool only where the work pays for it: at most
 min(workers, 2^s, max(1, 2^p // MODELS_PER_WORKER)) processes, so that
 each gets at least 2^20 models, and a pass given one runs its shards
 in-process. On a 2-vCPU x86-64 host a 2-process pool costs 8-14 ms to
-start and join, against about 35M models/s per core in a repeated pass.
-At K = 1000 on the benchmark's stand-in, [min, median] of 7 alternating
-calls in two runs, it loses at p = 19 (15-20 ms in-process against 25-36
-ms pooled) and at p = 20 (29-30 / 32 ms against 32-33 / 35-36 ms), and
-wins at p = 21 (57-61 / 60-62 ms against 49-51 / 52-54 ms) and p = 22
-(120-138 ms against 87-112 ms). The pool's size changes only which
-process runs a shard, never the layout, so results do not depend on it.
+start and join, against 27-55M models/s per core as the host's speed
+drifts (see the README). At K = 1000 on the benchmark's stand-in, [min,
+median] of 7 alternating calls in two runs, it loses at p = 19 (15-20 ms
+in-process against 25-36 ms pooled) and at p = 20 (29-30 / 32 ms against
+32-33 / 35-36 ms), and wins at p = 21 (57-61 / 60-62 ms against 49-51 /
+52-54 ms) and p = 22 (120-138 ms against 87-112 ms). The pool's size
+changes only which process runs a shard, never the layout, so results do
+not depend on it. The pool is ``map_with_data``'s, which
+``cli.compare_runs`` runs its chains on too: each worker gets the Dataset
+once and drops the workspaces it forked with, so a compare worker holds
+none and an exact worker builds its own at its first shard instead of
+copying the parent's pages on write.
 
 No BLAS call in a shard is large enough to start BLAS helper threads,
 which on a host with as many pool workers as cores would spin against the
@@ -82,6 +87,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -604,19 +610,39 @@ def reduce_shards(shards: list[Shard], data: Dataset) -> PosteriorSummary:
     )
 
 
-# The Dataset of the enumeration a pool worker serves, set once per worker.
+# The Dataset a pool worker serves, set once per worker.
 _worker_data: Dataset | None = None
 
 
 def _init_worker(data: Dataset) -> None:
     global _worker_data
     _worker_data = data
+    # the blocks this process forked with: an exact worker builds its own
+    # at its first shard, a compare worker needs none
+    _workspaces.blocks.clear()
 
 
-def _shard_run(args):
-    """The shards of one contiguous run of prefixes."""
-    shard_bits, prefixes, *rest = args
-    return [enumerate_shard(_worker_data, shard_bits, pre, *rest) for pre in prefixes]
+def _run_task(fn: Callable, item):
+    return fn(_worker_data, item)
+
+
+def map_with_data(fn: Callable, data: Dataset, items, workers: int, run: int = 1) -> list:
+    """``[fn(data, item) for item in items]``, in order: in-process for one
+    worker, otherwise on a pool of ``workers`` processes that each receive
+    the Dataset once, start without the workspaces they forked with, and
+    take the items in contiguous runs of ``run``, each run with ``fn``.
+    ``fn`` and the items must pickle for a pool."""
+    if workers == 1:
+        return [fn(data, item) for item in items]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(data,)
+    ) as pool:
+        return list(pool.map(partial(_run_task, fn), items, chunksize=run))
+
+
+def _prefix_shard(data: Dataset, prefix: int, shard_bits: int, **kwargs) -> Shard:
+    """``enumerate_shard`` with the prefix second, for ``map_with_data``."""
+    return enumerate_shard(data, shard_bits, prefix, **kwargs)
 
 
 def enumerate_exact(
@@ -661,23 +687,17 @@ def enumerate_exact(
     prefixes = range(1 << s)
     workers = default_workers() if workers is None else max(1, workers)
     workers = min(workers, len(prefixes), max(1, (1 << p) // MODELS_PER_WORKER))
-    if workers == 1:
-        shards = [
-            enumerate_shard(data, s, pre, g, prior, K, quantity, rank_threshold)
-            for pre in prefixes
-        ]
-    else:
-        run = max(1, len(prefixes) // (4 * workers))
-        jobs = [
-            (s, prefixes[i : i + run], g, prior, K, quantity, rank_threshold)
-            for i in range(0, len(prefixes), run)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(data,)
-        ) as pool:
-            shards = [shard for shards in pool.map(_shard_run, jobs) for shard in shards]
+    task = partial(_prefix_shard, shard_bits=s, g=g, prior=prior, K=K,
+                   quantity=quantity, rank_threshold=rank_threshold)
+    run = max(1, len(prefixes) // (4 * workers))
+    shards = map_with_data(task, data, prefixes, workers, run)
     res = reduce_shards(shards, data)
     res.diagnostics["workers"] = workers
+    # a reduction the pass was not asked for is None, not a 0
+    if quantity is None:
+        res.diagnostics["quantity_value"] = None
+    if rank_threshold is None:
+        res.diagnostics["rank_count"] = None
     return res
 
 

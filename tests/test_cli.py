@@ -621,6 +621,8 @@ class TestExactReport:
         jsonschema.validate(report, schema)
         diag = report["diagnostics"]
         assert (diag["shard_bits"], diag["low_bits"]) == layout
+        # a pass asked for no quantity and no count reports neither
+        assert set(diag) == {"excluded_count", "shard_bits", "low_bits", "workers"}
         for field in ("shard_bits", "low_bits"):
             bad = json.loads(json.dumps(report))
             bad["diagnostics"][field] = -1
@@ -820,6 +822,34 @@ class TestCompareReport:
         a.pop("timing")
         b.pop("timing")
         assert a == b
+
+    def test_report_does_not_depend_on_workers(self, csv5, tmp_path):
+        # the chains run in-process at one worker and on the pool at two;
+        # each pooled chain reports whether it visited the exact HPM
+        path, _ = csv5
+        from modelspace import GPriorSpec, SamplerConfig, load_csv, run_chain
+
+        exact_out = tmp_path / "exact.json"
+        exact = run_json(["exact", path, "--response", "y", "--g", "30"], exact_out)
+        args = ["compare", path, "--response", "y", "--g", "30", "--runs", "6",
+                "--iterations", "6", "--seed", "11", "--exact", str(exact_out)]
+        one, two = (run_json(args + ["--workers", w], tmp_path / f"w{w}.json")
+                    for w in ("1", "2"))
+        for report in (one, two):
+            report.pop("timing")
+            report["config"].pop("workers")
+        assert one == two
+        hpm = int(exact["summary"]["hpm"]["bits_hex"], 16)
+        data = load_csv(path, "y")
+        seeds = np.random.SeedSequence(11).generate_state(6, dtype=np.uint64)
+        visited = [
+            hpm in run_chain(data, SamplerConfig(iterations=6, prior=GPriorSpec.fixed(30.0),
+                                                 seed=int(s))).bits.tolist()
+            for s in seeds
+        ]
+        # chains this short visit the HPM in some runs and miss it in others
+        assert 0 < sum(visited) < 6
+        assert two["hpm_visited"] == sum(visited)
 
     def test_external_trace_scoring(self, csv5, tmp_path):
         path, data = csv5

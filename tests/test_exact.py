@@ -473,6 +473,11 @@ class TestLowBitBlock:
             np.testing.assert_array_equal(a, k)
 
 
+def workspace_count(data, item):
+    """How many workspaces the calling process's thread holds."""
+    return len(exact_mod._workspaces.blocks)
+
+
 def assert_same_summary(a, b):
     """Two exact summaries agree bit for bit."""
     assert a.log_total_bf == b.log_total_bf
@@ -518,6 +523,17 @@ class TestWorkspace:
         monkeypatch.setattr(exact_mod, "_workspaces", exact_mod._Workspaces())
         assert_same_summary(reused, enumerate_exact(pair, g, prior, K=10, workers=1))
         assert reused.excluded_count == 1 << (p - 2)
+
+    def test_pool_workers_start_without_workspaces(self, p8_data, fresh):
+        # a worker forked after a pass would otherwise hold the parent's
+        # blocks, which a compare chain never uses
+        g = float(p8_data.N)
+        enumerate_exact(p8_data, g, GPriorSpec.fixed(g), K=4, workers=1)
+        blocks = dict(exact_mod._workspaces.blocks)
+        assert len(blocks) == 1
+        counts = exact_mod.map_with_data(workspace_count, p8_data, range(4), workers=2)
+        assert counts == [0, 0, 0, 0]
+        assert exact_mod._workspaces.blocks == blocks
 
     def test_concurrent_threads_match_sequential_passes(self, fresh):
         # two blocks of 2^LOW_BITS completions per pass, so that each
@@ -754,6 +770,22 @@ class TestReduce:
         res = reduce_shards([shard], p8_data)
         full = enumerate_exact(p8_data, g, prior, K=16)
         assert res.log_total_bf == full.log_total_bf
+
+    def test_only_requested_reductions_reported(self, p8_data):
+        # a plain pass was asked for no quantity and no count, so it
+        # reports neither rather than a 0 of each
+        g = float(p8_data.N)
+        prior = GPriorSpec.fixed(g)
+        plain = enumerate_exact(p8_data, g, prior, K=1, workers=1)
+        assert plain.diagnostics["quantity_value"] is None
+        assert plain.diagnostics["rank_count"] is None
+        both = enumerate_exact(p8_data, g, prior, K=1, workers=1,
+                               quantity=np.bitwise_count, rank_threshold=0.0)
+        assert both.diagnostics["quantity_value"] == exact_quantity(
+            p8_data, g, prior, np.bitwise_count, workers=1)
+        assert both.diagnostics["rank_count"] == count_models_above(
+            p8_data, g, prior, 0.0, workers=1)
+        assert both.diagnostics["rank_count"] > 0
 
 
 class TestExactQuantity:

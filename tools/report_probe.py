@@ -12,7 +12,9 @@ echoes are the same in any checkout:
   (``p17.csv``), which writes ``p17.trace``;
 - ``exact-p17``: the exact pass of that prefix;
 - ``compare-p17``: 16 chains on the prefix, scored against ``exact-p17``
-  with ``--exact`` and against ``p17.trace`` with ``--trace-file``.
+  with ``--exact`` and against ``p17.trace`` with ``--trace-file``;
+- ``exact-p21``: the exact pass of the p=21 prefix (``p21.csv``) with
+  ``--workers 2``: at 2^21 models, a 2-process pool on any host.
 
 Each report is validated against its schema. The probe prints one JSON
 object whose ``reports`` map each name to a sha256 of
@@ -47,6 +49,7 @@ from modelspace import cli  # noqa: E402
 G = repr(inputs.G)
 P35 = ["mains.csv", "--response", "y", "--mains", ",".join(inputs.MAINS)]
 P17 = ["p17.csv", "--response", "y"]
+P21 = ["p21.csv", "--response", "y"]
 RUNS = {
     "gibbs-p35-fixed": ["gibbs", *P35, "--g", G, "--iterations", "2000", "--seed", "1"],
     "gibbs-p35-zs": ["gibbs", *P35, "--zellner-siow", "--iterations", "2000", "--seed", "1"],
@@ -56,6 +59,7 @@ RUNS = {
     "compare-p17": ["compare", *P17, "--g", G, "--runs", "16", "--iterations", "300",
                     "--seed", "3", "--workers", "2", "--exact", "exact-p17.json",
                     "--trace-file", "p17.trace"],
+    "exact-p21": ["exact", *P21, "--g", G, "--workers", "2"],
 }
 
 
@@ -82,6 +86,7 @@ def main() -> int:
         if cli.main(["expand", *P35, "--out", "wide.csv"]) != 0:
             raise SystemExit("expand failed")
         inputs.write_prefix_csv("wide.csv", "p17.csv", 17)
+        inputs.write_prefix_csv("wide.csv", "p21.csv", 21)
         for name, argv in RUNS.items():
             out = f"{name}.json"
             if cli.main([*argv, "--out", out]) != 0:

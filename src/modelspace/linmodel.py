@@ -279,13 +279,17 @@ class FitState:
     row as Python floats, so ``flip_sse`` gives the SSE after flipping any
     one bit, add or drop, as sse - C[j]^2/D[j] in O(1). ``add`` is a sweep
     and ``delete`` a reverse sweep on one pivot: an O(p^2) rank-one update
-    of M that never touches the N-length data. When the model empties, M
+    of M that never touches the N-length data. Either takes the SSE of the
+    flip when the caller has just computed it by ``flip_sse``, as the Gibbs
+    sweep has, and computes it otherwise. When the model empties, M
     returns to its pristine copy, so the null model's SSE is sse0 exactly
     and the drift of the updates restarts from zero. Single-owner mutable
     value.
     """
 
-    __slots__ = ("data", "bits", "k", "sse", "M", "D", "C", "_M0", "_tiny", "_kmax")
+    __slots__ = (
+        "data", "bits", "k", "sse", "M", "D", "C", "_M0", "_sse0", "_tiny", "_kmax",
+    )
 
     def __init__(self, data: Dataset, bits: int = 0):
         self.data = data
@@ -295,6 +299,7 @@ class FitState:
         M0[:p, p] = M0[p, :p] = data.xty
         M0[p, p] = data.sse0
         self._M0 = M0
+        self._sse0 = data.sse0
         # an add is singular when its pivot is at most SINGULAR_EPS * G_jj
         self._tiny = (SINGULAR_EPS * M0.diagonal()[:p]).tolist()
         self._kmax = data.N - 2
@@ -313,7 +318,7 @@ class FitState:
         # rebuilt in index order, where a pivot can differ
         for j in bit_indices(bits):
             self._sweep(j)
-        self._refresh(min(max(float(self.M[-1, -1]), 0.0), self.data.sse0))
+        self._refresh(min(max(float(self.M[-1, -1]), 0.0), self._sse0))
 
     def flip_sse(self, i: int) -> float | None:
         """SSE of the model with bit i flipped, or None when that add is
@@ -321,29 +326,40 @@ class FitState:
         d = self.D[i]
         if (self.bits >> i) & 1:
             if self.k == 1:
-                return self.data.sse0
+                return self._sse0
         elif self.k >= self._kmax or d <= self._tiny[i]:
             return None
         c = self.C[i]
-        return min(max(self.sse - c * c / d, 0.0), self.data.sse0)
+        sse = self.sse - c * c / d
+        # clamped to [0, sse0]; comparisons keep the bits of
+        # min(max(sse, 0.0), sse0), -0.0 and NaN included
+        if sse < 0.0:
+            return 0.0
+        if sse > self._sse0:
+            return self._sse0
+        return sse
 
-    def add(self, j: int) -> bool:
-        """Sweep column j into the model. Returns False, with the state
-        untouched, when the add is singular or saturated."""
+    def add(self, j: int, sse: float | None = None) -> bool:
+        """Sweep column j into the model, whose SSE becomes ``sse``, the
+        ``flip_sse(j)`` value, computed here when not given. Returns False,
+        with the state untouched, when the add is singular or saturated."""
         if (self.bits >> j) & 1:
             raise ValueError(f"column {j} already active")
-        sse = self.flip_sse(j)
         if sse is None:
-            return False
+            sse = self.flip_sse(j)
+            if sse is None:
+                return False
         self._sweep(j)
         self._refresh(sse)
         return True
 
-    def delete(self, j: int) -> None:
-        """Reverse-sweep column j out of the model."""
+    def delete(self, j: int, sse: float | None = None) -> None:
+        """Reverse-sweep column j out of the model, whose SSE becomes
+        ``sse``, the ``flip_sse(j)`` value, computed here when not given."""
         if not (self.bits >> j) & 1:
             raise ValueError(f"column {j} is not active")
-        sse = self.flip_sse(j)
+        if sse is None:
+            sse = self.flip_sse(j)
         self._sweep(j)
         self._refresh(sse)
 
@@ -356,13 +372,15 @@ class FitState:
         if not self.k:
             np.copyto(M, self._M0)
             return
-        col = M[i].copy()
-        h = col[i]
-        M -= np.multiply.outer(col, col / h)
-        col /= -h if drop else h
-        col[i] = -1.0 / h
-        M[i] = col
-        M[:, i] = col
+        h = M[i, i]
+        u = M[i] / h
+        M -= np.multiply.outer(M[i], u)
+        # the reverse sweep's row is x / -h, which is exactly -(x / h)
+        if drop:
+            np.negative(u, out=u)
+        u[i] = -1.0 / h
+        M[i] = u
+        M[:, i] = u
 
     def _refresh(self, sse: float) -> None:
         self.sse = sse

@@ -18,10 +18,13 @@ O(min(p, N) * p) memory: a drop SSE costs O(1), an add SSE one k-vector
 product and a flip an O(k^2) update (fast updating as in George &
 McCulloch 1997, *Approaches for Bayesian variable selection*). Both states
 offer what the sweep reads and changes: ``data``, the bitmask ``bits``,
-its size ``k`` and its ``sse``, with ``flip_sse(i)``, ``add(i)`` (False,
-with the state untouched, on a singular or saturated add), ``delete(i)``
-and ``reset()``. ``run_chain`` resets the state after each SSE spot
-check, which bounds the drift of the updates.
+its size ``k`` and its ``sse``, with ``flip_sse(i)``, ``add(i, sse)``
+(False, with the state untouched, on a singular or saturated add),
+``delete(i, sse)`` and ``reset()``. ``flip_sse`` returns a value in
+[0, sse0]; the sweep hands it to ``add`` or ``delete`` as ``sse``, and
+other callers leave ``sse`` out for the state to compute. ``run_chain``
+resets the state after each SSE spot check, which bounds the drift of
+the updates.
 
 The generator is a numpy Generator whose bit generator has ``advance``,
 such as the PCG64 that ``default_rng`` builds. A sweep draws p uniforms in
@@ -57,10 +60,11 @@ from .linmodel import (
 
 SSE_SPOT_CHECK_EVERY = 1000
 # the largest p whose sweep keeps the (p+1)x(p+1) swept matrix. Its flips
-# cost O(p^2) each, the inverse Gram's O(k^2). At p=96 on a 2-vCPU host the
-# swept matrix ran 2.5x the inverse Gram's sweeps/s with ~4 flips per sweep
-# and 1.05x with half the bits flipping every sweep; at p=128 the latter
-# fell to 0.69x
+# cost O(p^2) each, the inverse Gram's O(k^2). With the state forced on the
+# same chain (N = 2p, a 2-vCPU host), the swept matrix ran 2.6-3.2x the
+# inverse Gram's sweeps/s at p=96 with ~4 flips per sweep and 0.78-1.08x
+# with half the bits flipping every sweep; at p=128 the latter fell to
+# 0.73-0.87x
 SWEEP_MATRIX_MAX_P = 96
 
 
@@ -131,11 +135,12 @@ class InverseGramState:
 
     __slots__ = (
         "data", "bits", "k", "sse", "cols", "Ginv", "beta", "GA",
-        "_gdiag", "_xty", "_kmax", "_add", "_Gbuf", "_bbuf", "_GAbuf",
+        "_sse0", "_gdiag", "_xty", "_kmax", "_add", "_Gbuf", "_bbuf", "_GAbuf",
     )
 
     def __init__(self, data: Dataset, bits: int = 0):
         self.data = data
+        self._sse0 = data.sse0
         self._gdiag = [data.gram_diag(j) for j in range(data.p)]
         self._xty = data.xty.tolist()
         self._kmax = data.N - 2
@@ -179,10 +184,17 @@ class InverseGramState:
         k = self.k
         if (self.bits >> i) & 1:
             if k == 1:
-                return self.data.sse0
+                return self._sse0
             q = self.cols.index(i)
             b = self.beta[q]
-            return min(self.sse + b * b / self.Ginv[q, q], self.data.sse0)
+            sse = self.sse + b * b / self.Ginv[q, q]
+            # clamped to [0, sse0] as in FitState; the lower bound binds
+            # only if the drift of the updates made Ginv[q, q] negative
+            if sse < 0.0:
+                return 0.0
+            if sse > self._sse0:
+                return self._sse0
+            return sse
         if k >= self._kmax:
             return None
         gii = self._gdiag[i]
@@ -197,14 +209,17 @@ class InverseGramState:
             c = self._xty[i]
         if d <= SINGULAR_EPS * gii:
             return None
-        sse = max(self.sse - c * c / d, 0.0)
+        sse = self.sse - c * c / d
+        if sse < 0.0:
+            sse = 0.0
         self._add = (i, sse, w, d, c)
         return sse
 
-    def add(self, i: int) -> bool:
+    def add(self, i: int, sse: float | None = None) -> bool:
         """Add column i, reusing the pieces of the ``flip_sse(i)`` call just
-        made. Returns False, with the state untouched, when the add is
-        singular or saturated."""
+        made, which hold its SSE, so a given ``sse`` adds nothing. Returns
+        False, with the state untouched, when the add is singular or
+        saturated."""
         if (self.bits >> i) & 1:
             raise ValueError(f"column {i} already active")
         if (self._add is None or self._add[0] != i) and self.flip_sse(i) is None:
@@ -228,21 +243,20 @@ class InverseGramState:
         self._resize(k + 1)
         return True
 
-    def delete(self, i: int) -> None:
-        """Drop column i."""
-        self._add = None
+    def delete(self, i: int, sse: float | None = None) -> None:
+        """Drop column i; the SSE becomes ``sse``, the ``flip_sse(i)``
+        value, computed here when not given. At k = 1 that is sse0 exactly,
+        so the null model's log BF is exactly 0."""
         k = self.k
         q = self.cols.index(i)
         last = k - 1
-        if k == 1:
-            # the null model's SSE is sse0 exactly, so its log BF is exactly 0
-            self.sse = self.data.sse0
-        else:
+        self.sse = self.flip_sse(i) if sse is None else sse
+        self._add = None
+        if k > 1:
             Ginv = self.Ginv
             f = Ginv[q]
             e = f[q]
             bq = self.beta[q]
-            self.sse = min(self.sse + bq * bq / e, self.data.sse0)
             # the update zeroes row and column q; the last active column
             # then moves into position q
             self.beta -= f * (bq / e)
@@ -300,18 +314,19 @@ def gibbs_sweep(
         sse = state.flip_sse(i)
         if sse is None:
             continue
-        fit = a * math.log1p(g * max(sse / sse0, 0.0))
+        # flip_sse clamps to [0, sse0], so the ratio needs no clamp
+        fit = a * math.log1p(g * (sse / sse0))
         u = uniforms[used]
         used += 1
         if (state.bits >> i) & 1:
             lbf_flip = fit + 0.5 * (N - state.k) * lg
             if u >= _sigmoid(lbf - lbf_flip):
-                state.delete(i)
+                state.delete(i, sse)
                 lbf = lbf_flip
         else:
             lbf_flip = fit + 0.5 * (N - state.k - 2) * lg
             if u < _sigmoid(lbf_flip - lbf):
-                state.add(i)
+                state.add(i, sse)
                 lbf = lbf_flip
     if used < p:
         # one step per double; PCG64's period is 2^128

@@ -50,6 +50,16 @@ def naive_enumeration(data: Dataset, g: float):
     return lbfs, float(log_total), incl, dim, hpm_bits
 
 
+def duplicated_column_dataset() -> Dataset:
+    """N = 30 rows and p = 8 columns, column 5 a copy of column 2, so that
+    adding either to a model that holds the other is singular."""
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((30, 8))
+    X[:, 5] = X[:, 2]
+    y = X[:, 2] - 0.6 * X[:, 6] + rng.standard_normal(30)
+    return make_dataset(y, X, [f"x{j}" for j in range(8)])
+
+
 def standin_dataset(p: int, seed: int = 1, scale: float = 1.0) -> Dataset:
     """The first p columns of the synthetic stand-in for the paper's ozone
     design: N = 178 rows of seven AR(1) main effects (rho = 0.5), expanded

@@ -13,7 +13,7 @@ from modelspace import (
     sse_direct,
 )
 from modelspace.linmodel import bits_array
-from conftest import synth_dataset
+from conftest import duplicated_column_dataset, standin_dataset, synth_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -127,7 +127,86 @@ class TestExpandDesign:
             expand_design(data, [])
 
 
+class _ReferenceFitState(FitState):
+    """FitState with a reference arithmetic for its update and clamp: the
+    pivot row copied and divided twice, and builtin min/max. Counts the
+    ``flip_sse`` results the clamp changed."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.clamped = 0
+
+    def flip_sse(self, i):
+        d = self.D[i]
+        if (self.bits >> i) & 1:
+            if self.k == 1:
+                return self.data.sse0
+        elif self.k >= self._kmax or d <= self._tiny[i]:
+            return None
+        c = self.C[i]
+        raw = self.sse - c * c / d
+        sse = min(max(raw, 0.0), self.data.sse0)
+        self.clamped += sse != raw
+        return sse
+
+    def _sweep(self, i):
+        drop = (self.bits >> i) & 1
+        self.bits ^= 1 << i
+        self.k += -1 if drop else 1
+        M = self.M
+        if not self.k:
+            np.copyto(M, self._M0)
+            return
+        col = M[i].copy()
+        h = col[i]
+        M -= np.multiply.outer(col, col / h)
+        col /= -h if drop else h
+        col[i] = -1.0 / h
+        M[i] = col
+        M[:, i] = col
+
+
+def _exact_fit():
+    # y in the span of three columns: SSEs near 0 round either side of it
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((12, 6))
+    return make_dataset(X[:, :3].sum(axis=1), X, [f"x{j}" for j in range(6)])
+
+
+def _hex(sse):
+    return None if sse is None else sse.hex()
+
+
 class TestFitState:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: standin_dataset(20), duplicated_column_dataset, _exact_fit],
+        ids=["standin", "duplicated-column", "exact-fit"],
+    )
+    def test_flips_match_the_reference_arithmetic(self, build):
+        # the sweep's flips, add(j, sse) and delete(j, sse), against the
+        # reference's add(j) and delete(j), bit for bit after every flip
+        data = build()
+        state, ref = FitState(data), _ReferenceFitState(data)
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            j = int(rng.integers(data.p))
+            sse = state.flip_sse(j)
+            if (state.bits >> j) & 1:
+                state.delete(j, sse)
+                ref.delete(j)
+            else:
+                assert state.add(j, sse) == ref.add(j)
+            assert (state.bits, state.k, state.sse.hex()) == (ref.bits, ref.k, ref.sse.hex())
+            assert state.M.tobytes() == ref.M.tobytes()
+            assert np.array(state.D).tobytes() == np.array(ref.D).tobytes()
+            assert np.array(state.C).tobytes() == np.array(ref.C).tobytes()
+            assert [_hex(state.flip_sse(i)) for i in range(data.p)] == [
+                _hex(ref.flip_sse(i)) for i in range(data.p)
+            ]
+        if build is _exact_fit:
+            assert ref.clamped > 0
+
     def test_fit_empty(self):
         data = make_dataset([1.0, 2.0, 3.0], [[0.0], [1.0], [2.5]], ["x"])
         state = FitState(data)

@@ -23,7 +23,12 @@ from modelspace import (
     sweep_state,
 )
 from modelspace.sampler import _sigmoid
-from conftest import naive_enumeration, standin_dataset, synth_dataset
+from conftest import (
+    duplicated_column_dataset,
+    naive_enumeration,
+    standin_dataset,
+    synth_dataset,
+)
 
 
 class _CountingZeros:
@@ -52,9 +57,11 @@ def flip(state, i):
 
 
 class TestComponentProb:
-    # the state under test, and the matrix a flip_sse call must leave alone
+    # the state under test, the matrix a flip_sse call must leave alone,
+    # and the fields beside bits, k and sse that a flip updates
     State = FitState
     held = "M"
+    fields = ("M", "D", "C")
 
     def test_brute_force_oracle(self):
         # the flipped model's SSE against an independent least-squares refit
@@ -171,6 +178,31 @@ class TestComponentProb:
                     sse_direct(data, flipped), rel=1e-9, abs=1e-12 * data.sse0
                 )
 
+    def test_given_sse_changes_nothing(self):
+        # the sweep's add(i, sse) and delete(i, sse), handed the flip_sse(i)
+        # value, against add(i) and delete(i) on a twin, refused adds included
+        data = duplicated_column_dataset()
+        swept, twin = self.State(data), self.State(data)
+        rng = np.random.default_rng(23)
+        refused = 0
+        for _ in range(400):
+            i = int(rng.integers(data.p))
+            sse = swept.flip_sse(i)
+            if (swept.bits >> i) & 1:
+                swept.delete(i, sse)
+                twin.delete(i)
+            else:
+                ok = swept.add(i, sse)
+                assert twin.add(i) == ok
+                refused += not ok
+            assert (swept.bits, swept.k, swept.sse.hex()) == (
+                twin.bits, twin.k, twin.sse.hex()
+            )
+            for name in self.fields:
+                got, ref = getattr(swept, name), getattr(twin, name)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), name
+        assert refused > 0
+
     def test_reset_matches_a_fresh_state(self):
         # run_chain's rebuild: the state of the current bits, built anew
         rng = np.random.default_rng(8)
@@ -188,6 +220,7 @@ class TestInverseGramState(TestComponentProb):
     # every TestComponentProb check, rerun on the state used above SWEEP_MATRIX_MAX_P
     State = InverseGramState
     held = "Ginv"
+    fields = ("Ginv", "beta", "cols")
 
 
 def _ar_dataset(rng, p, N, rho):
@@ -250,18 +283,10 @@ def _scalar_sweep(state, g, prior, rng):
     return state
 
 
-def _duplicated_column():
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((30, 8))
-    X[:, 5] = X[:, 2]
-    y = X[:, 2] - 0.6 * X[:, 6] + rng.standard_normal(30)
-    return make_dataset(y, X, [f"x{j}" for j in range(8)])
-
-
 # (design, the state the sweep runs on); the last two saturate at N - 2
 BLOCK_CASES = {
     "standin": (lambda: standin_dataset(20), FitState),
-    "duplicated-column": (_duplicated_column, FitState),
+    "duplicated-column": (duplicated_column_dataset, FitState),
     "saturating": (
         lambda: synth_dataset(N=8, p=10, active=(0, 3), betas=(1.0, -0.8), seed=6),
         FitState,

@@ -127,21 +127,20 @@ def make_dataset(y, X, names, dropped=None) -> Dataset:
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise DataError(f"duplicate column names: {dupes}")
 
+    N = X.shape[0]
+    if N < 3:
+        raise DataError(f"need N >= 3 observations, got {N}")
+
     dropped = list(dropped or [])
-    keep = []
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        if np.ptp(col) == 0.0:
-            logger.warning("dropping constant column %r", names[j])
-            dropped.append(names[j])
-        else:
-            keep.append(j)
+    constant = np.ptp(X, axis=0) == 0.0
+    for j in np.flatnonzero(constant):
+        logger.warning("dropping constant column %r", names[j])
+        dropped.append(names[j])
+    keep = np.flatnonzero(~constant)
     X = X[:, keep]
     names = [names[j] for j in keep]
 
-    N, p = X.shape
-    if N < 3:
-        raise DataError(f"need N >= 3 observations, got {N}")
+    p = X.shape[1]
     if p < 1:
         raise DataError("no usable candidate columns")
     ybar = float(y.mean())
@@ -279,9 +278,14 @@ class FitState:
     row as Python floats, so ``flip_sse`` gives the SSE after flipping any
     one bit, add or drop, as sse - C[j]^2/D[j] in O(1). ``add`` is a sweep
     and ``delete`` a reverse sweep on one pivot: an O(p^2) rank-one update
-    of M that never touches the N-length data. Either takes the SSE of the
-    flip when the caller has just computed it by ``flip_sse``, as the Gibbs
-    sweep has, and computes it otherwise. When the model empties, M
+    of M that never touches the N-length data. The update is one BLAS
+    product of the pivot's column and its scaled row into a buffer the
+    state owns, so a flip allocates nothing. It rounds each entry once, as
+    the elementwise outer product does, and at the sweep's p <= 96 its
+    (p+1)^2 multiply-adds are far below OpenBLAS's threading threshold.
+    Either takes the SSE of the flip when the caller has just computed it
+    by ``flip_sse``, as the Gibbs sweep has, and computes it otherwise.
+    When the model empties, M
     returns to its pristine copy, so the null model's SSE is sse0 exactly
     and the drift of the updates restarts from zero. Single-owner mutable
     value.
@@ -289,6 +293,7 @@ class FitState:
 
     __slots__ = (
         "data", "bits", "k", "sse", "M", "D", "C", "_M0", "_sse0", "_tiny", "_kmax",
+        "_T", "_U", "_u", "_cols", "_diag", "_last",
     )
 
     def __init__(self, data: Dataset, bits: int = 0):
@@ -303,7 +308,16 @@ class FitState:
         # an add is singular when its pivot is at most SINGULAR_EPS * G_jj
         self._tiny = (SINGULAR_EPS * M0.diagonal()[:p]).tolist()
         self._kmax = data.N - 2
-        self.M = np.empty_like(M0)
+        # M is never rebound, so the views below stay valid: each pivot's
+        # column, the diagonal and the last row
+        self.M = M = np.empty_like(M0)
+        self._cols = [M[i : i + 1].T for i in range(p)]
+        self._diag = M.diagonal()
+        self._last = M[-1]
+        # the rank-one product and the scaled pivot row it is taken with
+        self._T = np.empty_like(M0)
+        self._U = np.empty((1, p + 1))
+        self._u = self._U[0]
         self.bits = bits
         self.reset()
 
@@ -373,21 +387,29 @@ class FitState:
             np.copyto(M, self._M0)
             return
         h = M[i, i]
-        u = M[i] / h
-        M -= np.multiply.outer(M[i], u)
-        # the reverse sweep's row is x / -h, which is exactly -(x / h)
+        u = self._u
+        T = self._T
+        # the reverse sweep divides by -h and adds: x / -h is exactly
+        # -(x / h), and a + -b is a - b
+        np.divide(M[i], -h if drop else h, out=u)
+        # a K=1 product with beta = 0 rounds each entry once, as x * y
+        # does, but writes +0.0 where x * y is -0.0; M holds no -0.0 (its
+        # zeros are sums and quotients by pivots of the right sign), so
+        # M -/+ T keeps the bits of the outer product's update
+        np.dot(self._cols[i], self._U, out=T)
         if drop:
-            np.negative(u, out=u)
+            M += T
+        else:
+            M -= T
         u[i] = -1.0 / h
         M[i] = u
         M[:, i] = u
 
     def _refresh(self, sse: float) -> None:
         self.sse = sse
-        M = self.M
-        M[-1, -1] = sse
-        self.D = M.diagonal().tolist()
-        self.C = M[-1].tolist()
+        self.M[-1, -1] = sse
+        self.D = self._diag.tolist()
+        self.C = self._last.tolist()
 
 
 def fit_model(data: Dataset, bits: int) -> FitState:

@@ -16,7 +16,13 @@ rank-one update (Goodnight 1979, *A tutorial on the SWEEP operator*). Above
 it, ``InverseGramState`` keeps the inverse Gram matrix of the active set in
 O(min(p, N) * p) memory: a drop SSE costs O(1), an add SSE one k-vector
 product and a flip an O(k^2) update (fast updating as in George &
-McCulloch 1997, *Approaches for Bayesian variable selection*). Both states
+McCulloch 1997, *Approaches for Bayesian variable selection*). Either
+state's rank-one update is one BLAS product (``np.dot`` of a column and a
+row) into a buffer it owns. Each entry of that product rounds once, as
+``np.multiply.outer``'s does, so a chain does not depend on the BLAS
+thread count; OpenBLAS starts helper threads only above 65,536 * 4
+multiply-adds, that is for an inverse Gram of more than 512 active
+columns, and never on the sweep's swept matrix (p <= 96). Both states
 offer what the sweep reads and changes: ``data``, the bitmask ``bits``,
 its size ``k`` and its ``sse``, with ``flip_sse(i)``, ``add(i, sse)``
 (False, with the state untouched, on a singular or saturated add),
@@ -61,10 +67,11 @@ from .linmodel import (
 SSE_SPOT_CHECK_EVERY = 1000
 # the largest p whose sweep keeps the (p+1)x(p+1) swept matrix. Its flips
 # cost O(p^2) each, the inverse Gram's O(k^2). With the state forced on the
-# same chain (N = 2p, a 2-vCPU host), the swept matrix ran 2.6-3.2x the
-# inverse Gram's sweeps/s at p=96 with ~4 flips per sweep and 0.78-1.08x
-# with half the bits flipping every sweep; at p=128 the latter fell to
-# 0.73-0.87x
+# same chain (N = 2p, one BLAS thread, a 2-vCPU host), the swept matrix ran
+# 3.7-4.2x the inverse Gram's sweeps/s at p=96 with ~4 flips per sweep and
+# 1.15-1.43x with about half the bits flipping every sweep; at p=128 these
+# read 3.1-3.2x and 0.97-1.23x: with half the bits flipping, the crossover
+# now sits near p=128
 SWEEP_MATRIX_MAX_P = 96
 
 
@@ -136,6 +143,7 @@ class InverseGramState:
     __slots__ = (
         "data", "bits", "k", "sse", "cols", "Ginv", "beta", "GA",
         "_sse0", "_gdiag", "_xty", "_kmax", "_add", "_Gbuf", "_bbuf", "_GAbuf",
+        "_Tbuf",
     )
 
     def __init__(self, data: Dataset, bits: int = 0):
@@ -150,6 +158,8 @@ class InverseGramState:
         self._Gbuf = np.empty((cap, cap))
         self._bbuf = np.empty(cap)
         self._GAbuf = np.empty((cap, data.p))
+        # the rank-one products of the updates, k^2 of them at a time
+        self._Tbuf = np.empty(cap * cap)
         self.bits = bits
         self.reset()
 
@@ -177,6 +187,15 @@ class InverseGramState:
         self.Ginv = self._Gbuf[:k, :k]
         self.beta = self._bbuf[:k]
         self.GA = self._GAbuf[:k]
+
+    def _outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The outer product of two k-vectors, one BLAS product into the
+        reused buffer. Each entry rounds once, as ``np.outer``'s does; a
+        zero may come back +0.0 where ``np.outer`` gives -0.0, a sign that
+        no SSE reads."""
+        k = a.size
+        T = self._Tbuf[: k * k].reshape(k, k)
+        return np.dot(a[:, None], b[None, :], out=T)
 
     def flip_sse(self, i: int) -> float | None:
         """SSE of the model with bit i flipped, or None when that add is
@@ -230,7 +249,7 @@ class InverseGramState:
         G = self._Gbuf
         if k:
             u = w / d
-            self.Ginv += np.outer(w, u)
+            self.Ginv += self._outer(w, u)
             G[:k, k] = -u
             G[k, :k] = -u
             self.beta -= w * (c / d)
@@ -260,7 +279,7 @@ class InverseGramState:
             # the update zeroes row and column q; the last active column
             # then moves into position q
             self.beta -= f * (bq / e)
-            Ginv -= np.outer(f, f / e)
+            Ginv -= self._outer(f, f / e)
             Ginv[q] = Ginv[last]
             Ginv[:, q] = Ginv[:, last]
             self.beta[q] = self.beta[last]

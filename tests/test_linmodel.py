@@ -96,6 +96,25 @@ class TestLoadCsv:
         assert any("saturation" in r.message for r in caplog.records)
 
 
+class TestMakeDataset:
+    def test_constant_columns_dropped_in_order(self, caplog):
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((6, 4))
+        X[:, 3] = 7.0
+        X[:, 1] = -1.5
+        with caplog.at_level("WARNING"):
+            data = make_dataset(X[:, 0] + X[:, 2], X, ["a", "b", "c", "d"], ["z"])
+        assert data.names == ["a", "c"]
+        assert data.dropped == ["z", "b", "d"]
+        assert data.X.tobytes() == X[:, [0, 2]].tobytes()
+        warned = [r.getMessage() for r in caplog.records if "constant" in r.getMessage()]
+        assert warned == ["dropping constant column 'b'", "dropping constant column 'd'"]
+
+    def test_zero_rows(self):
+        with pytest.raises(DataError, match="N >= 3 observations, got 0"):
+            make_dataset(np.empty(0), np.empty((0, 2)), ["a", "b"])
+
+
 class TestExpandDesign:
     def test_counts(self):
         data = synth_dataset(N=60, p=10, seed=5)
@@ -173,6 +192,17 @@ def _exact_fit():
     return make_dataset(X[:, :3].sum(axis=1), X, [f"x{j}" for j in range(6)])
 
 
+def _orthogonal():
+    # Sylvester-Hadamard columns: every centered cross-product of two
+    # columns is exactly 0, so the updates meet zero entries and products
+    H = np.ones((1, 1))
+    while H.shape[0] < 16:
+        H = np.block([[H, H], [H, -H]])
+    y = H[:, 1] - 0.5 * H[:, 6] + np.random.default_rng(3).standard_normal(16)
+    # column 0 is constant and dropped
+    return make_dataset(y, H, [f"h{j}" for j in range(16)])
+
+
 def _hex(sse):
     return None if sse is None else sse.hex()
 
@@ -180,15 +210,17 @@ def _hex(sse):
 class TestFitState:
     @pytest.mark.parametrize(
         "build",
-        [lambda: standin_dataset(20), duplicated_column_dataset, _exact_fit],
-        ids=["standin", "duplicated-column", "exact-fit"],
+        [lambda: standin_dataset(20), duplicated_column_dataset, _exact_fit, _orthogonal],
+        ids=["standin", "duplicated-column", "exact-fit", "orthogonal"],
     )
     def test_flips_match_the_reference_arithmetic(self, build):
         # the sweep's flips, add(j, sse) and delete(j, sse), against the
-        # reference's add(j) and delete(j), bit for bit after every flip
+        # reference's add(j) and delete(j), bit for bit after every flip;
+        # M.tobytes() tells +0.0 from -0.0
         data = build()
         state, ref = FitState(data), _ReferenceFitState(data)
         rng = np.random.default_rng(29)
+        zeros = 0
         for _ in range(300):
             j = int(rng.integers(data.p))
             sse = state.flip_sse(j)
@@ -199,6 +231,7 @@ class TestFitState:
                 assert state.add(j, sse) == ref.add(j)
             assert (state.bits, state.k, state.sse.hex()) == (ref.bits, ref.k, ref.sse.hex())
             assert state.M.tobytes() == ref.M.tobytes()
+            zeros += int(np.count_nonzero(state.M == 0.0))
             assert np.array(state.D).tobytes() == np.array(ref.D).tobytes()
             assert np.array(state.C).tobytes() == np.array(ref.C).tobytes()
             assert [_hex(state.flip_sse(i)) for i in range(data.p)] == [
@@ -206,6 +239,8 @@ class TestFitState:
             ]
         if build is _exact_fit:
             assert ref.clamped > 0
+        if build is _orthogonal:
+            assert data.p == 15 and zeros > 1000
 
     def test_fit_empty(self):
         data = make_dataset([1.0, 2.0, 3.0], [[0.0], [1.0], [2.5]], ["x"])

@@ -223,6 +223,80 @@ class TestInverseGramState(TestComponentProb):
     fields = ("Ginv", "beta", "cols")
 
 
+class _ReferenceInverseGramState(InverseGramState):
+    """InverseGramState with the reference arithmetic of its updates: each
+    rank-one product a fresh ``np.outer``."""
+
+    def add(self, i, sse=None):
+        if (self.bits >> i) & 1:
+            raise ValueError(f"column {i} already active")
+        if (self._add is None or self._add[0] != i) and self.flip_sse(i) is None:
+            return False
+        _, sse, w, d, c = self._add
+        self._add = None
+        k = self.k
+        G = self._Gbuf
+        if k:
+            u = w / d
+            self.Ginv += np.outer(w, u)
+            G[:k, k] = -u
+            G[k, :k] = -u
+            self.beta -= w * (c / d)
+        G[k, k] = 1.0 / d
+        self._bbuf[k] = c / d
+        self._GAbuf[k] = self.data.gram_col(i)
+        self.sse = sse
+        self.cols.append(i)
+        self.bits |= 1 << i
+        self._resize(k + 1)
+        return True
+
+    def delete(self, i, sse=None):
+        k = self.k
+        q = self.cols.index(i)
+        last = k - 1
+        self.sse = self.flip_sse(i) if sse is None else sse
+        self._add = None
+        if k > 1:
+            Ginv = self.Ginv
+            f = Ginv[q]
+            e = f[q]
+            bq = self.beta[q]
+            self.beta -= f * (bq / e)
+            Ginv -= np.outer(f, f / e)
+            Ginv[q] = Ginv[last]
+            Ginv[:, q] = Ginv[:, last]
+            self.beta[q] = self.beta[last]
+            self.GA[q] = self.GA[last]
+        self.cols[q] = self.cols[last]
+        self.cols.pop()
+        self.bits &= ~(1 << i)
+        self._resize(last)
+
+
+def test_inverse_gram_flips_match_the_reference_arithmetic():
+    # the updates through the reused product buffer against fresh
+    # np.outer products, byte for byte after every flip, refused adds included
+    data = duplicated_column_dataset()
+    state, ref = InverseGramState(data), _ReferenceInverseGramState(data)
+    rng = np.random.default_rng(31)
+    refused = 0
+    for _ in range(300):
+        i = int(rng.integers(data.p))
+        sse = state.flip_sse(i)
+        if (state.bits >> i) & 1:
+            state.delete(i, sse)
+            ref.delete(i)
+        else:
+            ok = state.add(i, sse)
+            assert ref.add(i) == ok
+            refused += not ok
+        assert (state.bits, state.cols, state.sse.hex()) == (ref.bits, ref.cols, ref.sse.hex())
+        assert state.Ginv.tobytes() == ref.Ginv.tobytes()
+        assert state.beta.tobytes() == ref.beta.tobytes()
+    assert refused > 0
+
+
 def _ar_dataset(rng, p, N, rho):
     """An AR(rho)-correlated design with a signal on its first four columns."""
     corr = rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
